@@ -34,7 +34,7 @@ from .scenario import (
     report_document,
     write_report,
 )
-from .ttm import delta_a_distribution, jarzynski_scenario, joint_distribution, verify_ft
+from .ttm import jarzynski_scenario, verify_ft
 
 CSV_HEADER = (
     "trial,seed,dim,words,outcomes,state_kind,mutual_information,chi,gamma,"
@@ -77,9 +77,7 @@ def cmd_verify(args) -> int:
     scenario, digest = load_scenario(args.scenario, _tolerances(args))
     if scenario.kind != "two_time":
         raise ValidationError(f"verify expects a two_time scenario, got kind {scenario.kind!r}")
-    protocol = scenario.two_time
-    report = verify_ft(protocol, tolerances=scenario.tolerances)
-    delta = delta_a_distribution(joint_distribution(protocol, scenario.tolerances), scenario.tolerances)
+    report = verify_ft(scenario.two_time, tolerances=scenario.tolerances)
     checks = [
         {
             "name": "fluctuation_identity",
@@ -107,7 +105,7 @@ def cmd_verify(args) -> int:
             "max_violation": report.max_violation,
         },
         checks=checks,
-        atoms=list(zip(delta.values.tolist(), delta.probs.tolist())),
+        atoms=list(report.atoms),
         seed=scenario.seed,
     )
     _emit(doc, args)
@@ -126,10 +124,9 @@ def cmd_jarzynski(args) -> int:
     if scenario.kind != "jarzynski":
         raise ValidationError(f"jarzynski expects a jarzynski scenario, got kind {scenario.kind!r}")
     beta = args.beta if args.beta is not None else scenario.jarzynski_beta
-    protocol, report = jarzynski_scenario(
+    _, report = jarzynski_scenario(
         scenario.jarzynski_h0, scenario.jarzynski_protocol, beta, tolerances=scenario.tolerances
     )
-    delta = delta_a_distribution(joint_distribution(protocol, scenario.tolerances), scenario.tolerances)
     checks = [
         {
             "name": "jarzynski_identity",
@@ -165,7 +162,7 @@ def cmd_jarzynski(args) -> int:
             "gamma": report.gamma,
         },
         checks=checks,
-        atoms=list(zip(delta.values.tolist(), delta.probs.tolist())),
+        atoms=list(report.ft.atoms),
         seed=scenario.seed,
     )
     _emit(doc, args)

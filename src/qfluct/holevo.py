@@ -255,9 +255,8 @@ def _observable_from_neg_exp(w: np.ndarray, tol: Tolerances) -> ExtendedObservab
         finite = SpectralDecomposition(values=vals[order], vectors=cols[:, order])
         branches.extend(group_eigenspaces(finite, tol.degeneracy_tol))
     if (~mask).any():
-        cols = dec.vectors[:, ~mask]
-        branches.append((math.inf, cols @ cols.conj().T))
-    return ExtendedObservable.create(branches, tol)
+        branches.append((math.inf, dec.vectors[:, ~mask]))
+    return ExtendedObservable.from_blocks(branches, tol)
 
 
 def _assemble(

@@ -1,9 +1,11 @@
 """Projective measurements with back-action, extended observables, POVMs,
 and the probe-based orthogonal realization of a POVM.
 
-An extended observable carries a spectral list of (value, projector)
-branches where at most one value may be +infinity; that branch marks the
-subspace on which exp(-A) vanishes, keeping the exponential bounded.
+An extended observable carries a spectral list of (value, eigenvector
+block) branches where at most one value may be +infinity; that branch
+marks the subspace on which exp(-A) vanishes, keeping the exponential
+bounded.  Projective measurements and extended observables share one
+representation: the columns of a unitary grouped into branch blocks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .operator_core import (
     Tolerances,
     as_matrix,
     basis_projector,
-    compressed_exp,
     group_eigenspaces,
     kron,
     max_abs,
@@ -31,73 +32,123 @@ from .operator_core import (
 )
 
 
-def _check_complete_orthogonal(projectors: Sequence[np.ndarray], tol: Tolerances, what: str):
-    dim = projectors[0].shape[0]
-    total = np.zeros((dim, dim), dtype=complex)
-    for p in projectors:
-        if p.shape[0] != dim:
-            raise ValidationError(f"{what}: mixed dimensions {p.shape[0]} vs {dim}")
-        total += p
-    defect = max_abs(total - np.eye(dim))
+# Largest argument whose exponential is a finite double.
+_EXP_LIMIT = math.log(np.finfo(float).max)
+
+
+def _projector_columns(p: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the range of a validated projector."""
+    w, v = np.linalg.eigh(p)
+    return v[:, w > 0.5]
+
+
+def _stack_blocks(
+    blocks: Sequence[np.ndarray], tol: Tolerances, what: str
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Concatenate column blocks into V and check that they form a complete
+    orthonormal basis: ranks summing to the dimension together with
+    V†V = I within proj_tol give mutual orthogonality and completeness."""
+    if not blocks:
+        raise ValidationError(f"{what} needs at least one branch")
+    dim = blocks[0].shape[0]
+    if any(b.shape[0] != dim for b in blocks):
+        raise ValidationError(f"{what}: branches have mixed dimensions")
+    ranks = [b.shape[1] for b in blocks]
+    if min(ranks) == 0:
+        raise ValidationError(f"{what}: branch {ranks.index(0)} has rank 0")
+    total = sum(ranks)
+    if total < dim:
+        raise ValidationError(f"{what}: incomplete, branch ranks sum to {total} < dimension {dim}")
+    if total > dim:
+        raise ValidationError(f"{what}: branches overlap, ranks sum to {total} > dimension {dim}")
+    vectors = np.concatenate(blocks, axis=1)
+    defect = max_abs(vectors.conj().T @ vectors - np.eye(dim))
     if defect > tol.proj_tol:
-        raise ValidationError(f"{what}: completeness defect {defect:.3e} exceeds proj_tol")
-    for i in range(len(projectors)):
-        for j in range(i + 1, len(projectors)):
-            cross = max_abs(projectors[i] @ projectors[j])
-            if cross > tol.proj_tol:
-                raise ValidationError(
-                    f"{what}: projectors {i} and {j} overlap by {cross:.3e}"
-                )
+        raise ValidationError(
+            f"{what}: branches overlap or are not orthonormal, |V†V - I| = {defect:.3e} "
+            f"exceeds proj_tol"
+        )
+    return vectors, tuple(np.cumsum([0, *ranks]).tolist())
 
 
 @dataclass(frozen=True, eq=False)
-class ProjectiveMeasurement:
-    """Complete family of mutually orthogonal projectors."""
+class BranchBlocks:
+    """Complete family of mutually orthogonal projectors held as column
+    blocks of one unitary: branch b projects onto the span of
+    vectors[:, offsets[b]:offsets[b+1]]."""
 
-    projectors: tuple[np.ndarray, ...]
-
-    @classmethod
-    def create(cls, projectors: Iterable, tol: Tolerances = DEFAULT_TOLS) -> "ProjectiveMeasurement":
-        ps = tuple(require_projector(p, tol) for p in projectors)
-        if not ps:
-            raise ValidationError("a measurement needs at least one projector")
-        _check_complete_orthogonal(ps, tol, "projective measurement")
-        return cls(projectors=ps)
+    vectors: np.ndarray        # (n, n) unitary, columns grouped by branch
+    offsets: tuple[int, ...]   # (B + 1,) block boundaries, offsets[-1] = n
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.vectors.shape[0]
+
+    def blocks(self) -> list[np.ndarray]:
+        return [self.vectors[:, a:b] for a, b in zip(self.offsets, self.offsets[1:])]
+
+    @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """Branch projectors V_b V_b†, built on each access."""
+        return tuple(cols @ cols.conj().T for cols in self.blocks())
 
 
 @dataclass(frozen=True, eq=False)
-class ExtendedObservable:
-    """Spectral branches (value, projector), +infinity allowed once.
+class ProjectiveMeasurement(BranchBlocks):
+    """Complete family of mutually orthogonal projectors."""
 
-    Branches are kept sorted by value with the infinite branch last.
-    Finite values are pairwise distinct beyond degeneracy_tol; all
-    projectors are mutually orthogonal and complete.
+    @classmethod
+    def create(cls, projectors: Iterable, tol: Tolerances = DEFAULT_TOLS) -> "ProjectiveMeasurement":
+        blocks = [_projector_columns(require_projector(p, tol)) for p in projectors]
+        vectors, offsets = _stack_blocks(blocks, tol, "projective measurement")
+        return cls(vectors=vectors, offsets=offsets)
+
+
+@dataclass(frozen=True, eq=False)
+class ExtendedObservable(BranchBlocks):
+    """Spectral branches (value, eigenvector block), +infinity allowed once.
+
+    Branch b has value values[b] and projector V_b V_b† with the
+    orthonormal block V_b = vectors[:, offsets[b]:offsets[b+1]].  Branches
+    are kept sorted by value with the infinite branch last, and finite
+    values are pairwise distinct beyond degeneracy_tol.  The blocks
+    together form one unitary V; a single check (ranks summing to n and
+    |V†V - I| <= proj_tol) certifies that the projectors are mutually
+    orthogonal and complete.  ``projectors`` is derived on demand.
     """
 
     values: tuple[float, ...]
-    projectors: tuple[np.ndarray, ...]
 
     @classmethod
     def create(
         cls, branches: Iterable[tuple[float, np.ndarray]], tol: Tolerances = DEFAULT_TOLS
     ) -> "ExtendedObservable":
+        """Validated construction from (value, projector) branches."""
+        return cls.from_blocks(
+            ((value, _projector_columns(require_projector(p, tol))) for value, p in branches), tol
+        )
+
+    @classmethod
+    def from_blocks(
+        cls, branches: Iterable[tuple[float, np.ndarray]], tol: Tolerances = DEFAULT_TOLS
+    ) -> "ExtendedObservable":
+        """Construction from (value, orthonormal column block) branches.
+
+        Finite branches are sorted by value; all +infinity branches merge
+        into one last branch.
+        """
         finite: list[tuple[float, np.ndarray]] = []
         infinite: list[np.ndarray] = []
-        for value, projector in branches:
-            p = require_projector(projector, tol)
+        for value, cols in branches:
             v = float(value)
             if math.isinf(v):
                 if v < 0:
                     raise ValidationError("-infinity branch values are not supported")
-                infinite.append(p)
+                infinite.append(cols)
             elif math.isnan(v):
                 raise ValidationError("NaN branch value")
             else:
-                finite.append((v, p))
+                finite.append((v, cols))
         finite.sort(key=lambda b: b[0])
         for (va, _), (vb, _) in zip(finite, finite[1:]):
             if vb - va <= tol.degeneracy_tol:
@@ -106,19 +157,12 @@ class ExtendedObservable:
                     f"degeneracy_tol; merge their projectors first"
                 )
         values = [v for v, _ in finite]
-        projectors = [p for _, p in finite]
+        blocks = [c for _, c in finite]
         if infinite:
             values.append(math.inf)
-            projectors.append(sum(infinite[1:], start=infinite[0]) if len(infinite) > 1 else infinite[0])
-            projectors[-1] = require_projector(projectors[-1], tol)
-        if not projectors:
-            raise ValidationError("observable needs at least one branch")
-        _check_complete_orthogonal(projectors, tol, "extended observable")
-        return cls(values=tuple(values), projectors=tuple(projectors))
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
+            blocks.append(np.concatenate(infinite, axis=1))
+        vectors, offsets = _stack_blocks(blocks, tol, "extended observable")
+        return cls(vectors=vectors, offsets=offsets, values=tuple(values))
 
     @property
     def has_infinite_branch(self) -> bool:
@@ -130,39 +174,45 @@ class ExtendedObservable:
             return self.projectors[-1]
         return np.zeros((self.dim, self.dim), dtype=complex)
 
-    def finite_branches(self) -> list[tuple[float, np.ndarray]]:
-        return [
-            (v, p) for v, p in zip(self.values, self.projectors) if not math.isinf(v)
-        ]
+    def _finite_function(self, f) -> np.ndarray:
+        """V_fin diag(f(v)) V_fin† over the columns of the finite branches."""
+        n_finite = len(self.values) - self.has_infinite_branch
+        values = np.array(self.values[:n_finite])
+        cols = self.vectors[:, : self.offsets[n_finite]]
+        return (cols * np.repeat(f(values), np.diff(self.offsets[: n_finite + 1]))) @ cols.conj().T
 
     def finite_matrix(self) -> np.ndarray:
         """Hermitian sum of the finite branches (+infinity branch omitted)."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for v, p in self.finite_branches():
-            out += v * p
-        return out
+        return self._finite_function(lambda v: v)
 
     def measurement(self) -> ProjectiveMeasurement:
-        return ProjectiveMeasurement(projectors=self.projectors)
+        return ProjectiveMeasurement(vectors=self.vectors, offsets=self.offsets)
 
     def exp_neg(self, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
         """exp(-A) with the +infinity branch mapped to the kernel."""
-        return compressed_exp(-self.finite_matrix(), self.infinite_projector(), tol)
+        if self.values[0] < -_EXP_LIMIT:
+            raise ValidationError(
+                f"exp(-A) overflows: branch value {self.values[0]!r} is below -{_EXP_LIMIT:.2f}"
+            )
+        return self._finite_function(lambda v: np.exp(-v))
 
     def exp_pos(self, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
         """exp(+A); requires a finite spectrum."""
         if self.has_infinite_branch:
             raise ValidationError("exp(+A) is unbounded for an observable with a +infinity branch")
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for v, p in self.finite_branches():
-            out += math.exp(v) * p
-        return out
+        if self.values[-1] > _EXP_LIMIT:
+            raise ValidationError(
+                f"exp(+A) overflows: branch value {self.values[-1]!r} exceeds {_EXP_LIMIT:.2f}"
+            )
+        return self._finite_function(np.exp)
+
 
 def observable_from_hermitian(h, tol: Tolerances = DEFAULT_TOLS) -> ExtendedObservable:
     """Wrap a Hermitian matrix as a finite extended observable, grouping
-    eigenvalues closer than degeneracy_tol into joint eigenspaces."""
+    eigenvalues closer than degeneracy_tol into joint eigenspaces whose
+    eigenvector blocks become the branches."""
     dec = spectral_decompose(h, tol)
-    return ExtendedObservable.create(group_eigenspaces(dec, tol.degeneracy_tol), tol)
+    return ExtendedObservable.from_blocks(group_eigenspaces(dec, tol.degeneracy_tol), tol)
 
 
 def measure(
@@ -178,26 +228,28 @@ def measure(
         raise ValidationError(f"dimension mismatch: state {state.shape[0]}, measurement {m.dim}")
     out: list[tuple[float, np.ndarray | None]] = []
     total = 0.0
-    for p in m.projectors:
-        sandwiched = p @ state @ p
-        prob = float(np.trace(sandwiched).real)
+    for cols in m.blocks():
+        inner = cols.conj().T @ state @ cols
+        prob = float(np.trace(inner).real)
         prob = 0.0 if abs(prob) <= tol.prob_floor else prob
         total += prob
-        out.append((prob, sandwiched / prob if prob > tol.prob_floor else None))
+        out.append((prob, cols @ inner @ cols.conj().T / prob if prob > tol.prob_floor else None))
     if abs(total - 1.0) > 1e-10:
         raise ValidationError(f"measurement probabilities sum to {total!r}, not 1")
     return out
 
 
-def measurement_channel(rho, m: ProjectiveMeasurement, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Non-selective back-action map: the weighted sum of all projections."""
+def measurement_channel(rho, m: BranchBlocks, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """Non-selective back-action map sum_b P_b rho P_b, computed as
+    V blockdiag(V† rho V) V† over the branch blocks of m."""
     state = as_matrix(rho)
     if state.shape[0] != m.dim:
         raise ValidationError(f"dimension mismatch: state {state.shape[0]}, measurement {m.dim}")
-    out = np.zeros_like(state)
-    for p in m.projectors:
-        out += p @ state @ p
-    return out
+    ranks = np.diff(m.offsets)
+    labels = np.repeat(np.arange(ranks.size), ranks)
+    inner = m.vectors.conj().T @ state @ m.vectors
+    inner = np.where(labels[:, None] == labels[None, :], inner, 0.0)
+    return m.vectors @ inner @ m.vectors.conj().T
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,9 +2,9 @@
 
 Everything in the package is built on dense complex numpy arrays.  This
 module owns the tolerance pack, the validated spectral primitives
-(decomposition, eigenspace grouping, support projectors), matrix functions
-restricted to operator supports, and the compressed exponential used to
-realize exponentials of observables with formally infinite eigenvalues.
+(decomposition, eigenspace grouping into eigenvector blocks, support
+projectors), matrix functions restricted to operator supports, and the
+compressed exponential exp(F) on the complement of a suppressed subspace.
 
 All functions are pure; inputs are never mutated.
 """
@@ -159,22 +159,17 @@ def group_eigenspaces(
 ) -> list[tuple[float, np.ndarray]]:
     """Cluster eigenvalues by ascending gap threshold into eigenspaces.
 
-    Returns (value, projector) pairs, one per cluster, value = mean of the
-    member eigenvalues.  Mutually orthogonal projectors summing to the
-    identity by construction.
+    Returns (value, columns) pairs, one per cluster: value is the mean of
+    the member eigenvalues and columns is the contiguous block of
+    eigenvectors spanning the eigenspace (its projector is cols @ cols†).
+    The blocks partition the orthonormal eigenbasis by construction.
     """
     values, vectors = dec.values, dec.vectors
-    clusters: list[list[int]] = []
-    for i in range(len(values)):
-        if clusters and values[i] - values[clusters[-1][-1]] <= degeneracy_tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    out = []
-    for idx in clusters:
-        cols = vectors[:, idx]
-        out.append((float(values[idx].mean()), cols @ cols.conj().T))
-    return out
+    if not values.size:
+        return []
+    gaps = np.flatnonzero(np.diff(values) > degeneracy_tol) + 1
+    edges = [0, *gaps.tolist(), values.size]
+    return [(float(values[a:b].mean()), vectors[:, a:b]) for a, b in zip(edges, edges[1:])]
 
 
 def _support_cutoff(values: np.ndarray, rank_tol: float) -> float:
@@ -236,12 +231,6 @@ def pseudo_log(a, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
 def pseudo_inverse(a, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """1/x on the support, 0 on the kernel."""
     return func_on_support(a, lambda x: 1.0 / x, 0.0, tol)
-
-
-def herm_exp(h, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """exp of a Hermitian matrix via eigendecomposition."""
-    dec = spectral_decompose(h, tol)
-    return (dec.vectors * np.exp(dec.values)) @ dec.vectors.conj().T
 
 
 def compressed_exp(f, n, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:

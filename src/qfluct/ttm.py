@@ -108,6 +108,7 @@ class FtReport:
     jensen_tol: float
     identity_pass: bool
     jensen_pass: bool
+    atoms: tuple[tuple[float, float], ...]  # merged delta_a distribution
 
     @property
     def passed(self) -> bool:
@@ -123,11 +124,15 @@ def joint_distribution(
     probability above prob_floor.
     """
     a_i, a_f = protocol.initial_observable, protocol.final_observable
+    v_f, v_f_conj = a_f.vectors, a_f.vectors.conj()
     probs = np.zeros((len(a_i.values), len(a_f.values)))
-    for m, p_m in enumerate(a_i.projectors):
-        evolved = apply_channel(protocol.channel, p_m @ protocol.initial_state @ p_m, tol)
-        row = np.array([float(np.trace(p_n @ evolved).real) for p_n in a_f.projectors])
-        marginal = float(np.trace(p_m @ protocol.initial_state @ p_m).real)
+    for m, v_m in enumerate(a_i.blocks()):
+        c_m = v_m.conj().T @ protocol.initial_state @ v_m
+        evolved = apply_channel(protocol.channel, v_m @ c_m @ v_m.conj().T, tol)
+        # diag(V_f† evolved V_f) summed over each final branch's columns
+        column_probs = np.einsum("ij,ij->j", v_f_conj, evolved @ v_f).real
+        row = np.add.reduceat(column_probs, a_f.offsets[:-1])
+        marginal = float(np.trace(c_m).real)
         if abs(row.sum() - marginal) > 1e-10:
             raise ConsistencyError(
                 f"joint marginal over final outcomes {row.sum()!r} differs from "
@@ -213,14 +218,15 @@ def characteristic_function(joint: JointDistribution, s: complex) -> complex:
 def efficacy(protocol: TwoTimeProtocol, tol: Tolerances = DEFAULT_TOLS) -> float:
     """Trace-formula efficacy tr(exp(-A_f) E(M_i(rho) exp(A_i))).
 
-    exp(-A_f) is the compressed exponential (the +infinity branch is the
-    suppressed subspace); exp(A_i) is spectral.  The trace must be real up
+    Both exponentials are spectral over the finite branches; the +infinity
+    branch of A_f is the kernel of exp(-A_f).  The trace must be real up
     to rounding; the residual imaginary part is asserted then discarded.
     """
-    m_i = protocol.initial_observable.measurement()
-    rho_m = measurement_channel(protocol.initial_state, m_i, tol)
-    weighted = apply_channel(protocol.channel, rho_m @ protocol.initial_observable.exp_pos(tol), tol)
-    value = complex(np.trace(protocol.final_observable.exp_neg(tol) @ weighted))
+    a_i = protocol.initial_observable
+    rho_m = measurement_channel(protocol.initial_state, a_i.measurement(), tol)
+    weighted = apply_channel(protocol.channel, rho_m @ a_i.exp_pos(tol), tol)
+    # tr(X Y) as an elementwise sum, without forming X Y
+    value = complex(np.sum(protocol.final_observable.exp_neg(tol).T * weighted))
     if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
         raise ConsistencyError(f"efficacy trace has imaginary residue {value.imag:.3e}")
     return float(value.real)
@@ -269,6 +275,7 @@ def verify_ft(
         jensen_tol=jensen_tol,
         identity_pass=identity_pass,
         jensen_pass=jensen_pass,
+        atoms=tuple(zip(delta.values.tolist(), delta.probs.tolist())),
     )
 
 

@@ -153,3 +153,33 @@ def enumeration_oracle(priors, states, povm_elements, dilation_projectors):
         "gamma": float(gamma),
         "mean_delta_a": float(mean),
     }
+
+
+def apply_kraus(kraus, x):
+    return sum(k @ x @ k.conj().T for k in kraus)
+
+
+def dephase_reference(rho, projectors):
+    """Non-selective measurement sum_m Pi_m rho Pi_m from explicit projectors."""
+    return sum(p @ rho @ p for p in projectors)
+
+
+def joint_probabilities_reference(rho, projectors_i, kraus, projectors_f):
+    """p[m, n] = tr(Pi_n E(Pi_m rho Pi_m)) from explicit projector lists."""
+    return np.array(
+        [
+            [float(np.trace(p_n @ apply_kraus(kraus, p_m @ rho @ p_m)).real) for p_n in projectors_f]
+            for p_m in projectors_i
+        ]
+    )
+
+
+def efficacy_reference(rho, values_i, projectors_i, kraus, values_f, projectors_f):
+    """tr(exp(-A_f) E(M_i(rho) exp(A_i))) with both exponentials summed
+    branch by branch; +infinity final branches contribute nothing."""
+    exp_a_i = sum(np.exp(v) * p for v, p in zip(values_i, projectors_i))
+    exp_neg_a_f = sum(
+        np.exp(-v) * p for v, p in zip(values_f, projectors_f) if np.isfinite(v)
+    )
+    weighted = apply_kraus(kraus, dephase_reference(rho, projectors_i) @ exp_a_i)
+    return float(np.trace(exp_neg_a_f @ weighted).real)

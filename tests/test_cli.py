@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import qfluct as qf
 import qfluct.cli as cli
 from qfluct.errors import ConsistencyError
+from qfluct.scenario import load_scenario
 
 
 def cmat(rows):
@@ -118,6 +120,32 @@ def test_jarzynski_cli(tmp_path):
     assert cli.main(["jarzynski", str(path), "--beta", "0.5", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert abs(report["scalars"]["exp_neg_beta_work"] - 1.0) < 1e-10
+
+
+def test_jarzynski_overflowing_exponential_exit_2(tmp_path, capsys):
+    # beta * gap = 1000 puts exp(+A_i) beyond the largest double
+    gapped = cmat([[0, 0], [0, 1000]])
+    doc = {
+        "schema": 1,
+        "kind": "jarzynski",
+        "beta": 1.0,
+        "h0": gapped,
+        "protocol": [{"hamiltonian": gapped, "duration": 1.0}],
+    }
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["jarzynski", str(path), "--out", str(tmp_path / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "1000.0" in err
+
+
+def test_verify_atoms_come_from_the_report(bit_flip_scenario, tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", str(bit_flip_scenario), "--out", str(out)]) == 0
+    scenario, _ = load_scenario(bit_flip_scenario)
+    delta = qf.delta_a_distribution(qf.joint_distribution(scenario.two_time))
+    expected = [list(a) for a in zip(delta.values.tolist(), delta.probs.tolist())]
+    assert json.loads(out.read_text())["atoms"] == expected
 
 
 def test_holevo_analyze_cli(holevo_scenario, tmp_path, capsys):

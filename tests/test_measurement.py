@@ -68,6 +68,35 @@ def test_extended_observable_rejects_close_finite_values():
         )
 
 
+def test_extended_observable_rejects_overlapping_projectors():
+    with pytest.raises(ValidationError, match="overlap"):
+        qf.ExtendedObservable.create([(0.0, np.diag([1.0, 0.0]).astype(complex)), (1.0, PLUS)])
+    with pytest.raises(ValidationError, match="overlap"):
+        qf.ExtendedObservable.create(
+            [(0.0, np.diag([1.0, 0.0]).astype(complex)), (1.0, np.eye(2, dtype=complex))]
+        )
+
+
+def test_extended_observable_rejects_incomplete_family():
+    with pytest.raises(ValidationError, match="incomplete"):
+        qf.ExtendedObservable.create(
+            [
+                (0.0, np.diag([1.0, 0.0, 0.0]).astype(complex)),
+                (1.0, np.diag([0.0, 1.0, 0.0]).astype(complex)),
+            ]
+        )
+
+
+def test_extended_observable_exponentials_refuse_to_overflow():
+    big = qf.observable_from_hermitian(np.diag([0.0, 800.0]).astype(complex))
+    with pytest.raises(ValidationError, match="800.0"):
+        big.exp_pos()
+    assert np.abs(big.exp_neg() - np.diag([1.0, 0.0])).max() < 1e-12
+    low = qf.observable_from_hermitian(np.diag([-800.0, 0.0]).astype(complex))
+    with pytest.raises(ValidationError, match="-800.0"):
+        low.exp_neg()
+
+
 def test_extended_observable_exponentials():
     obs = qf.ExtendedObservable.create(
         [(math.inf, np.diag([1.0, 0.0]).astype(complex)), (2.0, np.diag([0.0, 1.0]).astype(complex))]

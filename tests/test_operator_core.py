@@ -41,7 +41,8 @@ def test_spectral_decompose_rejects_non_hermitian():
 def test_group_eigenspaces_exact_degeneracy():
     dec = qf.spectral_decompose(np.diag([1.0, 1.0, 2.0]).astype(complex))
     groups = qf.group_eigenspaces(dec, 1e-9)
-    assert [round(float(np.trace(p).real)) for _, p in groups] == [2, 1]
+    projectors = [cols @ cols.conj().T for _, cols in groups]
+    assert [round(float(np.trace(p).real)) for p in projectors] == [2, 1]
     assert [v for v, _ in groups] == [1.0, 2.0]
 
 
@@ -49,17 +50,18 @@ def test_group_eigenspaces_tolerance_forced_cluster():
     dec = qf.spectral_decompose(np.diag([0.0, 1e-14, 1.0]).astype(complex))
     groups = qf.group_eigenspaces(dec, 1e-12)
     assert len(groups) == 2
-    assert round(float(np.trace(groups[0][1]).real)) == 2
+    cols = groups[0][1]
+    assert round(float(np.trace(cols @ cols.conj().T).real)) == 2
 
 
 def test_group_eigenspaces_nondegenerate():
     dec = qf.spectral_decompose(np.diag([1.0, 2.0, 3.0]).astype(complex))
     groups = qf.group_eigenspaces(dec, 1e-9)
     assert len(groups) == 3
-    total = sum(p for _, p in groups)
-    assert np.abs(total - np.eye(3)).max() < 1e-12
-    for i, (_, p) in enumerate(groups):
-        for j, (_, q) in enumerate(groups):
+    projectors = [cols @ cols.conj().T for _, cols in groups]
+    assert np.abs(sum(projectors) - np.eye(3)).max() < 1e-12
+    for i, p in enumerate(projectors):
+        for j, q in enumerate(projectors):
             if i != j:
                 assert np.abs(p @ q).max() < 1e-12
 
