@@ -8,11 +8,9 @@ from .channel import (
     amplitude_damping_channel,
     apply_channel,
     bit_flip_channel,
-    choi_matrix,
     dephasing_channel,
     depolarizing_channel,
     identity_channel,
-    standard_channel,
     unitary_from_protocol,
     validate_tcp,
 )
@@ -26,7 +24,6 @@ from .holevo import (
     OptimizeConfig,
     analyze,
     build_joint_state,
-    build_observables,
     conditional_probabilities,
     equality_residual,
     gt_chain,
@@ -36,8 +33,6 @@ from .holevo import (
     optimize_measurement,
     prepare_instance,
     random_instance,
-    shannon_entropy,
-    von_neumann_entropy,
 )
 from .measurement import (
     ExtendedObservable,
@@ -45,7 +40,6 @@ from .measurement import (
     POVM,
     ProjectiveMeasurement,
     dilation_probabilities,
-    measure,
     measurement_channel,
     naimark_dilate,
     naimark_dilate_randomized,
@@ -56,14 +50,10 @@ from .operator_core import (
     DEFAULT_TOLS,
     SpectralDecomposition,
     Tolerances,
-    basis_ket,
-    basis_projector,
     compressed_exp,
     func_on_support,
     group_eigenspaces,
     kron,
-    partial_trace,
-    pseudo_inverse,
     pseudo_log,
     spectral_decompose,
     support_projector,

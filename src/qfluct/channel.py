@@ -4,7 +4,7 @@ channels from piecewise-constant protocols, and physicality validation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from .operator_core import (
     DEFAULT_TOLS,
     Tolerances,
     as_matrix,
-    basis_ket,
     max_abs,
     require_hermitian,
     spectral_decompose,
@@ -27,7 +26,7 @@ class KrausChannel:
     kraus_ops: tuple[np.ndarray, ...]
 
     @classmethod
-    def create(cls, kraus_ops: Iterable, tol: Tolerances = DEFAULT_TOLS) -> "KrausChannel":
+    def create(cls, kraus_ops: Iterable) -> "KrausChannel":
         ops = tuple(as_matrix(k) for k in kraus_ops)
         if not ops:
             raise ValidationError("a channel needs at least one Kraus operator")
@@ -54,7 +53,7 @@ def _completeness_defect(ops: tuple[np.ndarray, ...]) -> float:
     return max_abs(acc - np.eye(dim))
 
 
-def apply_channel(channel: KrausChannel, rho, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def apply_channel(channel: KrausChannel, rho) -> np.ndarray:
     """Apply the channel: sum_k K_k rho K_k†."""
     state = as_matrix(rho)
     if state.shape[0] != channel.dim:
@@ -64,16 +63,6 @@ def apply_channel(channel: KrausChannel, rho, tol: Tolerances = DEFAULT_TOLS) ->
     out = np.zeros_like(state)
     for k in channel.kraus_ops:
         out += k @ state @ k.conj().T
-    return out
-
-
-def choi_matrix(action: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| (x) action(|i><j|) of a linear map."""
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            eij = np.outer(basis_ket(dim, i), basis_ket(dim, j).conj())
-            out[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = as_matrix(action(eij))
     return out
 
 
@@ -94,7 +83,9 @@ class TcpValidationReport:
 
 def validate_tcp(channel: KrausChannel, tol: Tolerances = DEFAULT_TOLS) -> TcpValidationReport:
     defect = _completeness_defect(channel.kraus_ops)
-    choi = choi_matrix(lambda rho: apply_channel(channel, rho), channel.dim)
+    # Choi matrix sum_ij |i><j| (x) E(|i><j|) = sum_k vec(K_k) vec(K_k)†
+    vecs = np.stack([k.T.reshape(-1) for k in channel.kraus_ops], axis=1)
+    choi = vecs @ vecs.conj().T
     choi_min = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
     return TcpValidationReport(
         completeness_defect=defect,
@@ -156,7 +147,7 @@ def unitary_from_protocol(
     defect = max_abs(u.conj().T @ u - np.eye(protocol.dim))
     if defect > 1e-10:
         raise ValidationError(f"protocol unitary defect {defect:.3e} exceeds 1e-10")
-    return KrausChannel.create([u], tol)
+    return KrausChannel.create([u])
 
 
 def _check_strength(q: float) -> float:
@@ -218,29 +209,3 @@ def amplitude_damping_channel(q: float, dim: int = 2) -> KrausChannel:
         e[0, i] = np.sqrt(q)
         ops.append(e)
     return KrausChannel.create(ops)
-
-
-STANDARD_CHANNEL_KINDS = (
-    "identity",
-    "depolarizing",
-    "dephasing",
-    "bit_flip",
-    "amplitude_damping",
-)
-
-
-def standard_channel(kind: str, q: float | None = None, dim: int = 2) -> KrausChannel:
-    """Factory for the named standard channels (test fixtures and CLI)."""
-    if kind == "identity":
-        return identity_channel(dim)
-    if kind not in STANDARD_CHANNEL_KINDS:
-        raise ValidationError(f"unknown channel kind {kind!r}; choose from {STANDARD_CHANNEL_KINDS}")
-    if q is None:
-        raise ValidationError(f"channel kind {kind!r} requires a strength parameter")
-    factory = {
-        "depolarizing": depolarizing_channel,
-        "dephasing": dephasing_channel,
-        "bit_flip": bit_flip_channel,
-        "amplitude_damping": amplitude_damping_channel,
-    }[kind]
-    return factory(q, dim)

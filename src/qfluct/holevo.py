@@ -42,7 +42,14 @@ from .operator_core import (
     support_projector,
     _support_cutoff,
 )
-from .rand import complex_gaussian, povm_from_blocks, random_density_matrix, random_povm, random_pure_state
+from .rand import (
+    complex_gaussian,
+    normalized_grams,
+    povm_from_blocks,
+    random_density_matrix,
+    random_povm,
+    random_pure_state,
+)
 from .ttm import (
     TwoTimeProtocol,
     delta_a_distribution,
@@ -80,12 +87,20 @@ class Ensemble:
 
     @classmethod
     def create(cls, priors, states: Iterable, tol: Tolerances = DEFAULT_TOLS) -> "Ensemble":
-        p = np.asarray(priors, dtype=float)
-        sts = [require_density_matrix(s, tol) for s in states]
-        if p.ndim != 1 or len(sts) != p.shape[0]:
+        try:
+            p = np.asarray(priors)
+        except ValueError as exc:
+            raise ValidationError(f"priors must be a flat list of real numbers: {exc}") from None
+        if p.dtype.kind not in "iuf" or p.ndim != 1 or p.size == 0:
             raise ValidationError(
-                f"got {p.shape[0] if p.ndim == 1 else '?'} priors for {len(sts)} states"
+                f"priors must be a non-empty flat list of real numbers, got {p.tolist()!r}"
             )
+        p = p.astype(float)
+        if not np.all(np.isfinite(p)):
+            raise ValidationError(f"priors must be finite, got {p.tolist()!r}")
+        sts = [require_density_matrix(s, tol) for s in states]
+        if len(sts) != p.shape[0]:
+            raise ValidationError(f"got {p.shape[0]} priors for {len(sts)} states")
         if p.min() < -tol.prob_floor:
             raise ValidationError(f"negative prior {p.min()!r}")
         if abs(p.sum() - 1.0) > 1e-12:
@@ -210,7 +225,7 @@ def build_joint_state(ensemble: Ensemble, dilation: NaimarkDilation) -> np.ndarr
             f"{dilation.encoding_dim}"
         )
     j_dim = ensemble.n_words
-    probe = basis_projector(dilation.probe_dim, dilation.probe_state_index)
+    probe = basis_projector(dilation.probe_dim, 0)
     dim = ensemble.dim * dilation.probe_dim * j_dim
     out = np.zeros((dim, dim), dtype=complex)
     for j, (p, rho) in enumerate(zip(ensemble.priors, ensemble.states)):
@@ -260,18 +275,12 @@ def _observable_from_neg_exp(w: np.ndarray, tol: Tolerances) -> ExtendedObservab
 
 
 def _assemble(
-    ensemble: Ensemble,
-    dilation: NaimarkDilation,
-    povm_elements: Sequence[np.ndarray],
-    tol: Tolerances,
+    inst: CqChannelInstance, dilation: NaimarkDilation, tol: Tolerances
 ) -> HolevoInternals:
+    ensemble = inst.ensemble
     d, kp, jw = ensemble.dim, dilation.probe_dim, ensemble.n_words
-    priors = ensemble.priors
-    cond = np.zeros((jw, kp))
-    for j, rho in enumerate(ensemble.states):
-        row = np.array([float(np.trace(rho @ m).real) for m in povm_elements])
-        cond[j] = np.clip(row, 0.0, None)
-    marginals = priors @ cond
+    cond = conditional_probabilities(inst, tol)
+    marginals = ensemble.priors @ cond
     retained = cond > tol.prob_floor
     for k in range(kp):
         if retained[:, k].any() and marginals[k] <= tol.prob_floor:
@@ -292,12 +301,13 @@ def _assemble(
                 f"state {j} leaks {leak:.3e} outside the support of the average state"
             )
 
-    probe = basis_projector(kp, dilation.probe_state_index)
+    probe = basis_projector(kp, 0)
     rho_ep_bar = kron(rho_bar, probe)
     log_bar = pseudo_log(rho_ep_bar, tol)
     s_ep, _ = support_projector(rho_ep_bar, tol)
     n_outside = np.eye(d * kp) - s_ep
 
+    projectors = dilation.projectors
     block_exps = []
     w_full = np.zeros((d * kp * jw, d * kp * jw), dtype=complex)
     for j in range(jw):
@@ -305,9 +315,9 @@ def _assemble(
         suppress = n_outside.copy()
         for k in range(kp):
             if retained[j, k]:
-                exponent = exponent + info_terms[j, k] * dilation.projectors[k]
+                exponent = exponent + info_terms[j, k] * projectors[k]
             else:
-                suppress = suppress + dilation.projectors[k]
+                suppress = suppress + projectors[k]
         if max_abs(suppress) > tol.rank_tol:
             n_j, _ = support_projector(suppress, tol)
         else:
@@ -326,7 +336,7 @@ def _assemble(
 
     return HolevoInternals(
         ensemble=ensemble,
-        povm_elements=tuple(np.asarray(m) for m in povm_elements),
+        povm_elements=inst.povm.elements,
         dilation=dilation,
         tolerances=tol,
         cond=cond,
@@ -342,22 +352,6 @@ def _assemble(
     )
 
 
-def build_observables(
-    ensemble: Ensemble, dilation: NaimarkDilation, tol: Tolerances = DEFAULT_TOLS
-) -> tuple[ExtendedObservable, ExtendedObservable]:
-    """Initial and final observables of the composite construction.
-
-    The initial observable stacks the per-word support pseudo-logs on the
-    probe/message blocks; the final one combines the average-state
-    pseudo-log with the outcome information terms, its +infinity branch
-    spanning the unreachable directions.
-    """
-    internals = _assemble(
-        ensemble, dilation, [dilation.povm_element(k) for k in range(dilation.probe_dim)], tol
-    )
-    return internals.a_i, internals.a_f
-
-
 def prepare_instance(
     inst: CqChannelInstance,
     tol: Tolerances = DEFAULT_TOLS,
@@ -368,7 +362,7 @@ def prepare_instance(
         dilation = naimark_dilate(inst.povm, tol)
     elif dilation.encoding_dim != inst.ensemble.dim or dilation.probe_dim != inst.povm.n_outcomes:
         raise ValidationError("provided dilation does not match the instance POVM")
-    return _assemble(inst.ensemble, dilation, inst.povm.elements, tol)
+    return _assemble(inst, dilation, tol)
 
 
 @dataclass(frozen=True)
@@ -436,6 +430,7 @@ def gt_chain(
     g1 = 0.0
     for j, w_j in enumerate(internals.block_exps):
         g1 += float(priors[j]) * float(np.trace(w_j).real)
+    projectors = internals.dilation.projectors
     g2 = 0.0
     for j in range(internals.ensemble.n_words):
         ratio = np.zeros_like(internals.rho_ep_bar)
@@ -443,7 +438,7 @@ def gt_chain(
             if internals.retained[j, k]:
                 ratio = ratio + (
                     internals.cond[j, k] / internals.marginals[k]
-                ) * internals.dilation.projectors[k]
+                ) * projectors[k]
         g2 += float(priors[j]) * float(np.trace(internals.rho_ep_bar @ ratio).real)
     chain = ChainValues(gamma=gamma, g1=g1, g2=g2)
     if strict:
@@ -519,7 +514,7 @@ def analyze(
     delta = delta_a_distribution(joint, tol)
     gamma_dist = exponential_average(delta)
     mean = mean_delta_a(delta)
-    gamma_trace = efficacy(protocol, tol)
+    gamma_trace = efficacy(protocol)
     if gamma_trace <= 0:
         raise ConsistencyError(f"efficacy {gamma_trace!r} is not positive")
     gamma = gamma_trace
@@ -641,16 +636,9 @@ class OptimizeConfig:
 def _info_of_blocks(
     blocks: list[np.ndarray], states: Sequence[np.ndarray], priors: np.ndarray, prob_floor: float
 ) -> float:
-    dim = blocks[0].shape[0]
-    grams = [b.conj().T @ b for b in blocks]
-    total = np.zeros((dim, dim), dtype=complex)
-    for g in grams:
-        total += g
-    w, v = np.linalg.eigh(total)
-    if w.min() <= dim * 1e-14:
+    elements = normalized_grams(blocks, blocks[0].shape[0] * 1e-14)
+    if elements is None:
         return -math.inf
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    elements = [inv_sqrt @ g @ inv_sqrt for g in grams]
     cond = np.zeros((len(states), len(elements)))
     for j, rho in enumerate(states):
         cond[j] = [max(float(np.trace(rho @ m).real), 0.0) for m in elements]

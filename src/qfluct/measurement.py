@@ -4,8 +4,9 @@ and the probe-based orthogonal realization of a POVM.
 An extended observable carries a spectral list of (value, eigenvector
 block) branches where at most one value may be +infinity; that branch
 marks the subspace on which exp(-A) vanishes, keeping the exponential
-bounded.  Projective measurements and extended observables share one
-representation: the columns of a unitary grouped into branch blocks.
+bounded.  Projective measurements, Naimark dilations and extended
+observables share one representation: the columns of a unitary grouped
+into branch blocks.
 """
 
 from __future__ import annotations
@@ -168,12 +169,6 @@ class ExtendedObservable(BranchBlocks):
     def has_infinite_branch(self) -> bool:
         return bool(self.values) and math.isinf(self.values[-1])
 
-    def infinite_projector(self) -> np.ndarray:
-        """Projector of the +infinity branch; zero matrix when absent."""
-        if self.has_infinite_branch:
-            return self.projectors[-1]
-        return np.zeros((self.dim, self.dim), dtype=complex)
-
     def _finite_function(self, f) -> np.ndarray:
         """V_fin diag(f(v)) V_fin† over the columns of the finite branches."""
         n_finite = len(self.values) - self.has_infinite_branch
@@ -188,7 +183,7 @@ class ExtendedObservable(BranchBlocks):
     def measurement(self) -> ProjectiveMeasurement:
         return ProjectiveMeasurement(vectors=self.vectors, offsets=self.offsets)
 
-    def exp_neg(self, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    def exp_neg(self) -> np.ndarray:
         """exp(-A) with the +infinity branch mapped to the kernel."""
         if self.values[0] < -_EXP_LIMIT:
             raise ValidationError(
@@ -196,7 +191,7 @@ class ExtendedObservable(BranchBlocks):
             )
         return self._finite_function(lambda v: np.exp(-v))
 
-    def exp_pos(self, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    def exp_pos(self) -> np.ndarray:
         """exp(+A); requires a finite spectrum."""
         if self.has_infinite_branch:
             raise ValidationError("exp(+A) is unbounded for an observable with a +infinity branch")
@@ -215,31 +210,7 @@ def observable_from_hermitian(h, tol: Tolerances = DEFAULT_TOLS) -> ExtendedObse
     return ExtendedObservable.from_blocks(group_eigenspaces(dec, tol.degeneracy_tol), tol)
 
 
-def measure(
-    rho, m: ProjectiveMeasurement, tol: Tolerances = DEFAULT_TOLS
-) -> list[tuple[float, np.ndarray | None]]:
-    """Outcome probabilities and normalized post-measurement states.
-
-    Outcomes with probability at or below prob_floor carry post-state
-    None.  Probabilities must sum to 1 within 1e-10.
-    """
-    state = require_density_matrix(rho, tol)
-    if state.shape[0] != m.dim:
-        raise ValidationError(f"dimension mismatch: state {state.shape[0]}, measurement {m.dim}")
-    out: list[tuple[float, np.ndarray | None]] = []
-    total = 0.0
-    for cols in m.blocks():
-        inner = cols.conj().T @ state @ cols
-        prob = float(np.trace(inner).real)
-        prob = 0.0 if abs(prob) <= tol.prob_floor else prob
-        total += prob
-        out.append((prob, cols @ inner @ cols.conj().T / prob if prob > tol.prob_floor else None))
-    if abs(total - 1.0) > 1e-10:
-        raise ValidationError(f"measurement probabilities sum to {total!r}, not 1")
-    return out
-
-
-def measurement_channel(rho, m: BranchBlocks, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def measurement_channel(rho, m: BranchBlocks) -> np.ndarray:
     """Non-selective back-action map sum_b P_b rho P_b, computed as
     V blockdiag(V† rho V) V† over the branch blocks of m."""
     state = as_matrix(rho)
@@ -305,32 +276,29 @@ def povm_probabilities(rho, povm: POVM, tol: Tolerances = DEFAULT_TOLS) -> np.nd
 
 
 @dataclass(frozen=True, eq=False)
-class NaimarkDilation:
-    """Orthogonal-projector realization of a POVM on encoding (x) probe.
+class NaimarkDilation(BranchBlocks):
+    """Projective realization of a POVM on encoding (x) probe.
 
     The probe has dimension equal to the POVM outcome count and starts in
-    the basis state |probe_state_index>.  The probe-state block of each
-    projector reproduces the POVM element it dilates.
+    |0>.  Branch k is the block spanning the range of
+    Pi_k = U†(I (x) |k><k|)U for the completed unitary U; the probe-|0>
+    compression of Pi_k reproduces the POVM element it dilates.
     """
 
     probe_dim: int
-    probe_state_index: int
-    projectors: tuple[np.ndarray, ...]
-    embedding_unitary: np.ndarray
 
     @property
     def encoding_dim(self) -> int:
-        return self.projectors[0].shape[0] // self.probe_dim
+        return self.dim // self.probe_dim
 
     def povm_element(self, k: int) -> np.ndarray:
-        """Probe-state compression <0|Pi_k|0> acting on the encoding space."""
-        d, kp = self.encoding_dim, self.probe_dim
-        block = self.projectors[k].reshape(d, kp, d, kp)
-        i = self.probe_state_index
-        return np.ascontiguousarray(block[:, i, :, i])
+        """Probe-state compression <0|Pi_k|0> = A A†, with A the probe-|0>
+        rows of branch k's block, acting on the encoding space."""
+        a = self.vectors[:: self.probe_dim, self.offsets[k]:self.offsets[k + 1]]
+        return a @ a.conj().T
 
 
-def _psd_sqrt(m: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Square root via spectral decomposition, clipping rounding-level
     negative eigenvalues; deeper negativity was already rejected."""
     w, v = np.linalg.eigh(m)
@@ -338,59 +306,31 @@ def _psd_sqrt(m: np.ndarray, tol: Tolerances) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def _orthonormal_completion(
-    columns: np.ndarray, candidates: Iterable[np.ndarray], needed: int, rank_tol: float
-) -> np.ndarray:
-    """Greedy orthonormalization of a deterministic candidate list against
-    existing orthonormal columns; candidates with projection residual at or
-    below rank_tol are skipped.  Two re-orthogonalization passes keep the
-    basis orthonormal even for barely independent candidates."""
-    basis = [columns[:, i] for i in range(columns.shape[1])]
-    added: list[np.ndarray] = []
-    for cand in candidates:
-        if len(added) == needed:
-            break
-        v = cand.astype(complex)
-        for _ in range(2):
-            for b in basis:
-                v = v - b * (b.conj() @ v)
-        norm = float(np.linalg.norm(v))
-        if norm > rank_tol:
-            v = v / norm
-            basis.append(v)
-            added.append(v)
-    if len(added) != needed:
-        raise ValidationError(
-            f"unitary completion failed: found {len(added)} of {needed} independent directions"
-        )
-    return np.column_stack(added) if added else np.zeros((columns.shape[0], 0))
-
-
-def _dilation_from_isometry(
-    povm: POVM, isometry: np.ndarray, completion: np.ndarray, tol: Tolerances
-) -> NaimarkDilation:
+def _dilate(povm: POVM, candidates: np.ndarray, tol: Tolerances) -> NaimarkDilation:
+    """Complete the square-root isometry |psi> -> sum_k (sqrt(M_k)|psi>) (x) |k>
+    to a unitary U with one QR of [isometry | candidates], and hold the
+    dilated projectors as branch blocks."""
     d, kp = povm.dim, povm.n_outcomes
-    full = d * kp
-    u = np.zeros((full, full), dtype=complex)
-    # Columns for |i> (x) |0> carry the isometry; the rest take the completion.
-    free = [c for c in range(full) if c % kp != 0]
-    for i in range(d):
-        u[:, i * kp] = isometry[:, i]
-    for slot, col in zip(free, range(completion.shape[1])):
-        u[:, slot] = completion[:, col]
-    unit_defect = max_abs(u.conj().T @ u - np.eye(full))
+    n = d * kp
+    isometry = np.zeros((n, d), dtype=complex)
+    view = isometry.reshape(d, kp, d)
+    for k, element in enumerate(povm.elements):
+        view[:, k, :] = _psd_sqrt(element)
+    defect = max_abs(isometry.conj().T @ isometry - np.eye(d))
+    if defect > tol.proj_tol * 10:
+        raise ValidationError(f"POVM isometry defect {defect:.3e}; completeness too loose")
+    q, _ = np.linalg.qr(np.hstack([isometry, candidates]), mode="complete")
+    # Columns for |i> (x) |0> carry the isometry; the rest take the completion,
+    # which QR makes orthogonal to the isometry's range.
+    u = np.empty((n, n), dtype=complex)
+    u[:, ::kp] = isometry
+    u[:, np.arange(n) % kp != 0] = q[:, d:]
+    unit_defect = max_abs(u.conj().T @ u - np.eye(n))
     if unit_defect > 1e-10:
         raise ValidationError(f"unitary completion defect {unit_defect:.3e} exceeds 1e-10")
-    projectors = []
-    for k in range(kp):
-        pk = u.conj().T @ kron(np.eye(d), basis_projector(kp, k)) @ u
-        projectors.append((pk + pk.conj().T) / 2)
-    dilation = NaimarkDilation(
-        probe_dim=kp,
-        probe_state_index=0,
-        projectors=tuple(projectors),
-        embedding_unitary=u,
-    )
+    # The range of Pi_k is spanned by the conjugated rows k, k+K, k+2K, ... of U.
+    vectors = u.reshape(d, kp, n).transpose(1, 0, 2).reshape(n, n).conj().T
+    dilation = NaimarkDilation(vectors=vectors, offsets=tuple(range(0, n + 1, d)), probe_dim=kp)
     for k in range(kp):
         defect = max_abs(dilation.povm_element(k) - povm.elements[k])
         if defect > 1e-10:
@@ -400,31 +340,17 @@ def _dilation_from_isometry(
     return dilation
 
 
-def _povm_isometry(povm: POVM, tol: Tolerances) -> np.ndarray:
-    d, kp = povm.dim, povm.n_outcomes
-    v = np.zeros((d * kp, d), dtype=complex)
-    view = v.reshape(d, kp, d)
-    for k, element in enumerate(povm.elements):
-        view[:, k, :] = _psd_sqrt(element, tol)
-    defect = max_abs(v.conj().T @ v - np.eye(d))
-    if defect > tol.proj_tol * 10:
-        raise ValidationError(f"POVM isometry defect {defect:.3e}; completeness too loose")
-    return v
-
-
 def naimark_dilate(povm: POVM, tol: Tolerances = DEFAULT_TOLS) -> NaimarkDilation:
     """Canonical probe dilation of a POVM.
 
     Builds the square-root isometry |psi> -> sum_k (sqrt(M_k)|psi>) (x) |k>,
-    completes its columns to a unitary using canonical basis vectors
-    filtered by projection residual, and conjugates the probe projectors
-    back.  The probe-block of projector k reproduces M_k within 1e-10.
+    completes its columns to a unitary U with the QR of the isometry, and
+    conjugates the probe projectors back.  The probe-block of projector k
+    reproduces M_k within 1e-10.  Every quantity of the composite
+    construction depends on the projectors only through these probe
+    blocks, so any other completion gives the same results to rounding.
     """
-    d, kp = povm.dim, povm.n_outcomes
-    isometry = _povm_isometry(povm, tol)
-    candidates = (np.eye(d * kp, dtype=complex)[:, i] for i in range(d * kp))
-    completion = _orthonormal_completion(isometry, candidates, d * kp - d, tol.rank_tol)
-    return _dilation_from_isometry(povm, isometry, completion, tol)
+    return _dilate(povm, np.zeros((povm.dim * povm.n_outcomes, 0)), tol)
 
 
 def naimark_dilate_randomized(
@@ -433,19 +359,12 @@ def naimark_dilate_randomized(
     """Dilation with a randomized unitary completion.
 
     Same probe construction and contract as naimark_dilate, but the
-    completion directions are drawn from rng.  Used to probe whether
-    derived quantities depend on the choice of dilation.
+    completion comes from the QR of the isometry followed by Gaussian
+    columns drawn from rng.  Used to check that derived quantities do not
+    depend on the choice of dilation.
     """
-    d, kp = povm.dim, povm.n_outcomes
-    isometry = _povm_isometry(povm, tol)
-    n = d * kp
-
-    def random_candidates():
-        while True:
-            yield rng.normal(size=n) + 1j * rng.normal(size=n)
-
-    completion = _orthonormal_completion(isometry, random_candidates(), n - d, 1e-6)
-    return _dilation_from_isometry(povm, isometry, completion, tol)
+    n, d = povm.dim * povm.n_outcomes, povm.dim
+    return _dilate(povm, rng.normal(size=(n, n - d)) + 1j * rng.normal(size=(n, n - d)), tol)
 
 
 def dilation_probabilities(
@@ -454,5 +373,7 @@ def dilation_probabilities(
     """Outcome probabilities of the dilated orthogonal measurement on
     rho (x) |0><0|; must match povm_probabilities on the original POVM."""
     state = require_density_matrix(rho, tol)
-    embedded = kron(state, basis_projector(dilation.probe_dim, dilation.probe_state_index))
-    return np.array([float(np.trace(embedded @ p).real) for p in dilation.projectors])
+    embedded = kron(state, basis_projector(dilation.probe_dim, 0))
+    return np.array(
+        [float(np.trace(cols.conj().T @ embedded @ cols).real) for cols in dilation.blocks()]
+    )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -204,8 +204,7 @@ def func_on_support(
 
     Eigenvalues above the support cutoff are mapped through ``f``;
     eigenvalues on the kernel are assigned ``off_support_value``.  Used
-    with f = log for pseudo-logarithms and f = reciprocal for
-    support-restricted inverses.
+    with f = log for pseudo-logarithms.
     """
     dec = spectral_decompose(a, tol)
     if dec.values[0] < -tol.psd_tol * max(1.0, abs(float(dec.values[-1]))):
@@ -226,11 +225,6 @@ def func_on_support(
 def pseudo_log(a, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """log on the support, 0 on the kernel."""
     return func_on_support(a, np.log, 0.0, tol)
-
-
-def pseudo_inverse(a, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """1/x on the support, 0 on the kernel."""
-    return func_on_support(a, lambda x: 1.0 / x, 0.0, tol)
 
 
 def compressed_exp(f, n, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
@@ -271,35 +265,6 @@ def kron(*factors) -> np.ndarray:
     for f in factors[1:]:
         out = np.kron(out, as_matrix(f))
     return out
-
-
-def partial_trace(m, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Trace out the tensor factors not listed in ``keep``.
-
-    ``dims`` lists the factor dimensions under the fixed ordering
-    convention; ``keep`` holds indices into ``dims``.  The kept factors
-    stay in their original order.  Tracing everything returns a 1x1 matrix.
-    """
-    mat = as_matrix(m)
-    dims = [int(d) for d in dims]
-    if any(d <= 0 for d in dims):
-        raise ValidationError(f"factor dimensions must be positive, got {dims}")
-    total = int(np.prod(dims))
-    if total != mat.shape[0]:
-        raise ValidationError(
-            f"product of dims {dims} = {total} does not match matrix dimension {mat.shape[0]}"
-        )
-    n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise ValidationError(f"keep indices {keep} out of range for {n} factors")
-    t = mat.reshape(dims + dims)
-    n_rows = n
-    for ax in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + n_rows)
-        n_rows -= 1
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return t.reshape(d_keep, d_keep)
 
 
 def basis_ket(dim: int, index: int) -> np.ndarray:

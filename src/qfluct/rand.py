@@ -76,15 +76,24 @@ def random_povm(
     return povm_from_blocks(blocks, tol)
 
 
-def povm_from_blocks(blocks: list[np.ndarray], tol: Tolerances = DEFAULT_TOLS) -> POVM:
-    """Normalize arbitrary matrices B_k into a POVM (the T^{-1/2} trick)."""
+def normalized_grams(blocks: list[np.ndarray], floor: float) -> list[np.ndarray] | None:
+    """M_k = T^{-1/2} B_k† B_k T^{-1/2} with T = sum_k B_k† B_k, or None
+    when the smallest eigenvalue of T is at or below floor."""
     dim = blocks[0].shape[0]
     grams = [b.conj().T @ b for b in blocks]
     total = np.zeros((dim, dim), dtype=complex)
     for g in grams:
         total += g
     w, v = np.linalg.eigh(total)
-    if w.min() <= 0:
-        raise ValidationError("POVM normalizer is singular; draw different blocks")
+    if w.min() <= floor:
+        return None
     inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return POVM.create([inv_sqrt @ g @ inv_sqrt for g in grams], tol)
+    return [inv_sqrt @ g @ inv_sqrt for g in grams]
+
+
+def povm_from_blocks(blocks: list[np.ndarray], tol: Tolerances = DEFAULT_TOLS) -> POVM:
+    """Normalize arbitrary matrices B_k into a POVM (the T^{-1/2} trick)."""
+    elements = normalized_grams(blocks, 0.0)
+    if elements is None:
+        raise ValidationError("POVM normalizer is singular; draw different blocks")
+    return POVM.create(elements, tol)

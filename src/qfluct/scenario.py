@@ -80,7 +80,7 @@ def _parse_channel(data: Any, tol: Tolerances) -> KrausChannel:
         raise ValidationError("channel: expected an object with 'kraus' or 'protocol'")
     if "kraus" in data:
         ops = [matrix_from_json(m, f"channel.kraus[{i}]") for i, m in enumerate(data["kraus"])]
-        return KrausChannel.create(ops, tol)
+        return KrausChannel.create(ops)
     if "protocol" in data:
         return unitary_from_protocol(_parse_protocol(data["protocol"], tol), tol)
     raise ValidationError("channel: needs exactly one of 'kraus' or 'protocol'")

@@ -128,7 +128,7 @@ def joint_distribution(
     probs = np.zeros((len(a_i.values), len(a_f.values)))
     for m, v_m in enumerate(a_i.blocks()):
         c_m = v_m.conj().T @ protocol.initial_state @ v_m
-        evolved = apply_channel(protocol.channel, v_m @ c_m @ v_m.conj().T, tol)
+        evolved = apply_channel(protocol.channel, v_m @ c_m @ v_m.conj().T)
         # diag(V_f† evolved V_f) summed over each final branch's columns
         column_probs = np.einsum("ij,ij->j", v_f_conj, evolved @ v_f).real
         row = np.add.reduceat(column_probs, a_f.offsets[:-1])
@@ -215,7 +215,7 @@ def characteristic_function(joint: JointDistribution, s: complex) -> complex:
     return complex(out)
 
 
-def efficacy(protocol: TwoTimeProtocol, tol: Tolerances = DEFAULT_TOLS) -> float:
+def efficacy(protocol: TwoTimeProtocol) -> float:
     """Trace-formula efficacy tr(exp(-A_f) E(M_i(rho) exp(A_i))).
 
     Both exponentials are spectral over the finite branches; the +infinity
@@ -223,10 +223,10 @@ def efficacy(protocol: TwoTimeProtocol, tol: Tolerances = DEFAULT_TOLS) -> float
     to rounding; the residual imaginary part is asserted then discarded.
     """
     a_i = protocol.initial_observable
-    rho_m = measurement_channel(protocol.initial_state, a_i.measurement(), tol)
-    weighted = apply_channel(protocol.channel, rho_m @ a_i.exp_pos(tol), tol)
+    rho_m = measurement_channel(protocol.initial_state, a_i.measurement())
+    weighted = apply_channel(protocol.channel, rho_m @ a_i.exp_pos())
     # tr(X Y) as an elementwise sum, without forming X Y
-    value = complex(np.sum(protocol.final_observable.exp_neg(tol).T * weighted))
+    value = complex(np.sum(protocol.final_observable.exp_neg().T * weighted))
     if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
         raise ConsistencyError(f"efficacy trace has imaginary residue {value.imag:.3e}")
     return float(value.real)
@@ -256,7 +256,7 @@ def verify_ft(
     joint = joint_distribution(protocol, tolerances)
     delta = delta_a_distribution(joint, tolerances)
     lhs = exponential_average(delta)
-    gamma = efficacy(protocol, tolerances)
+    gamma = efficacy(protocol)
     if gamma <= 0:
         raise ConsistencyError(f"efficacy {gamma!r} is not positive")
     mean = mean_delta_a(delta)

@@ -47,6 +47,20 @@ def proj(dim, idx):
     return p
 
 
+def partial_trace(m, dims, keep):
+    """Trace out the tensor factors not listed in ``keep`` (indices into
+    ``dims``, encoding (x) probe (x) message ordering); the kept factors
+    stay in order, and tracing everything returns a 1x1 matrix."""
+    m = np.asarray(m)
+    if int(np.prod(dims)) != m.shape[0]:
+        raise ValueError(f"product of dims {list(dims)} does not match dimension {m.shape[0]}")
+    t = m.reshape(list(dims) * 2)
+    for ax in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
+    d = int(np.prod([dims[k] for k in keep]))
+    return t.reshape(d, d)
+
+
 def entropy(rho):
     w = np.linalg.eigvalsh(rho)
     w = w[w > 1e-14]

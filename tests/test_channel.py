@@ -8,6 +8,12 @@ from qfluct.rand import haar_unitary, random_density_matrix
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+STANDARD_CHANNELS = (
+    qf.depolarizing_channel,
+    qf.dephasing_channel,
+    qf.bit_flip_channel,
+    qf.amplitude_damping_channel,
+)
 
 
 def test_apply_identity():
@@ -50,12 +56,6 @@ def test_validate_tcp_reports_completeness_violation():
     assert abs(report.completeness_defect - 0.01) < 1e-12
 
 
-def test_transpose_map_fails_choi_check():
-    choi = qf.choi_matrix(lambda rho: rho.T, 2)
-    min_eig = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
-    assert min_eig < -0.5  # the qubit transpose Choi has eigenvalue -1
-
-
 def test_kraus_channel_create_rejects_incomplete():
     with pytest.raises(ValidationError, match="completeness"):
         qf.KrausChannel.create([0.5 * np.eye(2, dtype=complex)])
@@ -92,12 +92,12 @@ def test_unitary_from_protocol_non_commuting_vs_trotter():
 
 def test_standard_channels_are_tcp():
     rng = np.random.default_rng(3)
-    for kind in ("depolarizing", "dephasing", "bit_flip", "amplitude_damping"):
+    for factory in STANDARD_CHANNELS:
         for q in (0.0, 0.3, 1.0):
             for d in (2, 3):
-                ch = qf.standard_channel(kind, q, d)
+                ch = factory(q, d)
                 report = qf.validate_tcp(ch)
-                assert report.passed, (kind, q, d, report)
+                assert report.passed, (factory.__name__, q, d, report)
                 rho = random_density_matrix(d, rng)
                 out = qf.apply_channel(ch, rho)
                 assert abs(float(np.trace(out).real) - 1.0) < 1e-12
@@ -126,12 +126,10 @@ def test_amplitude_damping_action():
 
 
 def test_standard_channel_rejects_bad_strength():
-    with pytest.raises(ValidationError, match="outside"):
-        qf.depolarizing_channel(1.5)
-    with pytest.raises(ValidationError, match="requires a strength"):
-        qf.standard_channel("dephasing")
-    with pytest.raises(ValidationError, match="unknown channel kind"):
-        qf.standard_channel("teleport", 0.5)
+    for factory in STANDARD_CHANNELS:
+        for q in (-0.1, 1.5):
+            with pytest.raises(ValidationError, match="outside"):
+                factory(q)
 
 
 def test_protocol_unitarity_invariant():

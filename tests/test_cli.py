@@ -184,6 +184,20 @@ def test_holevo_analyze_malformed_povm_exit_2(tmp_path, capsys):
     assert "completeness" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("priors", [[], "half", [math.nan, 1.0]])
+def test_holevo_analyze_malformed_priors_exit_2(tmp_path, capsys, priors):
+    doc = {
+        "schema": 1,
+        "kind": "holevo",
+        "ensemble": {"priors": priors, "states": [cmat([[1, 0], [0, 0]]), cmat([[0, 0], [0, 1]])]},
+        "povm": [cmat([[1, 0], [0, 0]]), cmat([[0, 0], [0, 1]])],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["holevo", "analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: priors")
+
+
 def test_holevo_random_deterministic_csv(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["holevo", "random", "--dim", "2", "--words", "2", "--outcomes", "3",
