@@ -4,7 +4,6 @@ Holevo bound, on finite-dimensional systems."""
 from .channel import (
     EvolutionProtocol,
     KrausChannel,
-    TcpValidationReport,
     amplitude_damping_channel,
     apply_channel,
     bit_flip_channel,
@@ -12,7 +11,6 @@ from .channel import (
     depolarizing_channel,
     identity_channel,
     unitary_from_protocol,
-    validate_tcp,
 )
 from .errors import ConsistencyError, IllPosedProtocolError, QfluctError, ValidationError
 from .holevo import (
@@ -21,7 +19,6 @@ from .holevo import (
     Ensemble,
     HolevoInternals,
     HolevoReport,
-    OptimizeConfig,
     analyze,
     build_joint_state,
     conditional_probabilities,
@@ -29,7 +26,6 @@ from .holevo import (
     gt_chain,
     holevo_chi,
     mutual_information,
-    mutual_information_decomposition,
     optimize_measurement,
     prepare_instance,
     random_instance,

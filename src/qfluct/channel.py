@@ -1,5 +1,5 @@
-"""Trace-preserving completely positive maps in Kraus form, unitary
-channels from piecewise-constant protocols, and physicality validation."""
+"""Trace-preserving completely positive maps in Kraus form and unitary
+channels from piecewise-constant protocols."""
 
 from __future__ import annotations
 
@@ -33,7 +33,10 @@ class KrausChannel:
         dim = ops[0].shape[0]
         if any(k.shape[0] != dim for k in ops):
             raise ValidationError("Kraus operators have mixed dimensions")
-        defect = _completeness_defect(ops)
+        acc = np.zeros((dim, dim), dtype=complex)
+        for k in ops:
+            acc += k.conj().T @ k
+        defect = max_abs(acc - np.eye(dim))
         if defect > 1e-10:
             raise ValidationError(
                 f"Kraus completeness defect {defect:.3e} exceeds 1e-10 (sum K†K != I)"
@@ -43,14 +46,6 @@ class KrausChannel:
     @property
     def dim(self) -> int:
         return self.kraus_ops[0].shape[0]
-
-
-def _completeness_defect(ops: tuple[np.ndarray, ...]) -> float:
-    dim = ops[0].shape[0]
-    acc = np.zeros((dim, dim), dtype=complex)
-    for k in ops:
-        acc += k.conj().T @ k
-    return max_abs(acc - np.eye(dim))
 
 
 def apply_channel(channel: KrausChannel, rho) -> np.ndarray:
@@ -64,35 +59,6 @@ def apply_channel(channel: KrausChannel, rho) -> np.ndarray:
     for k in channel.kraus_ops:
         out += k @ state @ k.conj().T
     return out
-
-
-@dataclass(frozen=True)
-class TcpValidationReport:
-    """Report-style physicality check: trace preservation via Kraus
-    completeness, complete positivity via the Choi spectrum."""
-
-    completeness_defect: float
-    choi_min_eigenvalue: float
-    trace_preserving: bool
-    completely_positive: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.trace_preserving and self.completely_positive
-
-
-def validate_tcp(channel: KrausChannel, tol: Tolerances = DEFAULT_TOLS) -> TcpValidationReport:
-    defect = _completeness_defect(channel.kraus_ops)
-    # Choi matrix sum_ij |i><j| (x) E(|i><j|) = sum_k vec(K_k) vec(K_k)†
-    vecs = np.stack([k.T.reshape(-1) for k in channel.kraus_ops], axis=1)
-    choi = vecs @ vecs.conj().T
-    choi_min = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
-    return TcpValidationReport(
-        completeness_defect=defect,
-        choi_min_eigenvalue=choi_min,
-        trace_preserving=defect <= 1e-10,
-        completely_positive=choi_min >= -tol.psd_tol,
-    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,6 @@ from pathlib import Path
 from . import __version__
 from .errors import ConsistencyError, QfluctError, ValidationError
 from .holevo import (
-    OptimizeConfig,
     STATE_KINDS,
     analyze,
     holevo_chi,
@@ -51,6 +50,7 @@ def _summary(lines: list[str]) -> None:
 
 
 def _display(value: float, bits: bool) -> str:
+    value += 0.0  # -0.0 + 0.0 is +0.0, so a zero never prints as "-0"
     return f"{value / LN2:.9g} bits" if bits else f"{value:.9g} nats"
 
 
@@ -276,8 +276,7 @@ def cmd_holevo_optimize(args) -> int:
     ensemble = scenario.holevo_instance.ensemble
     outcomes = args.outcomes or scenario.holevo_instance.povm.n_outcomes
     seed = args.seed if args.seed is not None else (scenario.seed or 0)
-    config = OptimizeConfig(restarts=args.restarts, iterations=args.iters, seed=seed)
-    povm, achieved = optimize_measurement(ensemble, outcomes, config, scenario.tolerances)
+    povm, achieved = optimize_measurement(ensemble, outcomes, seed, scenario.tolerances)
     chi = holevo_chi(ensemble, scenario.tolerances)
     baseline = mutual_information(scenario.holevo_instance, scenario.tolerances)
     report = analyze(
@@ -302,11 +301,7 @@ def cmd_holevo_optimize(args) -> int:
         },
         checks=checks,
         atoms=list(report.atoms),
-        extras={
-            "optimized_povm": [matrix_to_json(m) for m in povm.elements],
-            "restarts": args.restarts,
-            "iterations": args.iters,
-        },
+        extras={"optimized_povm": [matrix_to_json(m) for m in povm.elements]},
         seed=seed,
     )
     _emit(doc, args)
@@ -363,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = hsub.add_parser("optimize", parents=[common], help="search for a better measurement")
     p_opt.add_argument("scenario", type=Path)
     p_opt.add_argument("--outcomes", type=int, default=None)
-    p_opt.add_argument("--restarts", type=int, default=4)
-    p_opt.add_argument("--iters", type=int, default=400)
     p_opt.set_defaults(func=cmd_holevo_optimize)
 
     return parser

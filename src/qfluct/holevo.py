@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .operator_core import (
 )
 from .rand import (
     complex_gaussian,
-    normalized_grams,
+    normalized_blocks,
     povm_from_blocks,
     random_density_matrix,
     random_povm,
@@ -197,15 +197,6 @@ def _decomposition_arrays(
             if posterior > prob_floor:
                 conditional += marginals[k] * posterior * math.log(posterior)
     return shannon_entropy(priors), float(conditional)
-
-
-def mutual_information_decomposition(
-    inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS
-) -> tuple[float, float]:
-    """Split I into the word-entropy term and the (negative) conditional
-    term via the posteriors; the two must sum to I within 1e-10."""
-    cond = conditional_probabilities(inst, tol)
-    return _decomposition_arrays(inst.ensemble.priors, cond, tol.prob_floor)
 
 
 def holevo_chi(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOLS) -> float:
@@ -621,75 +612,97 @@ def random_instance(
     return CqChannelInstance.create(Ensemble.create(priors, states, tol), povm)
 
 
-@dataclass(frozen=True)
-class OptimizeConfig:
-    """Knobs of the derivative-free measurement search."""
-
-    restarts: int = 4
-    iterations: int = 400
-    initial_step: float = 0.5
-    step_decay: float = 0.97
-    seed: int = 0
-    projective_init: bool = True
+# The ascent's step rule and stopping rule: the step size starts at 1,
+# doubles after an accepted step and halves after a rejected one; the
+# search stops after a gain of at most ASCENT_MIN_GAIN nats, once the step
+# size falls below ASCENT_MIN_STEP, or after ASCENT_MAX_STEPS steps.
+ASCENT_MIN_GAIN = 1e-12
+ASCENT_MIN_STEP = 1e-12
+ASCENT_MAX_STEPS = 500
 
 
-def _info_of_blocks(
-    blocks: list[np.ndarray], states: Sequence[np.ndarray], priors: np.ndarray, prob_floor: float
-) -> float:
-    elements = normalized_grams(blocks, blocks[0].shape[0] * 1e-14)
-    if elements is None:
-        return -math.inf
-    cond = np.zeros((len(states), len(elements)))
-    for j, rho in enumerate(states):
-        cond[j] = [max(float(np.trace(rho @ m).real), 0.0) for m in elements]
-    return _mutual_information_arrays(priors, cond, prob_floor)
+def _ascend(
+    blocks: np.ndarray, ensemble: Ensemble, prob_floor: float
+) -> tuple[float, np.ndarray | None]:
+    """Fixed-point accessible-information ascent from one block set.
+
+    With normalized blocks (sum_k B_k† B_k = I) the POVM is M_k = B_k† B_k.
+    A step is B_k <- B_k (I + eps R_k), renormalized, where
+    R_k = sum_j p_j ln(p(k|j)/p(k)) rho_j over the retained entries is the
+    gradient of I in M_k (Rehacek, Englert and Kaszlikowski, PRA 71,
+    054303, 2005).  A step that lowers I, or whose normalizer is singular,
+    is rejected, so I never decreases.
+    """
+    states = np.asarray(ensemble.states)
+    priors = ensemble.priors
+    floor = ensemble.dim * 1e-14
+
+    def info_and_gradients(b: np.ndarray) -> tuple[float, np.ndarray]:
+        grams = b.conj().transpose(0, 2, 1) @ b
+        cond = np.clip(np.einsum("jab,kba->jk", states, grams).real, 0.0, None)
+        retained = cond > prob_floor
+        terms = np.zeros_like(cond)
+        terms[retained] = np.log(cond[retained] / np.broadcast_to(priors @ cond, cond.shape)[retained])
+        gradients = np.einsum("j,jk,jab->kab", priors, terms, states)
+        return _mutual_information_arrays(priors, cond, prob_floor), gradients
+
+    current = normalized_blocks(blocks, floor)
+    if current is None:
+        return -math.inf, None
+    info, gradients = info_and_gradients(current)
+    step = 1.0
+    for _ in range(ASCENT_MAX_STEPS):
+        if step < ASCENT_MIN_STEP:
+            break
+        proposal = normalized_blocks(current + step * current @ gradients, floor)
+        if proposal is None:
+            step /= 2
+            continue
+        value, proposal_gradients = info_and_gradients(proposal)
+        if value < info:
+            step /= 2
+            continue
+        gain = value - info
+        current, info, gradients = proposal, value, proposal_gradients
+        step *= 2
+        if gain <= ASCENT_MIN_GAIN:
+            break
+    return info, current
 
 
 def optimize_measurement(
     ensemble: Ensemble,
     n_outcomes: int,
-    config: OptimizeConfig = OptimizeConfig(),
+    seed: int = 0,
     tol: Tolerances = DEFAULT_TOLS,
 ) -> tuple[POVM, float]:
-    """Derivative-free ascent over POVM parameterizations.
+    """Search for the n_outcomes-element POVM that maximizes I.
 
-    Random Gaussian perturbations of the block parameterization are
-    accepted on mutual-information improvement, with a geometric step
-    decay; restarts are independently seeded.  The first restart may start
-    from the eigenbasis of the leading state difference (a projective
-    guess) when the outcome count allows it.  Returns the best POVM found
-    and its achieved mutual information; no global optimality is claimed.
+    Runs the fixed-point ascent of _ascend from one Gaussian block set
+    drawn from default_rng(seed) and, when n_outcomes >= dim, also from
+    the eigenbasis of the leading state difference (a projective guess);
+    the better result is kept.  Returns the POVM and its achieved mutual
+    information; no global optimality is claimed.
     """
     if n_outcomes < 2:
         raise ValidationError("measurement optimization needs at least 2 outcomes")
-    d = ensemble.dim
-    states, priors = ensemble.states, ensemble.priors
-    best_info = -math.inf
-    best_blocks: list[np.ndarray] | None = None
-    for restart in range(config.restarts):
-        rng = np.random.default_rng([config.seed, restart])
-        if restart == 0 and config.projective_init and n_outcomes >= d:
-            contrast = states[0] - states[1] if len(states) > 1 else ensemble.average_state()
-            _, vectors = np.linalg.eigh(contrast)
-            blocks = [
-                np.outer(vectors[:, i], vectors[:, i].conj()) if i < d else np.zeros((d, d), dtype=complex)
-                for i in range(n_outcomes)
-            ]
-        else:
-            blocks = [complex_gaussian(rng, (d, d)) for _ in range(n_outcomes)]
-        current = _info_of_blocks(blocks, states, priors, tol.prob_floor)
-        if current > best_info:
-            best_info, best_blocks = current, [b.copy() for b in blocks]
-        step = config.initial_step
-        for _ in range(config.iterations):
-            proposal = [b + step * complex_gaussian(rng, (d, d)) for b in blocks]
-            value = _info_of_blocks(proposal, states, priors, tol.prob_floor)
-            if value > current:
-                blocks, current = proposal, value
-                if current > best_info:
-                    best_info, best_blocks = current, [b.copy() for b in blocks]
-            step *= config.step_decay
-    assert best_blocks is not None
+    d, states = ensemble.dim, ensemble.states
+    rng = np.random.default_rng(seed)
+    starts = [np.array([complex_gaussian(rng, (d, d)) for _ in range(n_outcomes)])]
+    if n_outcomes >= d:
+        contrast = states[0] - states[1] if len(states) > 1 else ensemble.average_state()
+        _, vectors = np.linalg.eigh(contrast)
+        guess = np.zeros((n_outcomes, d, d), dtype=complex)
+        for i in range(d):
+            guess[i] = np.outer(vectors[:, i], vectors[:, i].conj())
+        starts.append(guess)
+    best_info, best_blocks = -math.inf, None
+    for blocks in starts:
+        info, ascended = _ascend(blocks, ensemble, tol.prob_floor)
+        if info > best_info:
+            best_info, best_blocks = info, ascended
+    if best_blocks is None:
+        raise ConsistencyError("every start of the measurement ascent has a singular normalizer")
     povm = povm_from_blocks(best_blocks, tol)
     achieved = mutual_information(
         CqChannelInstance.create(ensemble, povm), tol

@@ -373,6 +373,10 @@ def dilation_probabilities(
     """Outcome probabilities of the dilated orthogonal measurement on
     rho (x) |0><0|; must match povm_probabilities on the original POVM."""
     state = require_density_matrix(rho, tol)
+    if state.shape[0] != dilation.encoding_dim:
+        raise ValidationError(
+            f"dimension mismatch: state {state.shape[0]}, dilation encoding {dilation.encoding_dim}"
+        )
     embedded = kron(state, basis_projector(dilation.probe_dim, 0))
     return np.array(
         [float(np.trace(cols.conj().T @ embedded @ cols).real) for cols in dilation.blocks()]

@@ -76,24 +76,20 @@ def random_povm(
     return povm_from_blocks(blocks, tol)
 
 
-def normalized_grams(blocks: list[np.ndarray], floor: float) -> list[np.ndarray] | None:
-    """M_k = T^{-1/2} B_k† B_k T^{-1/2} with T = sum_k B_k† B_k, or None
-    when the smallest eigenvalue of T is at or below floor."""
-    dim = blocks[0].shape[0]
-    grams = [b.conj().T @ b for b in blocks]
-    total = np.zeros((dim, dim), dtype=complex)
-    for g in grams:
-        total += g
-    w, v = np.linalg.eigh(total)
+def normalized_blocks(blocks, floor: float) -> np.ndarray | None:
+    """B_k T^{-1/2} with T = sum_k B_k† B_k, stacked along axis 0, or None
+    when the smallest eigenvalue of T is at or below floor.  The grams of
+    the result, T^{-1/2} B_k† B_k T^{-1/2}, sum to the identity."""
+    b = np.asarray(blocks)
+    w, v = np.linalg.eigh((b.conj().transpose(0, 2, 1) @ b).sum(axis=0))
     if w.min() <= floor:
         return None
-    inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return [inv_sqrt @ g @ inv_sqrt for g in grams]
+    return b @ ((v * (1.0 / np.sqrt(w))) @ v.conj().T)
 
 
-def povm_from_blocks(blocks: list[np.ndarray], tol: Tolerances = DEFAULT_TOLS) -> POVM:
+def povm_from_blocks(blocks, tol: Tolerances = DEFAULT_TOLS) -> POVM:
     """Normalize arbitrary matrices B_k into a POVM (the T^{-1/2} trick)."""
-    elements = normalized_grams(blocks, 0.0)
-    if elements is None:
+    normalized = normalized_blocks(blocks, 0.0)
+    if normalized is None:
         raise ValidationError("POVM normalizer is singular; draw different blocks")
-    return POVM.create(elements, tol)
+    return POVM.create([c.conj().T @ c for c in normalized], tol)

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 import qfluct as qf
 from qfluct.errors import ValidationError
-from qfluct.rand import haar_unitary, random_density_matrix
+from qfluct.rand import random_density_matrix
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -38,22 +38,6 @@ def test_apply_bit_flip_half():
     expected = (rho + PAULI_X @ rho @ PAULI_X) / 2
     assert np.abs(out - np.eye(2) / 2).max() < 1e-12
     assert np.abs(out - expected).max() < 1e-12
-
-
-def test_validate_tcp_unitary():
-    rng = np.random.default_rng(2)
-    report = qf.validate_tcp(qf.KrausChannel.create([haar_unitary(3, rng)]))
-    assert report.passed
-    assert report.completeness_defect < 1e-12
-    assert report.choi_min_eigenvalue > -1e-12
-
-
-def test_validate_tcp_reports_completeness_violation():
-    # raw constructor bypasses validation so the report can measure the defect
-    broken = qf.KrausChannel(kraus_ops=(np.eye(2, dtype=complex), 0.1 * np.eye(2, dtype=complex)))
-    report = qf.validate_tcp(broken)
-    assert not report.trace_preserving
-    assert abs(report.completeness_defect - 0.01) < 1e-12
 
 
 def test_kraus_channel_create_rejects_incomplete():
@@ -96,8 +80,6 @@ def test_standard_channels_are_tcp():
         for q in (0.0, 0.3, 1.0):
             for d in (2, 3):
                 ch = factory(q, d)
-                report = qf.validate_tcp(ch)
-                assert report.passed, (factory.__name__, q, d, report)
                 rho = random_density_matrix(d, rng)
                 out = qf.apply_channel(ch, rho)
                 assert abs(float(np.trace(out).real) - 1.0) < 1e-12

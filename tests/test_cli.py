@@ -228,8 +228,7 @@ def test_holevo_optimize_cli(holevo_scenario, tmp_path):
     out = tmp_path / "opt.json"
     code = cli.main([
         "holevo", "optimize", str(holevo_scenario),
-        "--outcomes", "2", "--restarts", "2", "--iters", "60",
-        "--seed", "5", "--out", str(out),
+        "--outcomes", "2", "--seed", "5", "--out", str(out),
     ])
     assert code == 0
     report = json.loads(out.read_text())
@@ -242,6 +241,18 @@ def test_holevo_optimize_cli(holevo_scenario, tmp_path):
     for element in report["optimized_povm"]:
         total += np.array([[complex(a, b) for a, b in row] for row in element])
     assert np.abs(total - np.eye(2)).max() < 1e-10
+
+
+def test_holevo_analyze_summary_prints_no_negative_zero(tmp_path, capsys):
+    # gamma is exactly 1 for the orthogonal ensemble, so -ln(gamma) is -0.0
+    from pathlib import Path
+
+    scenario = Path(__file__).parent.parent / "scenarios" / "orthogonal_holevo.json"
+    for flags in ([], ["--bits"]):
+        assert cli.main(["holevo", "analyze", str(scenario), "--out", str(tmp_path / "r.json")] + flags) == 0
+        err = capsys.readouterr().err
+        assert "-ln(gamma) = 0 " in err
+        assert "-0 " not in err
 
 
 def test_missing_file_exit_2(tmp_path, capsys):

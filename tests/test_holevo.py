@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import qfluct as qf
 from qfluct.errors import ConsistencyError, ValidationError
-from qfluct.holevo import STATE_KINDS, OptimizeConfig
+from qfluct.holevo import STATE_KINDS
 from qfluct.rand import random_density_matrix, random_povm
 
 from oracles import enumeration_oracle, partial_trace
@@ -93,15 +93,14 @@ def test_mutual_information_cases():
 
 
 def test_mutual_information_decomposition():
-    shannon, conditional = qf.mutual_information_decomposition(orthogonal_instance())
-    assert abs(shannon - math.log(2)) < 1e-12
-    assert abs(conditional) < 1e-12
-    inst = identical_states_instance()
-    shannon, conditional = qf.mutual_information_decomposition(inst)
-    assert abs(conditional + shannon) < 1e-12  # posterior equals prior
+    rep = qf.analyze(orthogonal_instance())
+    assert abs(rep.shannon - math.log(2)) < 1e-12
+    assert abs(rep.conditional_term) < 1e-12
+    rep = qf.analyze(identical_states_instance())
+    assert abs(rep.conditional_term + rep.shannon) < 1e-12  # posterior equals prior
     inst = qf.random_instance(2, 3, 3, seed=11)
-    shannon, conditional = qf.mutual_information_decomposition(inst)
-    assert abs((shannon + conditional) - qf.mutual_information(inst)) < 1e-10
+    rep = qf.analyze(inst)
+    assert abs((rep.shannon + rep.conditional_term) - qf.mutual_information(inst)) < 1e-10
 
 
 def test_holevo_chi_cases():
@@ -285,43 +284,70 @@ def test_supp_violation_is_rejected():
 
 def test_optimize_measurement_orthogonal_reaches_log2():
     ens = orthogonal_instance().ensemble
-    povm, achieved = qf.optimize_measurement(
-        ens, 2, OptimizeConfig(restarts=2, iterations=60, seed=1)
-    )
+    povm, achieved = qf.optimize_measurement(ens, 2, seed=1)
     assert achieved >= math.log(2) - 1e-6
     qf.POVM.create(povm.elements)
 
 
 def test_optimize_measurement_identical_states_zero():
     ens = identical_states_instance().ensemble
-    _, achieved = qf.optimize_measurement(
-        ens, 2, OptimizeConfig(restarts=2, iterations=40, seed=2)
-    )
+    _, achieved = qf.optimize_measurement(ens, 2, seed=2)
     assert achieved <= 1e-9
 
 
 def test_optimize_measurement_beats_z_basis():
+    # the optimal two-outcome measurement of {|0>, |+>} with equal priors
+    # reaches ln 2 - h((1 + 1/sqrt 2)/2), and h((1 + 1/sqrt 2)/2) is chi
     inst = zero_plus_instance()
-    ens = inst.ensemble
-    z_value = qf.mutual_information(inst)
-    chi = qf.holevo_chi(ens)
-    povm, achieved = qf.optimize_measurement(
-        ens, 2, OptimizeConfig(restarts=3, iterations=150, seed=3)
-    )
-    assert achieved >= z_value - 1e-12
-    assert achieved <= chi + 1e-8
+    _, achieved = qf.optimize_measurement(inst.ensemble, 2, seed=3)
+    assert achieved >= qf.mutual_information(inst)
+    assert abs(achieved - (math.log(2) - CHI_CLOSED)) <= 1e-10
 
 
-def test_optimize_measurement_monotone_in_iterations():
-    ens = zero_plus_instance().ensemble
-    results = []
-    for iters in (10, 40, 160):
-        _, achieved = qf.optimize_measurement(
-            ens, 2, OptimizeConfig(restarts=2, iterations=iters, seed=4)
-        )
-        results.append(achieved)
-    assert results[0] <= results[1] + 1e-12
-    assert results[1] <= results[2] + 1e-12
+def test_optimize_measurement_trine_climbs_past_projective():
+    # Three qubit states 120 degrees apart on the Bloch circle, equal
+    # priors: the accessible information ln(3/2) needs a three-outcome POVM
+    # (the anti-trine); a two-outcome projective measurement reaches at
+    # most about 0.318 nats, so only the ascent can get close.  From this
+    # seed the gain-based stop ends 1.3e-5 below the optimum.
+    states = []
+    for k in range(3):
+        half_angle = math.pi * k / 3
+        v = np.array([math.cos(half_angle), math.sin(half_angle)], dtype=complex)
+        states.append(np.outer(v, v.conj()))
+    ens = qf.Ensemble.create([1 / 3] * 3, states)
+    _, achieved = qf.optimize_measurement(ens, 3, seed=0)
+    assert math.log(1.5) - 1e-4 <= achieved <= math.log(1.5) + 1e-12
+
+
+def contrast_eigenbasis_povm(ensemble, n_outcomes):
+    """Projectors onto the eigenvectors of rho_0 - rho_1 (of the average
+    state for one word), padded with zero elements."""
+    states = ensemble.states
+    contrast = states[0] - states[1] if len(states) > 1 else ensemble.average_state()
+    _, vectors = np.linalg.eigh(contrast)
+    elements = [np.outer(v, v.conj()) for v in vectors.T]
+    elements += [np.zeros_like(elements[0])] * (n_outcomes - ensemble.dim)
+    return qf.POVM.create(elements)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(2, 4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(STATE_KINDS),
+    st.integers(0, 2**32 - 1),
+)
+def test_optimize_measurement_ascent_properties(dim, n_words, n_outcomes, seed, kind, opt_seed):
+    ens = qf.random_instance(dim, n_words, n_outcomes, seed=seed, state_kind=kind).ensemble
+    povm, achieved = qf.optimize_measurement(ens, n_outcomes, seed=opt_seed)
+    qf.POVM.create(povm.elements)
+    assert achieved <= qf.holevo_chi(ens) + 1e-8
+    if n_outcomes >= dim:
+        guess = qf.CqChannelInstance.create(ens, contrast_eigenbasis_povm(ens, n_outcomes))
+        assert achieved >= qf.mutual_information(guess) - 1e-12
 
 
 @st.composite

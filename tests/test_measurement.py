@@ -189,6 +189,12 @@ def test_naimark_dilate_random_povm_contract():
         assert np.abs(direct - dilated).max() < 1e-10
 
 
+def test_dilation_probabilities_rejects_dimension_mismatch():
+    dil = qf.naimark_dilate(random_povm(2, 3, np.random.default_rng(9)))
+    with pytest.raises(ValidationError, match="mismatch"):
+        qf.dilation_probabilities(np.eye(3, dtype=complex) / 3, dil)
+
+
 def test_naimark_dilation_projector_family():
     rng = np.random.default_rng(7)
     for d, k in [(2, 2), (3, 4), (4, 5)]:
