@@ -613,12 +613,13 @@ def random_instance(
 
 
 # The ascent's step rule and stopping rule: the step size starts at 1,
-# doubles after an accepted step and halves after a rejected one; the
-# search stops after a gain of at most ASCENT_MIN_GAIN nats, once the step
-# size falls below ASCENT_MIN_STEP, or after ASCENT_MAX_STEPS steps.
-ASCENT_MIN_GAIN = 1e-12
+# doubles after a step that raises I and halves after one that does not;
+# a start has converged once the step size falls below ASCENT_MIN_STEP,
+# and it is cut after ASCENT_MAX_STEPS steps.  ASCENT_STARTS Gaussian
+# block sets are ascended, so one poor start does not decide the result.
 ASCENT_MIN_STEP = 1e-12
 ASCENT_MAX_STEPS = 500
+ASCENT_STARTS = 4
 
 
 def _ascend(
@@ -630,8 +631,9 @@ def _ascend(
     A step is B_k <- B_k (I + eps R_k), renormalized, where
     R_k = sum_j p_j ln(p(k|j)/p(k)) rho_j over the retained entries is the
     gradient of I in M_k (Rehacek, Englert and Kaszlikowski, PRA 71,
-    054303, 2005).  A step that lowers I, or whose normalizer is singular,
-    is rejected, so I never decreases.
+    054303, 2005).  A step that does not raise I, or whose normalizer is
+    singular, is rejected, so I never decreases and the step size shrinks
+    below ASCENT_MIN_STEP only where no step raises I.
     """
     states = np.asarray(ensemble.states)
     priors = ensemble.priors
@@ -659,14 +661,11 @@ def _ascend(
             step /= 2
             continue
         value, proposal_gradients = info_and_gradients(proposal)
-        if value < info:
+        if value <= info:
             step /= 2
             continue
-        gain = value - info
         current, info, gradients = proposal, value, proposal_gradients
         step *= 2
-        if gain <= ASCENT_MIN_GAIN:
-            break
     return info, current
 
 
@@ -678,17 +677,20 @@ def optimize_measurement(
 ) -> tuple[POVM, float]:
     """Search for the n_outcomes-element POVM that maximizes I.
 
-    Runs the fixed-point ascent of _ascend from one Gaussian block set
-    drawn from default_rng(seed) and, when n_outcomes >= dim, also from
-    the eigenbasis of the leading state difference (a projective guess);
-    the better result is kept.  Returns the POVM and its achieved mutual
-    information; no global optimality is claimed.
+    Runs the fixed-point ascent of _ascend from ASCENT_STARTS Gaussian
+    block sets drawn from default_rng(seed) and, when n_outcomes >= dim,
+    also from the eigenbasis of the leading state difference (a projective
+    guess); the best result is kept.  Returns the POVM and its achieved
+    mutual information; no global optimality is claimed.
     """
     if n_outcomes < 2:
         raise ValidationError("measurement optimization needs at least 2 outcomes")
     d, states = ensemble.dim, ensemble.states
     rng = np.random.default_rng(seed)
-    starts = [np.array([complex_gaussian(rng, (d, d)) for _ in range(n_outcomes)])]
+    starts = [
+        np.array([complex_gaussian(rng, (d, d)) for _ in range(n_outcomes)])
+        for _ in range(ASCENT_STARTS)
+    ]
     if n_outcomes >= d:
         contrast = states[0] - states[1] if len(states) > 1 else ensemble.average_state()
         _, vectors = np.linalg.eigh(contrast)
