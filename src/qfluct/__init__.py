@@ -20,7 +20,6 @@ from .holevo import (
     HolevoInternals,
     HolevoReport,
     analyze,
-    build_joint_state,
     conditional_probabilities,
     equality_residual,
     gt_chain,

@@ -2,7 +2,8 @@
 quantity, and the measurement-dependent sharpening of the Holevo bound.
 
 The sharpening comes from running the two-time measurement engine on a
-composite encoding (x) probe (x) message space: the mean outcome
+composite encoding (x) probe (x) message space, a direct sum over the
+message register that is solved word by word: the mean outcome
 difference equals chi - I and the fluctuation identity supplies a
 correction term -ln(gamma) >= 0, with gamma computed both by exact outcome
 enumeration and by the trace formula.  A trace-inequality chain
@@ -52,10 +53,10 @@ from .rand import (
 )
 from .ttm import (
     TwoTimeProtocol,
-    delta_a_distribution,
-    efficacy,
+    _efficacy_blocks,
+    _joint_blocks,
+    _merge_atoms,
     exponential_average,
-    joint_distribution,
     mean_delta_a,
 )
 
@@ -207,27 +208,10 @@ def holevo_chi(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOLS) -> float:
     return float(chi)
 
 
-def build_joint_state(ensemble: Ensemble, dilation: NaimarkDilation) -> np.ndarray:
-    """Composite state sum_j pi_j rho_j (x) |0><0| (x) |j><j| under the
-    encoding (x) probe (x) message ordering."""
-    if dilation.encoding_dim != ensemble.dim:
-        raise ValidationError(
-            f"dimension mismatch: ensemble {ensemble.dim}, dilation encoding "
-            f"{dilation.encoding_dim}"
-        )
-    j_dim = ensemble.n_words
-    probe = basis_projector(dilation.probe_dim, 0)
-    dim = ensemble.dim * dilation.probe_dim * j_dim
-    out = np.zeros((dim, dim), dtype=complex)
-    for j, (p, rho) in enumerate(zip(ensemble.priors, ensemble.states)):
-        out += p * kron(rho, probe, basis_projector(j_dim, j))
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class HolevoInternals:
-    """Everything the composite construction produces, kept for the chain
-    diagnostic and the equality residual."""
+    """Everything the per-word composite construction produces, kept for
+    the chain diagnostic and the equality residual."""
 
     ensemble: Ensemble
     povm_elements: tuple[np.ndarray, ...]
@@ -239,10 +223,8 @@ class HolevoInternals:
     retained: np.ndarray        # (J, K) bool, cond > prob_floor
     rho_bar: np.ndarray
     rho_ep_bar: np.ndarray      # rho_bar (x) |0><0| on encoding (x) probe
-    rho0: np.ndarray
-    a_i: ExtendedObservable
-    a_f: ExtendedObservable
     block_exps: tuple[np.ndarray, ...]  # per-word compressed exponentials on encoding (x) probe
+    protocols: tuple[TwoTimeProtocol, ...]  # per word: rho_j (x) |0><0|, A_i, identity, A_f
 
 
 def _observable_from_neg_exp(w: np.ndarray, tol: Tolerances) -> ExtendedObservable:
@@ -265,9 +247,16 @@ def _observable_from_neg_exp(w: np.ndarray, tol: Tolerances) -> ExtendedObservab
     return ExtendedObservable.from_blocks(branches, tol)
 
 
-def _assemble(
-    inst: CqChannelInstance, dilation: NaimarkDilation, tol: Tolerances
+def prepare_instance(
+    inst: CqChannelInstance,
+    tol: Tolerances = DEFAULT_TOLS,
+    dilation: NaimarkDilation | None = None,
 ) -> HolevoInternals:
+    """Dilate the POVM and assemble each word's composite protocol."""
+    if dilation is None:
+        dilation = naimark_dilate(inst.povm, tol)
+    elif dilation.encoding_dim != inst.ensemble.dim or dilation.probe_dim != inst.povm.n_outcomes:
+        raise ValidationError("provided dilation does not match the instance POVM")
     ensemble = inst.ensemble
     d, kp, jw = ensemble.dim, dilation.probe_dim, ensemble.n_words
     cond = conditional_probabilities(inst, tol)
@@ -300,7 +289,6 @@ def _assemble(
 
     projectors = dilation.projectors
     block_exps = []
-    w_full = np.zeros((d * kp * jw, d * kp * jw), dtype=complex)
     for j in range(jw):
         exponent = log_bar.copy()
         suppress = n_outside.copy()
@@ -313,17 +301,20 @@ def _assemble(
             n_j, _ = support_projector(suppress, tol)
         else:
             n_j = np.zeros((d * kp, d * kp), dtype=complex)
-        w_j = compressed_exp(exponent, n_j, tol)
-        block_exps.append(w_j)
-        w_full += kron(w_j, basis_projector(jw, j))
+        block_exps.append(compressed_exp(exponent, n_j, tol))
 
-    a_f = _observable_from_neg_exp(w_full, tol)
-
-    a_i_matrix = np.zeros_like(w_full)
-    for j, rho in enumerate(ensemble.states):
-        a_i_matrix += kron(-pseudo_log(rho, tol), probe, basis_projector(jw, j))
-    a_i = observable_from_hermitian(a_i_matrix, tol)
-    rho0 = build_joint_state(ensemble, dilation)
+    # Built without TwoTimeProtocol.create, whose state check would repeat
+    # Ensemble.create's; every part is d*K-dimensional and A_i is finite.
+    channel = identity_channel(d * kp)
+    protocols = tuple(
+        TwoTimeProtocol(
+            kron(rho, probe),
+            observable_from_hermitian(kron(-pseudo_log(rho, tol), probe), tol),
+            channel,
+            _observable_from_neg_exp(w_j, tol),
+        )
+        for rho, w_j in zip(ensemble.states, block_exps)
+    )
 
     return HolevoInternals(
         ensemble=ensemble,
@@ -336,24 +327,9 @@ def _assemble(
         retained=retained,
         rho_bar=rho_bar,
         rho_ep_bar=rho_ep_bar,
-        rho0=rho0,
-        a_i=a_i,
-        a_f=a_f,
         block_exps=tuple(block_exps),
+        protocols=protocols,
     )
-
-
-def prepare_instance(
-    inst: CqChannelInstance,
-    tol: Tolerances = DEFAULT_TOLS,
-    dilation: NaimarkDilation | None = None,
-) -> HolevoInternals:
-    """Dilate the POVM and assemble the composite state and observables."""
-    if dilation is None:
-        dilation = naimark_dilate(inst.povm, tol)
-    elif dilation.encoding_dim != inst.ensemble.dim or dilation.probe_dim != inst.povm.n_outcomes:
-        raise ValidationError("provided dilation does not match the instance POVM")
-    return _assemble(inst, dilation, tol)
 
 
 @dataclass(frozen=True)
@@ -484,12 +460,14 @@ def analyze(
 ) -> HolevoReport:
     """Full sharpened-bound analysis of a classical-quantum instance.
 
-    Dilates the POVM, builds the composite construction, runs the
-    two-time engine with the identity channel, computes the efficacy by
-    both the enumeration route and the trace route, and evaluates every
-    bound, chain and residual.  With strict=True any failed cross-check
-    raises ConsistencyError; otherwise failures are recorded in the
-    report's checks.
+    Dilates the POVM, builds the composite construction, and runs the
+    two-time engine with the identity channel per word, on encoding (x)
+    probe: the composite is a direct sum over the message register.  The
+    efficacy comes by the enumeration route (the prior-weighted outcome
+    pairs of all words merged into one set of atoms) and by the trace
+    route (the prior-weighted sum), and every bound, chain and residual is
+    evaluated.  With strict=True any failed cross-check raises
+    ConsistencyError; otherwise failures are recorded in the report's checks.
     """
     internals = prepare_instance(inst, tol, dilation)
     priors = internals.ensemble.priors
@@ -497,15 +475,10 @@ def analyze(
     shannon, conditional = _decomposition_arrays(priors, internals.cond, tol.prob_floor)
     chi = holevo_chi(internals.ensemble, tol)
 
-    dim = internals.rho0.shape[0]
-    protocol = TwoTimeProtocol.create(
-        internals.rho0, internals.a_i, identity_channel(dim), internals.a_f, tol
-    )
-    joint = joint_distribution(protocol, tol)
-    delta = delta_a_distribution(joint, tol)
+    delta = _merge_atoms(_joint_blocks(internals.protocols, priors, tol), tol)
     gamma_dist = exponential_average(delta)
     mean = mean_delta_a(delta)
-    gamma_trace = efficacy(protocol)
+    gamma_trace = _efficacy_blocks(internals.protocols, priors)
     if gamma_trace <= 0:
         raise ConsistencyError(f"efficacy {gamma_trace!r} is not positive")
     gamma = gamma_trace

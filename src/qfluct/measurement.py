@@ -176,10 +176,6 @@ class ExtendedObservable(BranchBlocks):
         cols = self.vectors[:, : self.offsets[n_finite]]
         return (cols * np.repeat(f(values), np.diff(self.offsets[: n_finite + 1]))) @ cols.conj().T
 
-    def finite_matrix(self) -> np.ndarray:
-        """Hermitian sum of the finite branches (+infinity branch omitted)."""
-        return self._finite_function(lambda v: v)
-
     def measurement(self) -> ProjectiveMeasurement:
         return ProjectiveMeasurement(vectors=self.vectors, offsets=self.offsets)
 

@@ -131,9 +131,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.values.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
-
 
 def spectral_decompose(h, tol: Tolerances = DEFAULT_TOLS) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix, verifying the result.

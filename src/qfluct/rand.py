@@ -1,4 +1,4 @@
-"""Seeded random quantum objects: states, observables, unitaries, POVMs.
+"""Seeded random quantum objects: states and POVMs.
 
 Everything takes a numpy Generator so batches stay reproducible; helpers
 never touch global random state.
@@ -15,21 +15,6 @@ from .operator_core import DEFAULT_TOLS, Tolerances
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    g = complex_gaussian(rng, (dim, dim))
-    h = (g + g.conj().T) / 2
-    return scale * h / np.sqrt(dim)
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix with the
-    standard phase fix on the diagonal of R."""
-    q, r = np.linalg.qr(complex_gaussian(rng, (dim, dim)))
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -53,18 +38,6 @@ def random_density_matrix(
     g = complex_gaussian(rng, (dim, cols))
     m = g @ g.conj().T
     return m / np.trace(m).real
-
-
-def random_observable(
-    dim: int, rng: np.random.Generator, degenerate: bool = False
-) -> np.ndarray:
-    """Random Hermitian matrix; with degenerate=True the spectrum is drawn
-    from a small integer grid so repeated eigenvalues are exact."""
-    if not degenerate:
-        return random_hermitian(dim, rng)
-    values = rng.integers(-2, 3, size=dim).astype(float)
-    u = haar_unitary(dim, rng)
-    return (u * values) @ u.conj().T
 
 
 def random_povm(

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .channel import EvolutionProtocol, KrausChannel, apply_channel, unitary_from_protocol
 from .errors import ConsistencyError, IllPosedProtocolError, ValidationError
 from .measurement import (
+    _EXP_LIMIT,
     ExtendedObservable,
     measurement_channel,
     observable_from_hermitian,
@@ -123,40 +125,51 @@ def joint_distribution(
     Raises IllPosedProtocolError when a final +infinity branch receives
     probability above prob_floor.
     """
-    a_i, a_f = protocol.initial_observable, protocol.final_observable
-    v_f, v_f_conj = a_f.vectors, a_f.vectors.conj()
-    probs = np.zeros((len(a_i.values), len(a_f.values)))
-    for m, v_m in enumerate(a_i.blocks()):
-        c_m = v_m.conj().T @ protocol.initial_state @ v_m
-        evolved = apply_channel(protocol.channel, v_m @ c_m @ v_m.conj().T)
-        # diag(V_f† evolved V_f) summed over each final branch's columns
-        column_probs = np.einsum("ij,ij->j", v_f_conj, evolved @ v_f).real
-        row = np.add.reduceat(column_probs, a_f.offsets[:-1])
-        marginal = float(np.trace(c_m).real)
-        if abs(row.sum() - marginal) > 1e-10:
-            raise ConsistencyError(
-                f"joint marginal over final outcomes {row.sum()!r} differs from "
-                f"initial probability {marginal!r}"
-            )
-        probs[m] = row
-    if probs.min() < -tol.prob_floor:
-        raise ConsistencyError(f"joint probability {probs.min():.3e} below -prob_floor")
-    probs = np.clip(probs, 0.0, None)
-    if abs(probs.sum() - 1.0) > 1e-10:
-        raise ConsistencyError(f"joint probabilities sum to {probs.sum()!r}, not 1")
-    final_values = np.array(a_f.values, dtype=float)
-    if a_f.has_infinite_branch:
-        leak = float(probs[:, -1].sum())
-        if leak > tol.prob_floor:
-            raise IllPosedProtocolError(
-                f"the +infinity branch of the final observable has probability "
-                f"{leak:.3e} > prob_floor; the protocol is ill-posed"
-            )
-    return JointDistribution(
-        probs=probs,
-        initial_values=np.array(a_i.values, dtype=float),
-        final_values=final_values,
-    )
+    return _joint_blocks([protocol], [1.0], tol)[0]
+
+
+def _joint_blocks(
+    protocols: Sequence[TwoTimeProtocol], weights: Sequence[float], tol: Tolerances
+) -> list[JointDistribution]:
+    """Joint distributions of a direct sum of protocols, block j weighted by
+    weights[j].  The weighted blocks are checked as one protocol: entries
+    >= -prob_floor, a total of one within 1e-10, and at most prob_floor on
+    the +infinity final branches together."""
+    joints = []
+    for protocol, weight in zip(protocols, weights):
+        a_i, a_f = protocol.initial_observable, protocol.final_observable
+        v_f, v_f_conj = a_f.vectors, a_f.vectors.conj()
+        probs = np.zeros((len(a_i.values), len(a_f.values)))
+        for m, v_m in enumerate(a_i.blocks()):
+            c_m = weight * (v_m.conj().T @ protocol.initial_state @ v_m)
+            evolved = apply_channel(protocol.channel, v_m @ c_m @ v_m.conj().T)
+            # diag(V_f† evolved V_f) summed over each final branch's columns
+            column_probs = np.einsum("ij,ij->j", v_f_conj, evolved @ v_f).real
+            row = np.add.reduceat(column_probs, a_f.offsets[:-1])
+            marginal = float(np.trace(c_m).real)
+            if abs(row.sum() - marginal) > 1e-10:
+                raise ConsistencyError(
+                    f"joint marginal over final outcomes {row.sum()!r} differs from "
+                    f"initial probability {marginal!r}"
+                )
+            probs[m] = row
+        values = (np.array(a_i.values, dtype=float), np.array(a_f.values, dtype=float))
+        joints.append(JointDistribution(probs, *values))
+    low = min(float(joint.probs.min()) for joint in joints)
+    if low < -tol.prob_floor:
+        raise ConsistencyError(f"joint probability {low:.3e} below -prob_floor")
+    for joint in joints:
+        np.clip(joint.probs, 0.0, None, out=joint.probs)
+    total = sum(joint.total() for joint in joints)
+    if abs(total - 1.0) > 1e-10:
+        raise ConsistencyError(f"joint probabilities sum to {total!r}, not 1")
+    leak = sum(float(joint.probs[:, -1].sum()) for joint in joints if math.isinf(joint.final_values[-1]))
+    if leak > tol.prob_floor:
+        raise IllPosedProtocolError(
+            f"the +infinity branch of the final observable has probability "
+            f"{leak:.3e} > prob_floor; the protocol is ill-posed"
+        )
+    return joints
 
 
 def delta_a_distribution(
@@ -170,13 +183,16 @@ def delta_a_distribution(
     +infinity entries and structurally forbidden transitions, whose
     rounding noise would otherwise be amplified by exp(-delta_a)).
     """
-    pairs = []
-    for m, a_m in enumerate(joint.initial_values):
-        for n, a_n in enumerate(joint.final_values):
-            if math.isinf(a_n):
-                continue
-            pairs.append((a_n - a_m, joint.probs[m, n]))
-    pairs.sort(key=lambda t: t[0])
+    return _merge_atoms([joint], tol)
+
+
+def _merge_atoms(
+    joints: Sequence[JointDistribution], tol: Tolerances
+) -> DeltaDistribution:
+    """Atoms of delta_a over the outcome pairs of all joints in one
+    clustering pass, so the sub-floor drop acts on the pooled mass; each
+    joint contributes only its own (initial, final) pairs."""
+    pairs = sorted((pair for joint in joints for pair in _finite_pairs(joint)), key=lambda t: t[0])
     members: list[list[tuple[float, float]]] = []
     for v, p in pairs:
         if members and v - members[-1][-1][0] <= tol.degeneracy_tol * max(1.0, abs(v)):
@@ -205,14 +221,18 @@ def characteristic_function(joint: JointDistribution, s: complex) -> complex:
     <exp(-delta_a)>.  +infinity entries contribute zero (they carry
     probability at most prob_floor, and vanish by continuity for
     Im(s) > 0)."""
-    out = 0.0 + 0.0j
     s = complex(s)
-    for m, a_m in enumerate(joint.initial_values):
-        for n, a_n in enumerate(joint.final_values):
-            if math.isinf(a_n):
-                continue
-            out += joint.probs[m, n] * np.exp(1j * s * (a_n - a_m))
-    return complex(out)
+    return complex(sum(p * np.exp(1j * s * v) for v, p in _finite_pairs(joint)))
+
+
+def _finite_pairs(joint: JointDistribution) -> list[tuple[float, float]]:
+    """(delta_a, p) for every outcome pair with a finite final value."""
+    return [
+        (a_n - a_m, joint.probs[m, n])
+        for m, a_m in enumerate(joint.initial_values)
+        for n, a_n in enumerate(joint.final_values)
+        if not math.isinf(a_n)
+    ]
 
 
 def efficacy(protocol: TwoTimeProtocol) -> float:
@@ -222,11 +242,19 @@ def efficacy(protocol: TwoTimeProtocol) -> float:
     branch of A_f is the kernel of exp(-A_f).  The trace must be real up
     to rounding; the residual imaginary part is asserted then discarded.
     """
-    a_i = protocol.initial_observable
-    rho_m = measurement_channel(protocol.initial_state, a_i.measurement())
-    weighted = apply_channel(protocol.channel, rho_m @ a_i.exp_pos())
-    # tr(X Y) as an elementwise sum, without forming X Y
-    value = complex(np.sum(protocol.final_observable.exp_neg().T * weighted))
+    return _efficacy_blocks([protocol], [1.0])
+
+
+def _efficacy_blocks(protocols: Sequence[TwoTimeProtocol], weights: Sequence[float]) -> float:
+    """Efficacy of a direct sum of protocols: the weights[j]-weighted sum
+    of the block traces, whose imaginary residue is checked once."""
+    value = 0j
+    for protocol, weight in zip(protocols, weights):
+        a_i = protocol.initial_observable
+        rho_m = measurement_channel(protocol.initial_state, a_i.measurement())
+        weighted = apply_channel(protocol.channel, rho_m @ a_i.exp_pos())
+        # tr(X Y) as an elementwise sum, without forming X Y
+        value += weight * complex(np.sum(protocol.final_observable.exp_neg().T * weighted))
     if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
         raise ConsistencyError(f"efficacy trace has imaginary residue {value.imag:.3e}")
     return float(value.real)
@@ -302,13 +330,30 @@ class JarzynskiReport:
         return self.identity_pass and self.max_work_pass and self.ft.passed
 
 
-def gibbs_state(h, beta: float, tol: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, float]:
-    """Thermal state exp(-beta H)/Z and its partition function."""
+def gibbs_state(
+    h, beta: float, tol: Tolerances = DEFAULT_TOLS
+) -> tuple[np.ndarray, float, float]:
+    """Thermal state exp(-beta H)/Z and Z as (z, shift) with Z = z e^shift.
+
+    Beyond |beta E_min| = _EXP_LIMIT / 4 the weights are shifted by the
+    ground energy, shift = -beta E_min, so they lie in (0, 1]; within it
+    shift = 0, z = Z, and both partition functions and their ratio are
+    finite doubles.
+    """
     dec = spectral_decompose(h, tol)
-    weights = np.exp(-beta * dec.values)
+    lowest = beta * float(dec.values[0])
+    shift = -lowest if abs(lowest) > _EXP_LIMIT / 4 else 0.0
+    weights = np.exp(-beta * dec.values - shift)
     z = float(weights.sum())
-    rho = (dec.vectors * (weights / z)) @ dec.vectors.conj().T
-    return rho, z
+    return (dec.vectors * (weights / z)) @ dec.vectors.conj().T, z, shift
+
+
+def _scaled(mantissa: float, shift: float, what: str) -> float:
+    """mantissa * e^shift, which must be a finite positive double."""
+    log_value = shift + math.log(mantissa)
+    if abs(log_value) >= _EXP_LIMIT:
+        raise ValidationError(f"{what} = exp({log_value!r}) is not a finite positive double")
+    return math.exp(log_value) if shift else mantissa
 
 
 def jarzynski_scenario(
@@ -330,8 +375,13 @@ def jarzynski_scenario(
         raise ValidationError(f"inverse temperature must be positive, got {beta}")
     h0 = require_hermitian(h0, tolerances)
     h_tau = protocol.final_hamiltonian
-    rho0, z0 = gibbs_state(h0, beta, tolerances)
-    _, z_tau = gibbs_state(h_tau, beta, tolerances)
+    rho0, z0_scaled, shift0 = gibbs_state(h0, beta, tolerances)
+    _, z_tau_scaled, shift_tau = gibbs_state(h_tau, beta, tolerances)
+    z0 = _scaled(z0_scaled, shift0, "Z_0")
+    z_tau = _scaled(z_tau_scaled, shift_tau, "Z_tau")
+    z_ratio = _scaled(z_tau_scaled / z0_scaled, shift_tau - shift0, "Z_tau/Z_0")
+    # dF = -(ln Z_tau - ln Z_0) / beta
+    delta_f = -(math.log(z_tau_scaled / z0_scaled) + (shift_tau - shift0)) / beta
     two_time = TwoTimeProtocol.create(
         rho0,
         observable_from_hermitian(beta * h0, tolerances),
@@ -340,8 +390,6 @@ def jarzynski_scenario(
         tolerances,
     )
     ft = verify_ft(two_time, tolerances=tolerances)
-    z_ratio = z_tau / z0
-    delta_f = -math.log(z_ratio) / beta
     mean_work = ft.mean_delta_a / beta
     identity_error = abs(ft.lhs - z_ratio)
     max_work_slack = beta * mean_work - beta * delta_f

@@ -4,11 +4,15 @@ Everything here is built directly on numpy/scipy primitives and stays
 deliberately separate from the library's code paths: exponentials go
 through scipy's expm (with a penalty term for suppressed subspaces
 instead of a compression), eigenvalue clustering uses plain rounding, and
-probabilities come from direct Born-rule arithmetic.
+probabilities come from direct Born-rule arithmetic.  The exception is
+composite_reference, which runs the library's two-time engine once on the
+dense composite, to check the word-by-word solve against it.
 """
 
 import numpy as np
 from scipy.linalg import expm
+
+import qfluct as qf
 
 PENALTY = 1e5  # suppression strength for the extrapolated penalty oracle
 
@@ -59,6 +63,71 @@ def partial_trace(m, dims, keep):
         t = np.trace(t, axis1=ax, axis2=ax + t.ndim // 2)
     d = int(np.prod([dims[k] for k in keep]))
     return t.reshape(d, d)
+
+
+def build_joint_state(ensemble, dilation):
+    """Composite state sum_j p_j rho_j (x) |0><0| (x) |j><j| under the
+    encoding (x) probe (x) message ordering."""
+    j_dim = ensemble.n_words
+    probe = proj(dilation.probe_dim, 0)
+    return sum(
+        p * kron_all(rho, probe, proj(j_dim, j))
+        for j, (p, rho) in enumerate(zip(ensemble.priors, ensemble.states))
+    )
+
+
+def composite_reference(inst, internals):
+    """The one-block construction: the two-time engine run once on the
+    dense n x n composite, n = d*K*J, with the identity channel.
+
+    rho0 comes from build_joint_state, A_i from the dense
+    sum_j -ln(rho_j) (x) |0><0| (x) |j><j|, and A_f from the dense
+    exp(-A_f) = sum_j W_j (x) |j><j| over the library's per-word
+    compressed exponentials W_j: in-support eigenvalues mu become branches
+    -ln(mu), the kernel the +infinity branch.  Returns gamma by both
+    routes, the mean outcome difference and the merged atoms.
+    """
+    ensemble, tol = inst.ensemble, internals.tolerances
+    j_dim, probe_dim = ensemble.n_words, internals.dilation.probe_dim
+    probe = proj(probe_dim, 0)
+    rho0 = build_joint_state(ensemble, internals.dilation)
+    a_i = sum(
+        kron_all(-qf.pseudo_log(rho, tol), probe, proj(j_dim, j))
+        for j, rho in enumerate(ensemble.states)
+    )
+    # The eigenpairs of the block-diagonal exp(-A_f) are those of its
+    # blocks, embedded.  A dense eigh would fix an eigenvalue near e^-25
+    # only to about 1e-5 relative, and split equal branches of two words.
+    w_full = sum(kron_all(w, proj(j_dim, j)) for j, w in enumerate(internals.block_exps))
+    pairs = [np.linalg.eigh(w) for w in internals.block_exps]
+    values = np.concatenate([w for w, _ in pairs])
+    vectors = np.concatenate([kron_all(v, proj(j_dim, j)[:, [j]]) for j, (_, v) in enumerate(pairs)], axis=1)
+    assert np.abs(w_full @ vectors - vectors * values).max() <= 1e-12
+    order = np.argsort(values)
+    values, vectors = values[order], vectors[:, order]
+    mask = values > (tol.rank_tol * values[-1] if values[-1] > tol.rank_tol else tol.rank_tol)
+    branches = []
+    if mask.any():
+        finite = -np.log(values[mask])
+        order = np.argsort(finite)
+        dec = qf.SpectralDecomposition(values=finite[order], vectors=vectors[:, mask][:, order])
+        branches.extend(qf.group_eigenspaces(dec, tol.degeneracy_tol))
+    if (~mask).any():
+        branches.append((np.inf, vectors[:, ~mask]))
+    protocol = qf.TwoTimeProtocol.create(
+        rho0,
+        qf.observable_from_hermitian(a_i, tol),
+        qf.identity_channel(rho0.shape[0]),
+        qf.ExtendedObservable.from_blocks(branches, tol),
+        tol,
+    )
+    delta = qf.delta_a_distribution(qf.joint_distribution(protocol, tol), tol)
+    return {
+        "gamma_distribution": float(np.sum(delta.probs * np.exp(-delta.values))),
+        "gamma_trace": qf.efficacy(protocol),
+        "mean_delta_a": float(np.sum(delta.probs * delta.values)),
+        "atoms": list(zip(delta.values.tolist(), delta.probs.tolist())),
+    }
 
 
 def entropy(rho):

@@ -10,16 +10,10 @@ import pytest
 
 import qfluct as qf
 import qfluct.cli as cli
-from qfluct.rand import (
-    complex_gaussian,
-    haar_unitary,
-    random_density_matrix,
-    random_observable,
-    random_povm,
-    random_pure_state,
-)
+from qfluct.rand import complex_gaussian, random_density_matrix, random_povm, random_pure_state
 
 from oracles import enumeration_oracle, regularized_exp
+from random_inputs import haar_unitary, random_observable
 
 
 def _line(n, name, ok):

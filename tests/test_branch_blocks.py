@@ -12,13 +12,14 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import qfluct as qf
-from qfluct.rand import haar_unitary, random_density_matrix
+from qfluct.rand import random_density_matrix
 
 from oracles import (
     dephase_reference,
     efficacy_reference,
     joint_probabilities_reference,
 )
+from random_inputs import haar_unitary
 
 TOL = 1e-12
 

@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import qfluct as qf
 from qfluct.errors import ConsistencyError, ValidationError
 from qfluct.holevo import STATE_KINDS
 from qfluct.rand import random_density_matrix, random_povm
 
-from oracles import enumeration_oracle, partial_trace
+from oracles import build_joint_state, composite_reference, enumeration_oracle, partial_trace
 
 KET0 = np.array([1, 0], dtype=complex)
 KETP = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -112,7 +112,7 @@ def test_holevo_chi_cases():
 def test_build_joint_state_properties():
     inst = zero_plus_instance()
     dil = qf.naimark_dilate(inst.povm)
-    rho0 = qf.build_joint_state(inst.ensemble, dil)
+    rho0 = build_joint_state(inst.ensemble, dil)
     assert rho0.shape == (8, 8)
     assert abs(float(np.trace(rho0).real) - 1.0) < 1e-12
     assert float(np.linalg.eigvalsh(rho0)[0]) > -1e-12
@@ -127,7 +127,7 @@ def test_build_joint_state_single_word():
     ens = qf.Ensemble.create([1.0], [rho])
     povm = random_povm(2, 2, rng)
     dil = qf.naimark_dilate(povm)
-    rho0 = qf.build_joint_state(ens, dil)
+    rho0 = build_joint_state(ens, dil)
     probe0 = np.zeros((2, 2), dtype=complex)
     probe0[0, 0] = 1.0
     assert np.abs(rho0 - qf.kron(rho, probe0, np.eye(1))).max() < 1e-12
@@ -151,13 +151,23 @@ def test_build_observables_perfect_discrimination_single_atom():
     assert abs(values[0]) < 1e-10
 
 
+def finite_part(obs):
+    """Sum of value * projector over the finite branches."""
+    return sum(v * p for v, p in zip(obs.values, obs.projectors) if math.isfinite(v))
+
+
 def test_mean_identity_on_random_instances():
     for seed in range(10):
         inst = qf.random_instance(2 + seed % 2, 1 + seed % 3, 2 + seed % 3, seed=seed)
         internals = qf.prepare_instance(inst)
-        a_f_mat = internals.a_f.finite_matrix()
-        a_i_mat = internals.a_i.finite_matrix()
-        mean_direct = float(np.trace(internals.rho0 @ (a_f_mat - a_i_mat)).real)
+        # sum_j p_j tr(rho0^j (A_f^j - A_i^j)) over the per-word protocols
+        mean_direct = sum(
+            p * float(np.trace(
+                word.initial_state
+                @ (finite_part(word.final_observable) - finite_part(word.initial_observable))
+            ).real)
+            for p, word in zip(inst.ensemble.priors, internals.protocols)
+        )
         chi = qf.holevo_chi(inst.ensemble)
         info = qf.mutual_information(inst)
         assert abs(mean_direct - (chi - info)) < 1e-9
@@ -167,9 +177,10 @@ def test_infinite_branch_unreachable():
     for seed in (0, 5):
         inst = qf.random_instance(2, 2, 3, seed=seed, state_kind="rank_deficient")
         internals = qf.prepare_instance(inst)
-        assert internals.a_f.has_infinite_branch
-        leak = float(np.trace(internals.rho0 @ internals.a_f.projectors[-1]).real)
-        assert abs(leak) <= 1e-12
+        for word in internals.protocols:
+            assert word.final_observable.has_infinite_branch
+            leak = float(np.trace(word.initial_state @ word.final_observable.projectors[-1]).real)
+            assert abs(leak) <= 1e-12
 
 
 def test_analyze_orthogonal_equality_case():
@@ -382,3 +393,65 @@ def test_analyze_rejects_dimension_mismatch():
     ens = zero_plus_instance().ensemble
     with pytest.raises(ValidationError, match="mismatch"):
         qf.CqChannelInstance.create(ens, random_povm(3, 2, np.random.default_rng(0)))
+
+
+def composite_case(dim, n_words, n_outcomes, seed, kind, variant="plain", tiny=1e-11):
+    """A random instance, optionally with words 0 and 1 in the same state
+    ("identical") or with every word but the first at prior tiny ("tiny_prior")."""
+    inst = qf.random_instance(dim, n_words, n_outcomes, seed=seed, state_kind=kind)
+    priors, states = list(inst.ensemble.priors), list(inst.ensemble.states)
+    if variant == "identical" and n_words > 1:
+        states[1] = states[0].copy()
+    if variant == "tiny_prior" and n_words > 1:
+        priors = [1.0 - tiny * (n_words - 1)] + [tiny] * (n_words - 1)
+    return qf.CqChannelInstance.create(qf.Ensemble.create(priors, states), inst.povm)
+
+
+@st.composite
+def composite_cases(draw):
+    return composite_case(
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 3)),
+        draw(st.integers(1, 4)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.sampled_from(STATE_KINDS)),
+        draw(st.sampled_from(("plain", "identical", "tiny_prior"))),
+        draw(st.sampled_from((2e-12, 1e-11, 1e-9))),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(composite_cases())
+@example(composite_case(1, 1, 2, 0, "mixed"))
+@example(composite_case(1, 3, 3, 1, "mixed"))
+@example(composite_case(2, 1, 3, 2, "rank_deficient"))
+@example(composite_case(2, 2, 3, 5, "rank_deficient"))
+@example(composite_case(3, 2, 2, 3, "pure"))
+@example(composite_case(2, 3, 3, 4, "mix", "identical"))
+@example(composite_case(2, 2, 2, 6, "pure", "identical"))
+@example(composite_case(3, 2, 3, 7, "mixed", "tiny_prior", 2e-12))
+@example(composite_case(2, 3, 2, 8, "rank_deficient", "tiny_prior", 1e-11))
+# a word's exp(-A_f) has an eigenvalue above rank_tol times its own largest
+# one, the per-word support cutoff, but not above rank_tol times the
+# largest over all words, the composite cutoff
+@example(composite_case(3, 2, 3, 1990514405, "rank_deficient", "tiny_prior", 2e-12))
+@example(composite_case(3, 4, 2, 3708847978, "rank_deficient", "tiny_prior", 2e-12))
+@example(composite_case(3, 4, 4, 536472415, "mix", "tiny_prior", 2e-12))
+def test_analyze_per_word_matches_composite_reference(inst):
+    # analyze solves the composite word by word; the reference runs the
+    # engine once on the dense d*K*J composite, merging branches of equal
+    # value across words.  Both must give the same gamma by either route,
+    # the same mean, -ln(gamma) and merged atoms.
+    try:
+        internals = qf.prepare_instance(inst)
+    except ValidationError:  # a tiny prior can leave an outcome's marginal at the floor
+        assume(False)
+    rep = qf.analyze(inst, strict=False)
+    ref = composite_reference(inst, internals)
+    for name in ("gamma_distribution", "gamma_trace", "mean_delta_a"):
+        assert abs(getattr(rep, name) - ref[name]) <= 1e-12, name
+    assert abs(rep.neg_log_gamma + math.log(ref["gamma_trace"])) <= 1e-12
+    assert len(rep.atoms) == len(ref["atoms"])
+    for (v, p), (v_ref, p_ref) in zip(rep.atoms, ref["atoms"]):
+        assert abs(v - v_ref) <= 1e-12 * max(1.0, abs(v_ref))
+        assert abs(p - p_ref) <= 1e-12

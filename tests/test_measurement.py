@@ -5,11 +5,9 @@ import pytest
 
 import qfluct as qf
 from qfluct.errors import ValidationError
-from qfluct.rand import (
-    random_density_matrix,
-    random_hermitian,
-    random_povm,
-)
+from qfluct.rand import random_density_matrix, random_povm
+
+from random_inputs import random_hermitian
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)

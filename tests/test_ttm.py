@@ -1,17 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import qfluct as qf
 from qfluct.errors import IllPosedProtocolError, ValidationError
-from qfluct.rand import (
-    haar_unitary,
-    random_density_matrix,
-    random_hermitian,
-    random_observable,
-    random_pure_state,
-)
+from qfluct.rand import random_density_matrix, random_pure_state
+
+from random_inputs import haar_unitary, random_hermitian, random_observable
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -293,3 +290,62 @@ def test_protocol_rejects_infinite_initial_observable():
         qf.TwoTimeProtocol.create(
             np.eye(2, dtype=complex) / 2, a_i, qf.identity_channel(2), a_i
         )
+
+
+def test_gibbs_state_shifts_large_energies():
+    # exp(-beta E) overflows for E = -800 and underflows to 0 for E >= 800;
+    # shifted by the ground energy, both states come out finite and exact.
+    for energies, log_z in (
+        ([-800.0, 0.0], 800.0),
+        ([800.0, 801.0], -800.0 + math.log1p(math.exp(-1.0))),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho, z, shift = qf.ttm.gibbs_state(np.diag(energies).astype(complex), 1.0)
+        weights = np.exp(-(np.array(energies) - energies[0]))
+        assert np.abs(rho - np.diag(weights / weights.sum())).max() <= 1e-15
+        assert abs(shift + math.log(z) - log_z) <= 1e-12 * abs(log_z)
+
+
+def test_gibbs_state_moderate_energies_are_unshifted():
+    rho, z, shift = qf.ttm.gibbs_state(PAULI_Z, 1.0)
+    assert shift == 0.0
+    assert z == math.exp(-1.0) + math.exp(1.0)
+
+
+def test_jarzynski_shifted_partition_functions_closed_form():
+    # beta E_min = 300 takes the shifted branch; the ratio and dF follow
+    # from ln Z_tau - ln Z_0
+    h0 = np.diag([300.0, 301.0]).astype(complex)
+    h_tau = np.diag([300.5, 302.0]).astype(complex)
+    _, report = qf.jarzynski_scenario(h0, qf.EvolutionProtocol.create([(h_tau, 0.0)]), beta=1.0)
+    ratio = math.exp(-0.5) * (1 + math.exp(-1.5)) / (1 + math.exp(-1.0))
+    assert abs(report.z_ratio - ratio) <= 1e-12 * ratio
+    assert abs(report.delta_f + math.log(ratio)) <= 1e-12
+    assert abs(report.z0 / (math.exp(-300.0) * (1 + math.exp(-1.0))) - 1.0) <= 1e-12
+    assert report.passed
+
+
+def test_jarzynski_unrepresentable_partition_function_raises():
+    for energies in ([800.0, 801.0], [-800.0, -799.0]):
+        h = np.diag(energies).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="Z_0"):
+                qf.jarzynski_scenario(h, qf.EvolutionProtocol.create([(h, 0.0)]), beta=1.0)
+
+
+def test_joint_blocks_judge_the_leak_on_the_weighted_sum():
+    # On its own, the leaky block puts 1/2 on its +infinity branch.  In a
+    # direct sum it is judged by its weighted share, summed over blocks.
+    a_f = qf.ExtendedObservable.create(
+        [(math.inf, np.diag([1.0, 0.0]).astype(complex)), (0.0, np.diag([0.0, 1.0]).astype(complex))]
+    )
+    leaky = qf.TwoTimeProtocol.create(
+        np.eye(2, dtype=complex) / 2, qf.observable_from_hermitian(PAULI_Z), qf.identity_channel(2), a_f
+    )
+    clean = z_protocol(np.diag([1.0, 0.0]).astype(complex), qf.identity_channel(2))
+    joints = qf.ttm._joint_blocks([clean, leaky], [1 - 1e-12, 1e-12], qf.DEFAULT_TOLS)
+    assert abs(joints[1].probs[:, -1].sum() - 5e-13) <= 1e-25
+    with pytest.raises(IllPosedProtocolError, match="ill-posed"):
+        qf.ttm._joint_blocks([clean, leaky, leaky], [1 - 3e-12, 1.5e-12, 1.5e-12], qf.DEFAULT_TOLS)
