@@ -420,19 +420,21 @@ def gt_chain(
 
 def equality_residual(
     internals: HolevoInternals, gamma: float, tol: Tolerances | None = None
-) -> float:
-    """Operator defect of the saturation condition, max over words.
+) -> tuple[float, float]:
+    """Operator defect of the saturation condition, max over words, and
+    the largest overlap of a dropped outcome with a word's support.
 
     For each word the pseudo-log of the state, the restricted pseudo-log
     of the average state, the information-weighted POVM elements and
     ln(gamma) must cancel on the state's support; the max-norm of the
-    remainder is returned.  Near-zero certifies saturation of the
-    sharpened bound.
+    remainder is the defect.  Near-zero certifies saturation of the
+    sharpened bound.  An overlap above 1e-8 means prob_floor is too large
+    for the instance, and the defect misses that outcome's term.
     """
     tol = tol or internals.tolerances
     log_gamma = math.log(gamma)
     log_bar = pseudo_log(internals.rho_bar, tol)
-    worst = 0.0
+    worst = overlap = 0.0
     for j, rho in enumerate(internals.ensemble.states):
         p_j, _ = support_projector(rho, tol)
         inner = pseudo_log(rho, tol) - log_bar + log_gamma * np.eye(rho.shape[0])
@@ -440,15 +442,9 @@ def equality_residual(
             if internals.retained[j, k]:
                 inner = inner - internals.info_terms[j, k] * m_k
             else:
-                overlap = max_abs(m_k @ p_j)
-                if overlap > 1e-8:
-                    raise ConsistencyError(
-                        f"outcome {k} was dropped for word {j} (conditional probability "
-                        f"below prob_floor) yet overlaps its support by {overlap:.3e}; "
-                        f"prob_floor is too large for this instance"
-                    )
+                overlap = max(overlap, max_abs(m_k @ p_j))
         worst = max(worst, max_abs(p_j @ inner @ p_j))
-    return worst
+    return worst, overlap
 
 
 def analyze(
@@ -487,7 +483,7 @@ def analyze(
     route_error = abs(gamma_dist - gamma_trace)
 
     chain = gt_chain(internals, gamma, chain_tol=identity_tol, strict=False)
-    residual = equality_residual(internals, gamma)
+    residual, dropped_overlap = equality_residual(internals, gamma)
 
     checks = (
         Check("route_agreement", route_error, identity_tol, route_error <= identity_tol),
@@ -522,6 +518,7 @@ def analyze(
         Check("info_nonneg", info, -1e-9, info >= -1e-9),
         Check("chi_nonneg", chi, -1e-9, chi >= -1e-9),
         Check("info_le_shannon", shannon - info, -1e-9, shannon - info >= -1e-9),
+        Check("dropped_outcome_overlap", dropped_overlap, 1e-8, dropped_overlap <= 1e-8),
     )
     report = HolevoReport(
         mutual_information=info,

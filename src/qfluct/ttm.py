@@ -120,7 +120,8 @@ class FtReport:
 def joint_distribution(
     protocol: TwoTimeProtocol, tol: Tolerances = DEFAULT_TOLS
 ) -> JointDistribution:
-    """Joint probabilities p[m, n] = tr(Pi_n^f E(Pi_m^i rho Pi_m^i)).
+    """Joint probabilities p[m, n] = tr(Pi_n^f E(Pi_m^i rho Pi_m^i)),
+    from one pass over the channel's Kraus operators (see _joint_blocks).
 
     Raises IllPosedProtocolError when a final +infinity branch receives
     probability above prob_floor.
@@ -132,27 +133,33 @@ def _joint_blocks(
     protocols: Sequence[TwoTimeProtocol], weights: Sequence[float], tol: Tolerances
 ) -> list[JointDistribution]:
     """Joint distributions of a direct sum of protocols, block j weighted by
-    weights[j].  The weighted blocks are checked as one protocol: entries
-    >= -prob_floor, a total of one within 1e-10, and at most prob_floor on
-    the +infinity final branches together."""
+    weights[j].  With c the dephased state weight * V_i† rho V_i cut to its
+    initial-branch diagonal blocks and T_k = V_f† K_k V_i, entry (j, a) of
+    sum_k Re((T_k c) ∘ conj(T_k)) is initial column a's share of final
+    column j: one pass over the Kraus operators, summed per branch.  The
+    weighted blocks are checked as one protocol: entries >= -prob_floor, a
+    total of one within 1e-10, and at most prob_floor on the +infinity final
+    branches together."""
     joints = []
     for protocol, weight in zip(protocols, weights):
         a_i, a_f = protocol.initial_observable, protocol.final_observable
-        v_f, v_f_conj = a_f.vectors, a_f.vectors.conj()
-        probs = np.zeros((len(a_i.values), len(a_f.values)))
-        for m, v_m in enumerate(a_i.blocks()):
-            c_m = weight * (v_m.conj().T @ protocol.initial_state @ v_m)
-            evolved = apply_channel(protocol.channel, v_m @ c_m @ v_m.conj().T)
-            # diag(V_f† evolved V_f) summed over each final branch's columns
-            column_probs = np.einsum("ij,ij->j", v_f_conj, evolved @ v_f).real
-            row = np.add.reduceat(column_probs, a_f.offsets[:-1])
-            marginal = float(np.trace(c_m).real)
-            if abs(row.sum() - marginal) > 1e-10:
+        v_i, v_f_adj = a_i.vectors, a_f.vectors.conj().T
+        starts_i = a_i.offsets[:-1]
+        branch = np.repeat(np.arange(len(a_i.values)), np.diff(a_i.offsets))
+        c = weight * (v_i.conj().T @ protocol.initial_state @ v_i)
+        c[branch[:, None] != branch[None, :]] = 0.0
+        shares = np.zeros(c.shape)
+        for k in protocol.channel.kraus_ops:
+            t = v_f_adj @ (k @ v_i)
+            shares += ((t @ c) * t.conj()).real
+        probs = np.add.reduceat(np.add.reduceat(shares, starts_i, axis=1), a_f.offsets[:-1], axis=0).T
+        marginals = np.add.reduceat(np.diagonal(c).real, starts_i)
+        for row, marginal in zip(probs.sum(axis=1), marginals):
+            if abs(row - marginal) > 1e-10:
                 raise ConsistencyError(
-                    f"joint marginal over final outcomes {row.sum()!r} differs from "
-                    f"initial probability {marginal!r}"
+                    f"joint marginal over final outcomes {float(row)!r} differs from "
+                    f"initial probability {float(marginal)!r}"
                 )
-            probs[m] = row
         values = (np.array(a_i.values, dtype=float), np.array(a_f.values, dtype=float))
         joints.append(JointDistribution(probs, *values))
     low = min(float(joint.probs.min()) for joint in joints)
@@ -191,29 +198,23 @@ def _merge_atoms(
 ) -> DeltaDistribution:
     """Atoms of delta_a over the outcome pairs of all joints in one
     clustering pass, so the sub-floor drop acts on the pooled mass; each
-    joint contributes only its own (initial, final) pairs."""
-    pairs = sorted((pair for joint in joints for pair in _finite_pairs(joint)), key=lambda t: t[0])
-    members: list[list[tuple[float, float]]] = []
-    for v, p in pairs:
-        if members and v - members[-1][-1][0] <= tol.degeneracy_tol * max(1.0, abs(v)):
-            members[-1].append((v, p))
-        else:
-            members.append([(v, p)])
-    values: list[float] = []
-    probs: list[float] = []
-    for cluster in members:
-        total = sum(p for _, p in cluster)
-        if total <= tol.prob_floor:
-            continue
-        values.append(sum(v * p for v, p in cluster) / total)
-        probs.append(total)
-    kept = float(sum(probs))
-    if abs(kept - 1.0) > 1e-10:
+    joint contributes only its own (initial, final) pairs.  A sorted value v
+    within degeneracy_tol * max(1, |v|) of its predecessor joins its cluster."""
+    values, probs = _outcome_pairs(joints)
+    order = np.argsort(values, kind="stable")
+    values, probs = values[order], probs[order]
+    cuts = np.diff(values) > tol.degeneracy_tol * np.maximum(1.0, np.abs(values[1:]))
+    starts = np.concatenate(([0], np.flatnonzero(cuts) + 1))
+    totals = np.add.reduceat(probs, starts)
+    moments = np.add.reduceat(values * probs, starts)
+    kept = totals > tol.prob_floor
+    mass = float(totals[kept].sum())
+    if abs(mass - 1.0) > 1e-10:
         raise ConsistencyError(
-            f"delta_a atoms sum to {kept!r} after dropping sub-floor atoms; "
+            f"delta_a atoms sum to {mass!r} after dropping sub-floor atoms; "
             f"the instance carries pathological probability mass at the floor"
         )
-    return DeltaDistribution(values=np.array(values), probs=np.array(probs))
+    return DeltaDistribution(values=moments[kept] / totals[kept], probs=totals[kept])
 
 
 def characteristic_function(joint: JointDistribution, s: complex) -> complex:
@@ -221,18 +222,20 @@ def characteristic_function(joint: JointDistribution, s: complex) -> complex:
     <exp(-delta_a)>.  +infinity entries contribute zero (they carry
     probability at most prob_floor, and vanish by continuity for
     Im(s) > 0)."""
-    s = complex(s)
-    return complex(sum(p * np.exp(1j * s * v) for v, p in _finite_pairs(joint)))
+    values, probs = _outcome_pairs([joint])
+    return complex(np.sum(probs * np.exp(1j * complex(s) * values)))
 
 
-def _finite_pairs(joint: JointDistribution) -> list[tuple[float, float]]:
-    """(delta_a, p) for every outcome pair with a finite final value."""
-    return [
-        (a_n - a_m, joint.probs[m, n])
-        for m, a_m in enumerate(joint.initial_values)
-        for n, a_n in enumerate(joint.final_values)
-        if not math.isinf(a_n)
-    ]
+def _outcome_pairs(joints: Sequence[JointDistribution]) -> tuple[np.ndarray, np.ndarray]:
+    """(delta_a, p) of every outcome pair with a finite final value, joint
+    by joint and row-major within each joint."""
+    values, probs = [], []
+    for joint in joints:
+        # only the last final branch can be +infinity
+        n = len(joint.final_values) - math.isinf(joint.final_values[-1])
+        values.append((joint.final_values[:n] - joint.initial_values[:, None]).ravel())
+        probs.append(joint.probs[:, :n].ravel())
+    return np.concatenate(values), np.concatenate(probs)
 
 
 def efficacy(protocol: TwoTimeProtocol) -> float:

@@ -266,3 +266,33 @@ def efficacy_reference(rho, values_i, projectors_i, kraus, values_f, projectors_
     )
     weighted = apply_kraus(kraus, dephase_reference(rho, projectors_i) @ exp_a_i)
     return float(np.trace(exp_neg_a_f @ weighted).real)
+
+
+def merge_atoms_reference(joints, tol):
+    """Delta-a atoms by the plain loop: sort the finite (delta_a, p) pairs
+    of all joints stably by value, chain each value onto the previous
+    cluster when it lies within degeneracy_tol * max(1, |v|) of that
+    cluster's last member, and keep clusters of mass above prob_floor at
+    their probability-weighted mean."""
+    pairs = sorted(
+        (
+            (a_n - a_m, joint.probs[m, n])
+            for joint in joints
+            for m, a_m in enumerate(joint.initial_values)
+            for n, a_n in enumerate(joint.final_values)
+            if np.isfinite(a_n)
+        ),
+        key=lambda t: t[0],
+    )
+    members = []
+    for v, p in pairs:
+        if members and v - members[-1][-1][0] <= tol.degeneracy_tol * max(1.0, abs(v)):
+            members[-1].append((v, p))
+        else:
+            members.append([(v, p)])
+    atoms = []
+    for cluster in members:
+        total = sum(p for _, p in cluster)
+        if total > tol.prob_floor:
+            atoms.append((sum(v * p for v, p in cluster) / total, total))
+    return atoms

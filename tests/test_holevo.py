@@ -86,6 +86,18 @@ def test_conditional_probability_checks_guard_analyze():
             qf.analyze(qf.CqChannelInstance(ensemble=ens, povm=z_povm), strict=False)
 
 
+def test_dropped_outcome_overlap_is_a_report_failure():
+    # prob_floor drops cond = 1e-12 for word 0, yet rank_tol keeps the
+    # eigenvalue 1e-12 in its support: the dropped outcome overlaps it fully
+    eps = 1e-12
+    ens = qf.Ensemble.create([0.5, 0.5], [np.diag([1 - eps, eps]).astype(complex), PPLUS])
+    inst = qf.CqChannelInstance.create(ens, qf.POVM.create(Z_POVM_ELEMENTS))
+    failures = qf.analyze(inst, strict=False).failures()
+    assert [(c.name, c.value, c.threshold) for c in failures] == [("dropped_outcome_overlap", 1.0, 1e-8)]
+    with pytest.raises(ConsistencyError, match="dropped_outcome_overlap"):
+        qf.analyze(inst)
+
+
 def test_mutual_information_cases():
     assert qf.mutual_information(identical_states_instance()) < 1e-12
     assert abs(qf.mutual_information(orthogonal_instance()) - math.log(2)) < 1e-12

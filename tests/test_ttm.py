@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qfluct as qf
-from qfluct.errors import IllPosedProtocolError, ValidationError
+from qfluct.errors import ConsistencyError, IllPosedProtocolError, ValidationError
 from qfluct.rand import random_density_matrix, random_pure_state
 
+from oracles import merge_atoms_reference
 from random_inputs import haar_unitary, random_hermitian, random_observable
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -96,6 +99,29 @@ def test_joint_distribution_rejects_reachable_infinite_branch():
         qf.joint_distribution(protocol)
 
 
+def test_joint_distribution_rejects_trace_decreasing_channel():
+    # built past KrausChannel.create, whose completeness check would refuse it
+    channel = qf.KrausChannel(kraus_ops=(0.9 * np.eye(2, dtype=complex),))
+    with pytest.raises(ConsistencyError, match="joint marginal"):
+        qf.joint_distribution(z_protocol(PLUS, channel))
+
+
+def test_verify_ft_does_not_copy_the_kraus_operators():
+    # 257 Kraus operators of 16 x 16, 1 MiB together: both routes take one
+    # operator at a time, so the traced peak stays far below a stacked copy
+    protocol = random_protocol(1, dim=16)  # seed 1: depolarizing
+    channel = protocol.channel
+    kraus_bytes = sum(k.nbytes for k in channel.kraus_ops)
+    assert len(channel.kraus_ops) == 257
+    tracemalloc.start()
+    try:
+        qf.verify_ft(protocol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < kraus_bytes / 4, (peak, kraus_bytes)
+
+
 def test_delta_distribution_single_atom():
     rho = np.diag([0.75, 0.25]).astype(complex)
     delta = qf.delta_a_distribution(qf.joint_distribution(z_protocol(rho, qf.identity_channel(2))))
@@ -126,6 +152,52 @@ def test_delta_distribution_shift_case():
     delta = qf.delta_a_distribution(qf.joint_distribution(protocol))
     assert len(delta.values) == 1
     assert abs(delta.values[0] - c) < 1e-9
+
+
+def joint_with_final_values(final_values, probs):
+    return qf.ttm.JointDistribution(
+        np.array([probs], dtype=float), np.zeros(1), np.array(final_values, dtype=float)
+    )
+
+
+def test_merge_chains_neighbours_within_tolerance():
+    # neighbours 0.9 tol apart chain into one atom although the ends lie
+    # 2.7 tol apart; a gap of 1.1 tol starts a new one
+    tol = qf.DEFAULT_TOLS
+    step = tol.degeneracy_tol
+    joint = joint_with_final_values(
+        [0.0, 0.9 * step, 1.8 * step, 2.7 * step, 3.8 * step, math.inf], [0.1, 0.2, 0.3, 0.1, 0.3, 0.0]
+    )
+    delta = qf.delta_a_distribution(joint)
+    reference = merge_atoms_reference([joint], tol)
+    assert len(delta.values) == len(reference) == 2
+    assert np.allclose(delta.probs, [0.7, 0.3], rtol=0, atol=1e-15)
+    assert np.abs(np.array(list(zip(delta.values, delta.probs))) - np.array(reference)).max() <= 1e-15
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(0, 4), st.floats(0.0, 1.0)),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(1, 3),
+)
+def test_merge_atoms_matches_loop_reference(entries, n_joints):
+    # final values on a grid of spacing ~tol/2 around a few centres, so
+    # chains, gaps, ties and sub-floor clusters all occur
+    tol = qf.DEFAULT_TOLS
+    values = [c + (0.45 + 0.2 * (j % 2)) * j * tol.degeneracy_tol * max(1, abs(c)) for c, j, _ in entries]
+    weights = np.array([w for _, _, w in entries]) + 1e-13
+    joints = [
+        joint_with_final_values(values, weights / (weights.sum() * n_joints)) for _ in range(n_joints)
+    ]
+    delta = qf.ttm._merge_atoms(joints, tol)
+    reference = np.array(merge_atoms_reference(joints, tol))
+    assert delta.values.shape == (len(reference),)
+    assert np.abs(delta.values - reference[:, 0]).max() <= 1e-15 * max(1.0, np.abs(reference[:, 0]).max())
+    assert np.abs(delta.probs - reference[:, 1]).max() <= 1e-15
 
 
 def test_characteristic_function_contracts():
