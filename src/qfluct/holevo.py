@@ -21,27 +21,20 @@ import numpy as np
 
 from .channel import identity_channel
 from .errors import ConsistencyError, ValidationError
-from .measurement import (
-    ExtendedObservable,
-    NaimarkDilation,
-    POVM,
-    naimark_dilate,
-    observable_from_hermitian,
-)
+from .measurement import ExtendedObservable, NaimarkDilation, POVM, naimark_dilate
 from .operator_core import (
     DEFAULT_TOLS,
     SpectralDecomposition,
     Tolerances,
     basis_projector,
-    compressed_exp,
     group_eigenspaces,
     kron,
     max_abs,
-    pseudo_log,
     require_density_matrix,
     spectral_decompose,
-    support_projector,
-    _support_cutoff,
+    _compressed_eigh,
+    _density_spectrum,
+    _support_mask,
 )
 from .rand import (
     complex_gaussian,
@@ -63,7 +56,7 @@ from .ttm import (
 
 def von_neumann_entropy(rho, tol: Tolerances = DEFAULT_TOLS) -> float:
     """-tr(rho ln rho) in nats, with 0 ln 0 = 0."""
-    w = np.linalg.eigvalsh(require_density_matrix(rho, tol))
+    w = _density_spectrum(rho, tol)[1]
     w = w[w > 0]
     return float(-np.sum(w * np.log(w)))
 
@@ -211,7 +204,7 @@ def holevo_chi(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOLS) -> float:
 @dataclass(frozen=True, eq=False)
 class HolevoInternals:
     """Everything the per-word composite construction produces, kept for
-    the chain diagnostic and the equality residual."""
+    the chain diagnostic and the equality residual, which reuse its spectra."""
 
     ensemble: Ensemble
     povm_elements: tuple[np.ndarray, ...]
@@ -222,28 +215,29 @@ class HolevoInternals:
     info_terms: np.ndarray      # (J, K) ln(cond/marginal), 0 where dropped
     retained: np.ndarray        # (J, K) bool, cond > prob_floor
     rho_bar: np.ndarray
-    rho_ep_bar: np.ndarray      # rho_bar (x) |0><0| on encoding (x) probe
-    block_exps: tuple[np.ndarray, ...]  # per-word compressed exponentials on encoding (x) probe
+    average_support: SpectralDecomposition  # rho_bar on supp rho_bar: r > 0 values, d x r columns
+    word_supports: tuple[SpectralDecomposition, ...]  # each rho_j on its support
+    exp_traces: np.ndarray      # (J,) tr W_j, W_j = exp(-A_f) of word j
     protocols: tuple[TwoTimeProtocol, ...]  # per word: rho_j (x) |0><0|, A_i, identity, A_f
 
 
-def _observable_from_neg_exp(w: np.ndarray, tol: Tolerances) -> ExtendedObservable:
-    """Recover the extended observable A from W = exp(-A): in-support
-    eigenvalues mu map to branches -ln(mu), the kernel becomes the
-    +infinity branch."""
-    dec = spectral_decompose(w, tol)
-    if dec.values[0] < -tol.psd_tol * max(1.0, abs(float(dec.values[-1]))):
-        raise ConsistencyError(f"exp(-A) has negative eigenvalue {dec.values[0]:.3e}")
-    mask = dec.values > _support_cutoff(dec.values, tol.rank_tol)
-    branches: list[tuple[float, np.ndarray]] = []
-    if mask.any():
-        vals = -np.log(dec.values[mask])
-        cols = dec.vectors[:, mask]
-        order = np.argsort(vals)
-        finite = SpectralDecomposition(values=vals[order], vectors=cols[:, order])
-        branches.extend(group_eigenspaces(finite, tol.degeneracy_tol))
-    if (~mask).any():
-        branches.append((math.inf, dec.vectors[:, ~mask]))
+def _probe_observable(
+    values: np.ndarray, encoding: np.ndarray, other: float, kp: int, tol: Tolerances
+) -> ExtendedObservable:
+    """The observable on encoding (x) probe with value values[a] (+infinity
+    allowed) on encoding[:, a] (x) |0> and the value other on every column
+    (x) |k> for k > 0; finite values within degeneracy_tol share a branch."""
+    d, n = encoding.shape[0], encoding.shape[0] * kp
+    values = np.concatenate([values, np.full(n - d, other)])
+    vectors = np.zeros((n, n), dtype=complex)
+    vectors[::kp, :d] = encoding
+    vectors[np.arange(n) % kp != 0, d:] = np.eye(n - d)
+    finite = np.isfinite(values)
+    order = np.argsort(values[finite], kind="stable")
+    dec = SpectralDecomposition(values=values[finite][order], vectors=vectors[:, finite][:, order])
+    branches = group_eigenspaces(dec, tol.degeneracy_tol)
+    if not finite.all():
+        branches.append((math.inf, vectors[:, ~finite]))
     return ExtendedObservable.from_blocks(branches, tol)
 
 
@@ -252,7 +246,16 @@ def prepare_instance(
     tol: Tolerances = DEFAULT_TOLS,
     dilation: NaimarkDilation | None = None,
 ) -> HolevoInternals:
-    """Dilate the POVM and assemble each word's composite protocol."""
+    """Dilate the POVM and assemble each word's protocol on encoding (x)
+    probe from d x d spectra.  Each rho_j is decomposed once; supp rho_bar
+    is the span of their support columns (rank cut by an SVD at rank_tol
+    times the top singular value), where rho_bar has values lambda_bar > 0
+    on columns s_bar.  With M_k the dilation's probe-|0> blocks, one eigh of
+    F_c = diag(ln lambda_bar) + sum_k info_jk s_bar† M_k s_bar (retained k),
+    compressed to the kernel of the dropped s_bar† M_k s_bar, gives A_f = -w
+    on (s_bar v) (x) |0> where e^w is on the support of W_j = exp(-A_f), and
+    +infinity elsewhere.  A_i is -ln(lambda) on rho_j's support (x) |0>, else 0.
+    """
     if dilation is None:
         dilation = naimark_dilate(inst.povm, tol)
     elif dilation.encoding_dim != inst.ensemble.dim or dilation.probe_dim != inst.povm.n_outcomes:
@@ -271,50 +274,42 @@ def prepare_instance(
     info_terms = np.zeros((jw, kp))
     info_terms[retained] = np.log(cond[retained] / np.broadcast_to(marginals, cond.shape)[retained])
 
-    rho_bar = ensemble.average_state()
-    p_bar, _ = support_projector(rho_bar, tol)
-    complement = np.eye(d) - p_bar
+    spectra = [spectral_decompose(rho, tol) for rho in ensemble.states]
+    masks = [_support_mask(dec.values, tol, "a code word state") for dec in spectra]
+    supports = np.concatenate([dec.vectors[:, mask] for dec, mask in zip(spectra, masks)], axis=1)
+    span, singular, _ = np.linalg.svd(supports)
+    rank = int(np.count_nonzero(singular > tol.rank_tol * singular[0]))
+    outside = span[:, rank:]
     for j, rho in enumerate(ensemble.states):
-        leak = float(np.trace(complement @ rho @ complement).real)
+        leak = float(np.trace(outside.conj().T @ rho @ outside).real)
         if leak > tol.psd_tol:
-            raise ValidationError(
-                f"state {j} leaks {leak:.3e} outside the support of the average state"
-            )
+            raise ValidationError(f"state {j} leaks {leak:.3e} outside the support of the average state")
+    rho_bar = ensemble.average_state()
+    inner = spectral_decompose(span[:, :rank].conj().T @ rho_bar @ span[:, :rank], tol)
+    if inner.values[0] <= 0:
+        raise ValidationError(f"the average state has eigenvalue {inner.values[0]:.3e} on its support")
+    s_bar = span[:, :rank] @ inner.vectors
+    compressed = [s_bar.conj().T @ dilation.povm_element(k) @ s_bar for k in range(kp)]
+    log_bar = np.diag(np.log(inner.values))
 
     probe = basis_projector(kp, 0)
-    rho_ep_bar = kron(rho_bar, probe)
-    log_bar = pseudo_log(rho_ep_bar, tol)
-    s_ep, _ = support_projector(rho_ep_bar, tol)
-    n_outside = np.eye(d * kp) - s_ep
-
-    projectors = dilation.projectors
-    block_exps = []
-    for j in range(jw):
-        exponent = log_bar.copy()
-        suppress = n_outside.copy()
-        for k in range(kp):
-            if retained[j, k]:
-                exponent = exponent + info_terms[j, k] * projectors[k]
-            else:
-                suppress = suppress + projectors[k]
-        if max_abs(suppress) > tol.rank_tol:
-            n_j, _ = support_projector(suppress, tol)
-        else:
-            n_j = np.zeros((d * kp, d * kp), dtype=complex)
-        block_exps.append(compressed_exp(exponent, n_j, tol))
-
-    # Built without TwoTimeProtocol.create, whose state check would repeat
-    # Ensemble.create's; every part is d*K-dimensional and A_i is finite.
     channel = identity_channel(d * kp)
-    protocols = tuple(
-        TwoTimeProtocol(
-            kron(rho, probe),
-            observable_from_hermitian(kron(-pseudo_log(rho, tol), probe), tol),
-            channel,
-            _observable_from_neg_exp(w_j, tol),
-        )
-        for rho, w_j in zip(ensemble.states, block_exps)
-    )
+    exp_traces, protocols = np.zeros(jw), []
+    for j, (rho, dec, mask) in enumerate(zip(ensemble.states, spectra, masks)):
+        exponent = log_bar + sum(info_terms[j, k] * compressed[k] for k in np.flatnonzero(retained[j]))
+        dropped = [compressed[k] for k in np.flatnonzero(~retained[j])]
+        w, cols, suppressed = _compressed_eigh(exponent, sum(dropped) if dropped else None, tol)
+        exp_traces[j] = np.exp(w).sum()
+        finite = _support_mask(np.exp(w), tol, "exp(-A_f)")
+        values = np.concatenate([np.where(finite, -w, math.inf), np.full(d - w.size, math.inf)])
+        encoding = np.concatenate([s_bar @ cols, s_bar @ suppressed, outside], axis=1)
+        a_f = _probe_observable(values, encoding, math.inf, kp, tol)
+        neg_log = np.zeros(d)
+        neg_log[mask] = -np.log(dec.values[mask])
+        a_i = _probe_observable(neg_log, dec.vectors, 0.0, kp, tol)
+        # Built without TwoTimeProtocol.create, whose state check would repeat
+        # Ensemble.create's; every part is d*K-dimensional and A_i is finite.
+        protocols.append(TwoTimeProtocol(kron(rho, probe), a_i, channel, a_f))
 
     return HolevoInternals(
         ensemble=ensemble,
@@ -326,9 +321,13 @@ def prepare_instance(
         info_terms=info_terms,
         retained=retained,
         rho_bar=rho_bar,
-        rho_ep_bar=rho_ep_bar,
-        block_exps=tuple(block_exps),
-        protocols=protocols,
+        average_support=SpectralDecomposition(values=inner.values, vectors=s_bar),
+        word_supports=tuple(
+            SpectralDecomposition(values=dec.values[mask], vectors=dec.vectors[:, mask])
+            for dec, mask in zip(spectra, masks)
+        ),
+        exp_traces=exp_traces,
+        protocols=tuple(protocols),
     )
 
 
@@ -392,21 +391,13 @@ def gt_chain(
     to exactly one.  A violation flags a construction or numerics bug and
     raises when strict.
     """
-    tol = internals.tolerances
     priors = internals.ensemble.priors
-    g1 = 0.0
-    for j, w_j in enumerate(internals.block_exps):
-        g1 += float(priors[j]) * float(np.trace(w_j).real)
-    projectors = internals.dilation.projectors
+    g1 = float(priors @ internals.exp_traces)
     g2 = 0.0
-    for j in range(internals.ensemble.n_words):
-        ratio = np.zeros_like(internals.rho_ep_bar)
-        for k in range(internals.dilation.probe_dim):
-            if internals.retained[j, k]:
-                ratio = ratio + (
-                    internals.cond[j, k] / internals.marginals[k]
-                ) * projectors[k]
-        g2 += float(priors[j]) * float(np.trace(internals.rho_ep_bar @ ratio).real)
+    for j, k in zip(*np.nonzero(internals.retained)):
+        # tr((rho_bar (x) |0><0|) Pi_k) = tr(rho_bar M_k)
+        overlap = float(np.trace(internals.rho_bar @ internals.dilation.povm_element(k)).real)
+        g2 += float(priors[j] * internals.cond[j, k] / internals.marginals[k]) * overlap
     chain = ChainValues(gamma=gamma, g1=g1, g2=g2)
     if strict:
         if gamma > g1 + chain_tol or g1 > g2 + chain_tol:
@@ -418,26 +409,25 @@ def gt_chain(
     return chain
 
 
-def equality_residual(
-    internals: HolevoInternals, gamma: float, tol: Tolerances | None = None
-) -> tuple[float, float]:
+def equality_residual(internals: HolevoInternals, gamma: float) -> tuple[float, float]:
     """Operator defect of the saturation condition, max over words, and
     the largest overlap of a dropped outcome with a word's support.
 
-    For each word the pseudo-log of the state, the restricted pseudo-log
-    of the average state, the information-weighted POVM elements and
-    ln(gamma) must cancel on the state's support; the max-norm of the
-    remainder is the defect.  Near-zero certifies saturation of the
+    For each word the log of the state on its support, the log of the
+    average state on its support, the information-weighted POVM elements
+    and ln(gamma) must cancel on the state's support; the max-norm of the
+    remainder is the defect.  Both logs come from the spectra that
+    prepare_instance keeps.  Near-zero certifies saturation of the
     sharpened bound.  An overlap above 1e-8 means prob_floor is too large
     for the instance, and the defect misses that outcome's term.
     """
-    tol = tol or internals.tolerances
     log_gamma = math.log(gamma)
-    log_bar = pseudo_log(internals.rho_bar, tol)
-    worst = overlap = 0.0
-    for j, rho in enumerate(internals.ensemble.states):
-        p_j, _ = support_projector(rho, tol)
-        inner = pseudo_log(rho, tol) - log_bar + log_gamma * np.eye(rho.shape[0])
+    bar = internals.average_support
+    log_bar = (bar.vectors * np.log(bar.values)) @ bar.vectors.conj().T
+    eye, worst, overlap = np.eye(len(internals.rho_bar)), 0.0, 0.0
+    for j, word in enumerate(internals.word_supports):
+        p_j = word.vectors @ word.vectors.conj().T
+        inner = (word.vectors * np.log(word.values)) @ word.vectors.conj().T - log_bar + log_gamma * eye
         for k, m_k in enumerate(internals.povm_elements):
             if internals.retained[j, k]:
                 inner = inner - internals.info_terms[j, k] * m_k

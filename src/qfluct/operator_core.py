@@ -95,16 +95,21 @@ def require_hermitian(h, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def require_density_matrix(rho, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Validate Hermiticity, positivity and unit trace of a state."""
+def _density_spectrum(rho, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """The validated state and its ascending eigenvalues (one eigvalsh)."""
     m = require_hermitian(rho, tol)
-    lo = float(np.linalg.eigvalsh(m)[0])
-    if lo < -tol.psd_tol:
-        raise ValidationError(f"state has negative eigenvalue {lo:.3e} beyond psd_tol")
+    values = np.linalg.eigvalsh(m)
+    if values[0] < -tol.psd_tol:
+        raise ValidationError(f"state has negative eigenvalue {values[0]:.3e} beyond psd_tol")
     tr = float(np.trace(m).real)
     if abs(tr - 1.0) > tol.trace_tol:
         raise ValidationError(f"state trace {tr!r} differs from 1 beyond trace_tol")
-    return m
+    return m, values
+
+
+def require_density_matrix(rho, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """Validate Hermiticity, positivity and unit trace of a state."""
+    return _density_spectrum(rho, tol)[0]
 
 
 def require_projector(p, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
@@ -169,26 +174,42 @@ def group_eigenspaces(
     return [(float(values[a:b].mean()), vectors[:, a:b]) for a, b in zip(edges, edges[1:])]
 
 
-def _support_cutoff(values: np.ndarray, rank_tol: float) -> float:
+def _support_mask(values: np.ndarray, tol: Tolerances, what: str) -> np.ndarray:
+    """The support rule: ascending eigenvalues of a PSD operator above
+    rank_tol * lambda_max, or above rank_tol when lambda_max is smaller.
+    Negativity beyond psd_tol * max(1, |lambda_max|) raises, naming what."""
     lam_max = float(values[-1]) if values.size else 0.0
-    return rank_tol * lam_max if lam_max > rank_tol else rank_tol
+    if values.size and values[0] < -tol.psd_tol * max(1.0, abs(lam_max)):
+        raise ValidationError(f"{what} requires a PSD operator; min eigenvalue {values[0]:.3e}")
+    return values > (tol.rank_tol * lam_max if lam_max > tol.rank_tol else tol.rank_tol)
+
+
+def _compressed_eigh(
+    f: np.ndarray, suppress: np.ndarray | None, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs (ascending w, columns c) of a Hermitian F compressed to
+    the kernel of a PSD suppressor under the support rule (None: no eigh,
+    nothing suppressed), so exp of the compression is sum e^w |c><c|; and
+    columns spanning the suppressed rest."""
+    if suppress is None:
+        kernel, rest = np.eye(f.shape[0]), np.zeros((f.shape[0], 0))
+    else:
+        values, vectors = np.linalg.eigh(suppress)
+        mask = _support_mask(values, tol, "the suppressor of a compressed exponential")
+        kernel, rest = vectors[:, ~mask], vectors[:, mask]
+    fc = kernel.conj().T @ f @ kernel
+    values, vectors = np.linalg.eigh((fc + fc.conj().T) / 2)
+    return values, kernel @ vectors, rest
 
 
 def support_projector(a, tol: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, int]:
-    """Projector onto the strictly positive eigenspace of a PSD operator.
-
-    The cutoff is relative (lambda > rank_tol * lambda_max) with an
-    absolute floor of rank_tol, so a numerically zero operator yields the
-    zero projector with rank 0.
+    """Projector onto the strictly positive eigenspace of a PSD operator,
+    and its rank, under the support rule of _support_mask: a numerically
+    zero operator yields the zero projector with rank 0.
     """
     dec = spectral_decompose(a, tol)
-    if dec.values[0] < -tol.psd_tol * max(1.0, abs(float(dec.values[-1]))):
-        raise ValidationError(
-            f"support_projector requires a PSD operator; min eigenvalue {dec.values[0]:.3e}"
-        )
-    mask = dec.values > _support_cutoff(dec.values, tol.rank_tol)
-    cols = dec.vectors[:, mask]
-    return cols @ cols.conj().T, int(mask.sum())
+    cols = dec.vectors[:, _support_mask(dec.values, tol, "support_projector")]
+    return cols @ cols.conj().T, cols.shape[1]
 
 
 def func_on_support(
@@ -199,16 +220,12 @@ def func_on_support(
 ) -> np.ndarray:
     """Apply a scalar function spectrally on the support of a PSD operator.
 
-    Eigenvalues above the support cutoff are mapped through ``f``;
-    eigenvalues on the kernel are assigned ``off_support_value``.  Used
-    with f = log for pseudo-logarithms.
+    Eigenvalues on the support (see _support_mask) are mapped through
+    ``f``; eigenvalues on the kernel are assigned ``off_support_value``.
+    Used with f = log for pseudo-logarithms.
     """
     dec = spectral_decompose(a, tol)
-    if dec.values[0] < -tol.psd_tol * max(1.0, abs(float(dec.values[-1]))):
-        raise ValidationError(
-            f"func_on_support requires a PSD operator; min eigenvalue {dec.values[0]:.3e}"
-        )
-    mask = dec.values > _support_cutoff(dec.values, tol.rank_tol)
+    mask = _support_mask(dec.values, tol, "func_on_support")
     mapped = np.full(dec.dim, float(off_support_value))
     if mask.any():
         fv = np.asarray(f(dec.values[mask]), dtype=float)
@@ -238,15 +255,8 @@ def compressed_exp(f, n, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     nm = require_projector(n, tol)
     if fm.shape != nm.shape:
         raise ValidationError(f"dimension mismatch: F is {fm.shape}, N is {nm.shape}")
-    w, v = np.linalg.eigh(nm)
-    basis = v[:, w < 0.5]  # orthonormal basis of ker(N) = range(Q)
-    if basis.shape[1] == 0:
-        return np.zeros_like(fm)
-    fc = basis.conj().T @ fm @ basis
-    fc = (fc + fc.conj().T) / 2
-    wc, vc = np.linalg.eigh(fc)
-    ec = (vc * np.exp(wc)) @ vc.conj().T
-    out = basis @ ec @ basis.conj().T
+    values, cols, _ = _compressed_eigh(fm, nm, tol)
+    out = (cols * np.exp(values)) @ cols.conj().T
     return (out + out.conj().T) / 2
 
 

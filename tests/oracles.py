@@ -10,7 +10,7 @@ dense composite, to check the word-by-word solve against it.
 """
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space
 
 import qfluct as qf
 
@@ -76,16 +76,65 @@ def build_joint_state(ensemble, dilation):
     )
 
 
+def relative_cutoff(values, rank_tol):
+    """rank_tol times the largest of the ascending values, or rank_tol
+    when that is smaller."""
+    return rank_tol * values[-1] if values.size and values[-1] > rank_tol else rank_tol
+
+
+def compressed_exponents(inst, internals):
+    """Each word's compressed exponent, built here with np.linalg.eigh.
+
+    supp rho_bar is the span of the words' support columns, its rank cut
+    by an SVD at rank_tol times the largest singular value.  Word j's
+    exponent F_j = ln(rho_bar) + sum_k ln(p(k|j)/p(k)) M_k over its
+    retained outcomes is compressed to the part of supp rho_bar that the
+    sum of its dropped M_k annihilates.  Returns, per word, the ascending
+    eigenvalues w of the compression and their eigenvectors on the
+    encoding space; W_j = exp(-A_f^j) is sum e^w |v><v| (x) |0><0|.
+    """
+    ensemble, tol = inst.ensemble, internals.tolerances
+    supports = []
+    for rho in ensemble.states:
+        lam, vec = np.linalg.eigh(rho)
+        supports.append(vec[:, lam > tol.rank_tol * lam[-1]])
+    u, sing, _ = np.linalg.svd(np.hstack(supports))
+    span = u[:, : np.count_nonzero(sing > tol.rank_tol * sing[0])]
+    rho_bar = sum(p * rho for p, rho in zip(ensemble.priors, ensemble.states))
+    # An eigenvalue of rho_bar near 1e-12 is fixed by rho_bar's rounding only
+    # to about 1e-4 relative, so this decomposes the same symmetrized matrix
+    # as the library; everything after this eigh is built here.
+    inner = span.conj().T @ rho_bar @ span
+    lam, vec = np.linalg.eigh((inner + inner.conj().T) / 2)
+    s_bar = span @ vec
+    log_bar = (s_bar * np.log(lam)) @ s_bar.conj().T
+    out = []
+    for j in range(ensemble.n_words):
+        exponent = log_bar.copy()
+        kernel = s_bar
+        dropped = [m for k, m in enumerate(inst.povm.elements) if not internals.retained[j, k]]
+        if dropped:
+            mu, y = np.linalg.eigh(s_bar.conj().T @ sum(dropped) @ s_bar)
+            kernel = s_bar @ y[:, mu <= relative_cutoff(mu, tol.rank_tol)]
+        for k, m in enumerate(inst.povm.elements):
+            if internals.retained[j, k]:
+                exponent = exponent + internals.info_terms[j, k] * m
+        w, v = np.linalg.eigh(kernel.conj().T @ exponent @ kernel)
+        out.append((w, kernel @ v))
+    return out
+
+
 def composite_reference(inst, internals):
     """The one-block construction: the two-time engine run once on the
     dense n x n composite, n = d*K*J, with the identity channel.
 
     rho0 comes from build_joint_state, A_i from the dense
-    sum_j -ln(rho_j) (x) |0><0| (x) |j><j|, and A_f from the dense
-    exp(-A_f) = sum_j W_j (x) |j><j| over the library's per-word
-    compressed exponentials W_j: in-support eigenvalues mu become branches
-    -ln(mu), the kernel the +infinity branch.  Returns gamma by both
-    routes, the mean outcome difference and the merged atoms.
+    sum_j -ln(rho_j) (x) |0><0| (x) |j><j|, and A_f from the per-word
+    compressed exponents of compressed_exponents: an eigenvalue w of word j
+    whose e^w is above rank_tol times the largest of that word becomes the
+    branch -w on v (x) |0> (x) |j>, and the orthogonal complement of those
+    columns is the +infinity branch.  Returns gamma by both routes, the
+    mean outcome difference and the merged atoms.
     """
     ensemble, tol = inst.ensemble, internals.tolerances
     j_dim, probe_dim = ensemble.n_words, internals.dilation.probe_dim
@@ -95,25 +144,18 @@ def composite_reference(inst, internals):
         kron_all(-qf.pseudo_log(rho, tol), probe, proj(j_dim, j))
         for j, rho in enumerate(ensemble.states)
     )
-    # The eigenpairs of the block-diagonal exp(-A_f) are those of its
-    # blocks, embedded.  A dense eigh would fix an eigenvalue near e^-25
-    # only to about 1e-5 relative, and split equal branches of two words.
-    w_full = sum(kron_all(w, proj(j_dim, j)) for j, w in enumerate(internals.block_exps))
-    pairs = [np.linalg.eigh(w) for w in internals.block_exps]
+    pairs = compressed_exponents(inst, internals)
     values = np.concatenate([w for w, _ in pairs])
-    vectors = np.concatenate([kron_all(v, proj(j_dim, j)[:, [j]]) for j, (_, v) in enumerate(pairs)], axis=1)
-    assert np.abs(w_full @ vectors - vectors * values).max() <= 1e-12
-    order = np.argsort(values)
-    values, vectors = values[order], vectors[:, order]
-    mask = values > (tol.rank_tol * values[-1] if values[-1] > tol.rank_tol else tol.rank_tol)
-    branches = []
-    if mask.any():
-        finite = -np.log(values[mask])
-        order = np.argsort(finite)
-        dec = qf.SpectralDecomposition(values=finite[order], vectors=vectors[:, mask][:, order])
-        branches.extend(qf.group_eigenspaces(dec, tol.degeneracy_tol))
-    if (~mask).any():
-        branches.append((np.inf, vectors[:, ~mask]))
+    vectors = np.concatenate(
+        [kron_all(v, probe[:, [0]], proj(j_dim, j)[:, [j]]) for j, (_, v) in enumerate(pairs)], axis=1
+    )
+    mask = np.concatenate([np.exp(w) > relative_cutoff(np.exp(w), tol.rank_tol) for w, _ in pairs])
+    order = np.argsort(-values[mask])
+    finite = qf.SpectralDecomposition(values=-values[mask][order], vectors=vectors[:, mask][:, order])
+    branches = qf.group_eigenspaces(finite, tol.degeneracy_tol)
+    infinite = null_space(finite.vectors.conj().T)
+    if infinite.shape[1]:
+        branches.append((np.inf, infinite))
     protocol = qf.TwoTimeProtocol.create(
         rho0,
         qf.observable_from_hermitian(a_i, tol),

@@ -449,6 +449,9 @@ def composite_cases(draw):
 @example(composite_case(3, 2, 3, 1990514405, "rank_deficient", "tiny_prior", 2e-12))
 @example(composite_case(3, 4, 2, 3708847978, "rank_deficient", "tiny_prior", 2e-12))
 @example(composite_case(3, 4, 4, 536472415, "mix", "tiny_prior", 2e-12))
+# word 1 reaches outside word 0's support, where rho_bar's eigenvalues are
+# below rank_tol times its largest one
+@example(composite_case(3, 2, 4, 3427104801, "rank_deficient", "tiny_prior", 2e-12))
 def test_analyze_per_word_matches_composite_reference(inst):
     # analyze solves the composite word by word; the reference runs the
     # engine once on the dense d*K*J composite, merging branches of equal
@@ -456,7 +459,8 @@ def test_analyze_per_word_matches_composite_reference(inst):
     # the same mean, -ln(gamma) and merged atoms.
     try:
         internals = qf.prepare_instance(inst)
-    except ValidationError:  # a tiny prior can leave an outcome's marginal at the floor
+    except ValidationError as exc:  # a tiny prior can leave an outcome's marginal at the floor
+        assert "inconsistent marginal" in str(exc)
         assume(False)
     rep = qf.analyze(inst, strict=False)
     ref = composite_reference(inst, internals)
@@ -467,3 +471,70 @@ def test_analyze_per_word_matches_composite_reference(inst):
     for (v, p), (v_ref, p_ref) in zip(rep.atoms, ref["atoms"]):
         assert abs(v - v_ref) <= 1e-12 * max(1.0, abs(v_ref))
         assert abs(p - p_ref) <= 1e-12
+
+
+def test_tiny_prior_word_outside_the_other_supports_is_accepted():
+    # supp rho_bar is the span of the words' supports: word 1 adds about
+    # 2e-12 times its eigenvalues to rho_bar outside word 0's support,
+    # below rank_tol times rho_bar's largest eigenvalue, yet inside supp rho_bar
+    inst = composite_case(3, 2, 4, 3427104801, "rank_deficient", "tiny_prior", 2e-12)
+    assert inst.ensemble.priors.tolist() == [1 - 2e-12, 2e-12]
+    rep = qf.analyze(inst)
+    assert rep.passed
+    assert rep.route_error <= 1e-11
+
+
+def test_final_branch_values_are_the_compressed_exponent_spectrum():
+    # p(a|0) = 1e-11 against p(a) = 1/2 puts an eigenvalue of each word's
+    # exponent near -25.3 on the rotated direction |a>; eigh of
+    # W_j = exp(-A_f) would fix e^-25.3 only to about 1e-7 relative here
+    theta = 0.7
+    a = np.array([math.cos(theta), math.sin(theta)], dtype=complex)
+    b = np.array([-math.sin(theta), math.cos(theta)], dtype=complex)
+    elements = [np.outer(a, a.conj()), np.outer(b, b.conj())]
+    rho0 = (1 - 1e-11) * elements[1] + 1e-11 * elements[0]
+    inst = qf.CqChannelInstance.create(
+        qf.Ensemble.create([0.5, 0.5], [rho0, np.eye(2) - rho0]), qf.POVM.create(elements)
+    )
+    internals = qf.prepare_instance(inst)
+    states = inst.ensemble.states
+    cond = np.array([[np.trace(rho @ m).real for m in elements] for rho in states])
+    marginals = inst.ensemble.priors @ cond
+    w, v = np.linalg.eigh(inst.ensemble.average_state())
+    log_bar = (v * np.log(w)) @ v.conj().T
+    for j, word in enumerate(internals.protocols):
+        exponent = log_bar + sum(math.log(c / mk) * m for c, mk, m in zip(cond[j], marginals, elements))
+        expected = np.sort(-np.linalg.eigvalsh(exponent))
+        assert expected[-1] > 25
+        values = np.array([x for x in word.final_observable.values if math.isfinite(x)])
+        assert values.shape == expected.shape
+        assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: qf.random_instance(2, 2, 3, seed=5, state_kind="mix"),
+        lambda: qf.random_instance(3, 3, 4, seed=6, state_kind="mix"),
+        orthogonal_instance,  # each word drops one outcome
+    ],
+    ids=["d2_j2_k3", "d3_j3_k4", "orthogonal"],
+)
+def test_analyze_decomposes_nothing_larger_than_d(make, monkeypatch):
+    # rho_j, rho_bar, the K POVM square roots and each word's compressed
+    # exponent take 2J + K + 1 eigh calls, plus one for each word with a
+    # dropped outcome; holevo_chi takes one eigvalsh per state and rho_bar
+    inst = make()
+    d, n_words, n_outcomes = inst.ensemble.dim, inst.ensemble.n_words, inst.povm.n_outcomes
+    dropping = int((~qf.prepare_instance(inst).retained).any(axis=1).sum())
+    shapes = {"eigh": [], "eigvalsh": []}
+    for name, seen in shapes.items():
+        def wrapped(m, *args, _original=getattr(np.linalg, name), _seen=seen, **kwargs):
+            _seen.append(np.shape(m))
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapped)
+    assert qf.analyze(inst).passed
+    assert all(len(shape) == 2 and max(shape) <= d for seen in shapes.values() for shape in seen)
+    assert len(shapes["eigh"]) <= 2 * n_words + n_outcomes + 1 + dropping
+    assert len(shapes["eigvalsh"]) <= n_words + 1
