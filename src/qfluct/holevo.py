@@ -159,23 +159,25 @@ def conditional_probabilities(
     return cond
 
 
-def _mutual_information_arrays(
-    priors: np.ndarray, cond: np.ndarray, prob_floor: float
-) -> float:
-    marginals = priors @ cond
-    total = 0.0
-    for j in range(cond.shape[0]):
-        for k in range(cond.shape[1]):
-            joint = priors[j] * cond[j, k]
-            if cond[j, k] > prob_floor and joint > prob_floor:
-                total += joint * math.log(cond[j, k] / marginals[k])
-    return float(total)
+def _information_terms(priors: np.ndarray, cond: np.ndarray, prob_floor: float) -> np.ndarray:
+    """ln(p(k|j)/p(k)) for conditionals cond of shape (..., J, K), 0 where
+    cond <= prob_floor."""
+    ratio = np.divide(cond, (priors @ cond)[..., None, :], out=np.ones_like(cond), where=cond > prob_floor)
+    return np.log(ratio)
+
+
+def _mutual_information_arrays(priors: np.ndarray, cond: np.ndarray, prob_floor: float) -> np.ndarray:
+    """I in nats for conditionals cond of shape (..., J, K), with the
+    leading shape; only entries with cond and p_j cond above prob_floor count."""
+    joint = priors[:, None] * cond
+    terms = np.where(joint > prob_floor, joint * _information_terms(priors, cond, prob_floor), 0.0)
+    return np.sum(terms, axis=(-2, -1))
 
 
 def mutual_information(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) -> float:
     """Classical mutual information (nats) between word and outcome."""
     cond = conditional_probabilities(inst, tol)
-    return _mutual_information_arrays(inst.ensemble.priors, cond, tol.prob_floor)
+    return float(_mutual_information_arrays(inst.ensemble.priors, cond, tol.prob_floor))
 
 
 def _decomposition_arrays(
@@ -271,8 +273,7 @@ def prepare_instance(
                 f"inconsistent marginal: outcome {k} has probability {marginals[k]:.3e} "
                 f"but a conditional probability above prob_floor"
             )
-    info_terms = np.zeros((jw, kp))
-    info_terms[retained] = np.log(cond[retained] / np.broadcast_to(marginals, cond.shape)[retained])
+    info_terms = _information_terms(ensemble.priors, cond, tol.prob_floor)
 
     spectra = [spectral_decompose(rho, tol) for rho in ensemble.states]
     masks = [_support_mask(dec.values, tol, "a code word state") for dec in spectra]
@@ -457,7 +458,7 @@ def analyze(
     """
     internals = prepare_instance(inst, tol, dilation)
     priors = internals.ensemble.priors
-    info = _mutual_information_arrays(priors, internals.cond, tol.prob_floor)
+    info = float(_mutual_information_arrays(priors, internals.cond, tol.prob_floor))
     shannon, conditional = _decomposition_arrays(priors, internals.cond, tol.prob_floor)
     chi = holevo_chi(internals.ensemble, tol)
 
@@ -572,20 +573,23 @@ def random_instance(
     return CqChannelInstance.create(Ensemble.create(priors, states, tol), povm)
 
 
-# The ascent's step rule and stopping rule: the step size starts at 1,
-# doubles after a step that raises I and halves after one that does not;
-# a start has converged once the step size falls below ASCENT_MIN_STEP,
-# and it is cut after ASCENT_MAX_STEPS steps.  ASCENT_STARTS Gaussian
-# block sets are ascended, so one poor start does not decide the result.
+# The ascent's step rule and stopping rule: each start's step size begins
+# at 1, doubles after a step that raises I and halves after one that does
+# not; a start has converged once its step size falls below
+# ASCENT_MIN_STEP, and every start is cut after ASCENT_MAX_STEPS steps.
+# ASCENT_STARTS Gaussian block sets are ascended, so one poor start does
+# not decide the result.
 ASCENT_MIN_STEP = 1e-12
 ASCENT_MAX_STEPS = 500
 ASCENT_STARTS = 4
 
 
 def _ascend(
-    blocks: np.ndarray, ensemble: Ensemble, prob_floor: float
-) -> tuple[float, np.ndarray | None]:
-    """Fixed-point accessible-information ascent from one block set.
+    starts: np.ndarray, ensemble: Ensemble, prob_floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-point accessible-information ascent from S block sets
+    (S, K, d, d) at once; returns each start's I, shape (S,), and its
+    ascended blocks.
 
     With normalized blocks (sum_k B_k† B_k = I) the POVM is M_k = B_k† B_k.
     A step is B_k <- B_k (I + eps R_k), renormalized, where
@@ -593,39 +597,44 @@ def _ascend(
     gradient of I in M_k (Rehacek, Englert and Kaszlikowski, PRA 71,
     054303, 2005).  A step that does not raise I, or whose normalizer is
     singular, is rejected, so I never decreases and the step size shrinks
-    below ASCENT_MIN_STEP only where no step raises I.
+    below ASCENT_MIN_STEP only where no step raises I.  The starts advance
+    in lockstep, one batched iteration for all live starts, but each keeps
+    its own step size, accept rule and exit, so it follows the path it
+    would follow alone.  A start whose first normalizer is singular gets
+    I = -inf and takes no steps.
     """
     states = np.asarray(ensemble.states)
     priors = ensemble.priors
     floor = ensemble.dim * 1e-14
 
-    def info_and_gradients(b: np.ndarray) -> tuple[float, np.ndarray]:
-        grams = b.conj().transpose(0, 2, 1) @ b
-        cond = np.clip(np.einsum("jab,kba->jk", states, grams).real, 0.0, None)
-        retained = cond > prob_floor
-        terms = np.zeros_like(cond)
-        terms[retained] = np.log(cond[retained] / np.broadcast_to(priors @ cond, cond.shape)[retained])
-        gradients = np.einsum("j,jk,jab->kab", priors, terms, states)
-        return _mutual_information_arrays(priors, cond, prob_floor), gradients
+    def conditionals(b: np.ndarray) -> np.ndarray:
+        grams = b.conj().swapaxes(-1, -2) @ b
+        return np.clip(np.einsum("jab,skba->sjk", states, grams).real, 0.0, None)
 
-    current = normalized_blocks(blocks, floor)
-    if current is None:
-        return -math.inf, None
-    info, gradients = info_and_gradients(current)
-    step = 1.0
+    def gradients(cond: np.ndarray) -> np.ndarray:
+        return np.einsum("j,sjk,jab->skab", priors, _information_terms(priors, cond, prob_floor), states)
+
+    current, regular = normalized_blocks(starts, floor)
+    info = np.full(len(current), -math.inf)
+    grads = np.zeros_like(current)
+    cond = conditionals(current[regular])
+    info[regular] = _mutual_information_arrays(priors, cond, prob_floor)
+    grads[regular] = gradients(cond)
+    step = np.where(regular, 1.0, 0.0)
     for _ in range(ASCENT_MAX_STEPS):
-        if step < ASCENT_MIN_STEP:
+        live = np.flatnonzero(step >= ASCENT_MIN_STEP)
+        if live.size == 0:
             break
-        proposal = normalized_blocks(current + step * current @ gradients, floor)
-        if proposal is None:
-            step /= 2
-            continue
-        value, proposal_gradients = info_and_gradients(proposal)
-        if value <= info:
-            step /= 2
-            continue
-        current, info, gradients = proposal, value, proposal_gradients
-        step *= 2
+        b = current[live]
+        proposal, regular = normalized_blocks(b + step[live, None, None, None] * b @ grads[live], floor)
+        cond = conditionals(proposal[regular])
+        value = np.full(live.size, -math.inf)
+        value[regular] = _mutual_information_arrays(priors, cond, prob_floor)
+        accept = value > info[live]
+        moved = live[accept]
+        current[moved], info[moved] = proposal[accept], value[accept]
+        grads[moved] = gradients(cond[accept[regular]])
+        step[live] *= np.where(accept, 2.0, 0.5)
     return info, current
 
 
@@ -640,8 +649,10 @@ def optimize_measurement(
     Runs the fixed-point ascent of _ascend from ASCENT_STARTS Gaussian
     block sets drawn from default_rng(seed) and, when n_outcomes >= dim,
     also from the eigenbasis of the leading state difference (a projective
-    guess); the best result is kept.  Returns the POVM and its achieved
-    mutual information; no global optimality is claimed.
+    guess).  The starts are ascended in lockstep by one _ascend call, each
+    with its own step rule; the first best result is kept.  Returns the
+    POVM and its achieved mutual information; no global optimality is
+    claimed.
     """
     if n_outcomes < 2:
         raise ValidationError("measurement optimization needs at least 2 outcomes")
@@ -658,14 +669,11 @@ def optimize_measurement(
         for i in range(d):
             guess[i] = np.outer(vectors[:, i], vectors[:, i].conj())
         starts.append(guess)
-    best_info, best_blocks = -math.inf, None
-    for blocks in starts:
-        info, ascended = _ascend(blocks, ensemble, tol.prob_floor)
-        if info > best_info:
-            best_info, best_blocks = info, ascended
-    if best_blocks is None:
+    infos, ascended = _ascend(np.array(starts), ensemble, tol.prob_floor)
+    best = int(np.argmax(infos))
+    if infos[best] == -math.inf:
         raise ConsistencyError("every start of the measurement ascent has a singular normalizer")
-    povm = povm_from_blocks(best_blocks, tol)
+    povm = povm_from_blocks(ascended[best], tol)
     achieved = mutual_information(
         CqChannelInstance.create(ensemble, povm), tol
     )

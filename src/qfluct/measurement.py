@@ -88,11 +88,6 @@ class BranchBlocks:
     def blocks(self) -> list[np.ndarray]:
         return [self.vectors[:, a:b] for a, b in zip(self.offsets, self.offsets[1:])]
 
-    @property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        """Branch projectors V_b V_b†, built on each access."""
-        return tuple(cols @ cols.conj().T for cols in self.blocks())
-
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveMeasurement(BranchBlocks):
@@ -115,7 +110,7 @@ class ExtendedObservable(BranchBlocks):
     values are pairwise distinct beyond degeneracy_tol.  The blocks
     together form one unitary V; a single check (ranks summing to n and
     |V†V - I| <= proj_tol) certifies that the projectors are mutually
-    orthogonal and complete.  ``projectors`` is derived on demand.
+    orthogonal and complete.
     """
 
     values: tuple[float, ...]

@@ -49,20 +49,23 @@ def random_povm(
     return povm_from_blocks(blocks, tol)
 
 
-def normalized_blocks(blocks, floor: float) -> np.ndarray | None:
-    """B_k T^{-1/2} with T = sum_k B_k† B_k, stacked along axis 0, or None
-    when the smallest eigenvalue of T is at or below floor.  The grams of
-    the result, T^{-1/2} B_k† B_k T^{-1/2}, sum to the identity."""
+def normalized_blocks(blocks, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """B_k T^{-1/2} with T = sum_k B_k† B_k, for block sets stacked as
+    (..., K, d, d), and a mask over the leading axes that is False where
+    the smallest eigenvalue of T is at or below floor (those sets come back
+    unnormalized).  The grams of a regular set, T^{-1/2} B_k† B_k T^{-1/2}, sum
+    to the identity."""
     b = np.asarray(blocks)
-    w, v = np.linalg.eigh((b.conj().transpose(0, 2, 1) @ b).sum(axis=0))
-    if w.min() <= floor:
-        return None
-    return b @ ((v * (1.0 / np.sqrt(w))) @ v.conj().T)
+    w, v = np.linalg.eigh((b.conj().swapaxes(-1, -2) @ b).sum(axis=-3))
+    regular = w[..., 0] > floor
+    w = np.where(regular[..., None], w, 1.0)
+    inv_sqrt = (v * (1.0 / np.sqrt(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return b @ inv_sqrt[..., None, :, :], regular
 
 
 def povm_from_blocks(blocks, tol: Tolerances = DEFAULT_TOLS) -> POVM:
     """Normalize arbitrary matrices B_k into a POVM (the T^{-1/2} trick)."""
-    normalized = normalized_blocks(blocks, 0.0)
-    if normalized is None:
+    normalized, regular = normalized_blocks(blocks, 0.0)
+    if not regular:
         raise ValidationError("POVM normalizer is singular; draw different blocks")
     return POVM.create([c.conj().T @ c for c in normalized], tol)

@@ -45,6 +45,11 @@ def kron_all(*mats):
     return out
 
 
+def projectors(family):
+    """Branch projectors V_b V_b† of a BranchBlocks family, from its blocks()."""
+    return [cols @ cols.conj().T for cols in family.blocks()]
+
+
 def proj(dim, idx):
     p = np.zeros((dim, dim), dtype=complex)
     p[idx, idx] = 1.0

@@ -12,7 +12,7 @@ import qfluct as qf
 import qfluct.cli as cli
 from qfluct.rand import complex_gaussian, random_density_matrix, random_povm, random_pure_state
 
-from oracles import enumeration_oracle, regularized_exp
+from oracles import enumeration_oracle, projectors, regularized_exp
 from random_inputs import haar_unitary, random_observable
 
 
@@ -198,7 +198,7 @@ def test_criterion_10_worked_example_regression():
     x = (1 + 1 / math.sqrt(2)) / 2
     chi_closed = -x * math.log(x) - (1 - x) * math.log(1 - x)
     dil = qf.naimark_dilate(povm)
-    oracle = enumeration_oracle(ensemble.priors, ensemble.states, povm.elements, dil.projectors)
+    oracle = enumeration_oracle(ensemble.priors, ensemble.states, povm.elements, projectors(dil))
     ok = (
         abs(rep.mutual_information - i_closed) <= 1e-10
         and abs(rep.chi - chi_closed) <= 1e-10

@@ -1,15 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import qfluct as qf
+import qfluct.holevo as holevo
 from qfluct.errors import ConsistencyError, ValidationError
-from qfluct.holevo import STATE_KINDS
-from qfluct.rand import random_density_matrix, random_povm
+from qfluct.holevo import STATE_KINDS, _ascend
+from qfluct.rand import complex_gaussian, normalized_blocks, random_density_matrix, random_povm
 
-from oracles import build_joint_state, composite_reference, enumeration_oracle, partial_trace
+from oracles import build_joint_state, composite_reference, enumeration_oracle, partial_trace, projectors
 
 KET0 = np.array([1, 0], dtype=complex)
 KETP = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -165,7 +167,7 @@ def test_build_observables_perfect_discrimination_single_atom():
 
 def finite_part(obs):
     """Sum of value * projector over the finite branches."""
-    return sum(v * p for v, p in zip(obs.values, obs.projectors) if math.isfinite(v))
+    return sum(v * p for v, p in zip(obs.values, projectors(obs)) if math.isfinite(v))
 
 
 def test_mean_identity_on_random_instances():
@@ -191,7 +193,7 @@ def test_infinite_branch_unreachable():
         internals = qf.prepare_instance(inst)
         for word in internals.protocols:
             assert word.final_observable.has_infinite_branch
-            leak = float(np.trace(word.initial_state @ word.final_observable.projectors[-1]).real)
+            leak = float(np.trace(word.initial_state @ projectors(word.final_observable)[-1]).real)
             assert abs(leak) <= 1e-12
 
 
@@ -222,7 +224,7 @@ def test_analyze_worked_example_against_oracle():
     assert 0 < rep.neg_log_gamma < rep.chi - rep.mutual_information
     dil = qf.naimark_dilate(inst.povm)
     oracle = enumeration_oracle(
-        inst.ensemble.priors, inst.ensemble.states, inst.povm.elements, dil.projectors
+        inst.ensemble.priors, inst.ensemble.states, inst.povm.elements, projectors(dil)
     )
     assert abs(rep.gamma - oracle["gamma"]) < 1e-8
     assert abs(rep.mean_delta_a - oracle["mean_delta_a"]) < 1e-8
@@ -236,7 +238,7 @@ def test_analyze_random_instance_against_oracle():
         dil = qf.naimark_dilate(inst.povm)
         rep = qf.analyze(inst)
         oracle = enumeration_oracle(
-            inst.ensemble.priors, inst.ensemble.states, inst.povm.elements, dil.projectors
+            inst.ensemble.priors, inst.ensemble.states, inst.povm.elements, projectors(dil)
         )
         assert abs(rep.gamma - oracle["gamma"]) < 1e-8
         assert abs(rep.mean_delta_a - oracle["mean_delta_a"]) < 1e-8
@@ -354,7 +356,7 @@ def contrast_eigenbasis_povm(ensemble, n_outcomes):
     return qf.POVM.create(elements)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     st.integers(1, 3),
     st.integers(1, 3),
@@ -371,6 +373,69 @@ def test_optimize_measurement_ascent_properties(dim, n_words, n_outcomes, seed, 
     if n_outcomes >= dim:
         guess = qf.CqChannelInstance.create(ens, contrast_eigenbasis_povm(ens, n_outcomes))
         assert achieved >= qf.mutual_information(guess) - 1e-12
+
+
+def test_optimize_measurement_all_singular_starts_raise(monkeypatch):
+    # zero Gaussian blocks give every start a singular normalizer, and
+    # K < d leaves out the contrast start
+    monkeypatch.setattr(holevo, "complex_gaussian", lambda rng, shape: np.zeros(shape, dtype=complex))
+    ens = qf.random_instance(3, 2, 2, seed=0).ensemble
+    with pytest.raises(ConsistencyError, match="every start of the measurement ascent has a singular"):
+        qf.optimize_measurement(ens, 2, seed=0)
+
+
+@st.composite
+def ascent_cases(draw):
+    dim, n_outcomes = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    ens = qf.random_instance(
+        dim,
+        draw(st.integers(1, 3)),
+        n_outcomes,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        state_kind=draw(st.sampled_from(STATE_KINDS)),
+    ).ensemble
+    n_starts = draw(st.integers(3, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    starts = complex_gaussian(rng, (n_starts, n_outcomes, dim, dim))
+    zero = draw(st.none() | st.integers(0, n_starts - 1))
+    if zero is not None:
+        starts[zero] = 0
+    return ens, starts, zero, draw(st.sampled_from([None, 0.6, 0.9]))
+
+
+def ascend(starts, ens, proposal_floor):
+    """_ascend, with proposals whose normalizer has smallest eigenvalue at
+    or below proposal_floor treated as singular: random starts almost
+    never reach a singular proposal, so a raised floor brings them about."""
+    if proposal_floor is None:
+        return _ascend(starts, ens, qf.DEFAULT_TOLS.prob_floor)
+    floors = []  # the first call normalizes the starts, the others the proposals
+
+    def normalize(blocks, floor):
+        floors.append(proposal_floor if floors else floor)
+        return normalized_blocks(blocks, floors[-1])
+
+    with mock.patch.object(holevo, "normalized_blocks", normalize):
+        return _ascend(starts, ens, qf.DEFAULT_TOLS.prob_floor)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ascent_cases())
+def test_ascent_starts_in_lockstep_follow_their_lone_paths(case):
+    # each start keeps its own step size, accept rule and exit, so running
+    # it alongside others changes nothing, to the last bit
+    ens, starts, zero, proposal_floor = case
+    infos, blocks = ascend(starts, ens, proposal_floor)
+    for i in range(len(starts)):
+        alone_info, alone_blocks = ascend(starts[i:i + 1], ens, proposal_floor)
+        assert infos[i] == alone_info[0], i
+        assert np.array_equal(blocks[i], alone_blocks[0]), i
+    if zero is not None:
+        assert infos[zero] == -math.inf
+        rest = [i for i in range(len(starts)) if i != zero]
+        rest_infos, rest_blocks = ascend(starts[rest], ens, proposal_floor)
+        assert np.array_equal(rest_infos, infos[rest])
+        assert np.array_equal(rest_blocks, blocks[rest])
 
 
 @st.composite

@@ -7,6 +7,7 @@ import qfluct as qf
 from qfluct.errors import ValidationError
 from qfluct.rand import random_density_matrix, random_povm
 
+from oracles import projectors
 from random_inputs import random_hermitian
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -22,14 +23,14 @@ def z_basis_measurement():
 def test_observable_from_hermitian_pauli_z():
     obs = qf.observable_from_hermitian(PAULI_Z)
     assert obs.values == (-1.0, 1.0)
-    assert np.abs(obs.projectors[0] - np.diag([0.0, 1.0])).max() < 1e-12
-    assert np.abs(obs.projectors[1] - np.diag([1.0, 0.0])).max() < 1e-12
+    assert np.abs(projectors(obs)[0] - np.diag([0.0, 1.0])).max() < 1e-12
+    assert np.abs(projectors(obs)[1] - np.diag([1.0, 0.0])).max() < 1e-12
 
 
 def test_observable_from_hermitian_identity_fully_degenerate():
     obs = qf.observable_from_hermitian(np.eye(3, dtype=complex))
     assert obs.values == (1.0,)
-    assert np.abs(obs.projectors[0] - np.eye(3)).max() < 1e-12
+    assert np.abs(projectors(obs)[0] - np.eye(3)).max() < 1e-12
 
 
 def test_observable_scaling():
@@ -37,8 +38,8 @@ def test_observable_scaling():
     base = qf.observable_from_hermitian(h)
     scaled = qf.observable_from_hermitian(3.0 * h)
     assert np.allclose(sorted(scaled.values), sorted(3.0 * v for v in base.values))
-    for v, p in zip(base.values, base.projectors):
-        match = [q for w, q in zip(scaled.values, scaled.projectors) if abs(w - 3 * v) < 1e-9]
+    for v, p in zip(base.values, projectors(base)):
+        match = [q for w, q in zip(scaled.values, projectors(scaled)) if abs(w - 3 * v) < 1e-9]
         assert len(match) == 1
         assert np.abs(match[0] - p).max() < 1e-12
 
@@ -52,7 +53,7 @@ def test_extended_observable_merges_infinite_branches():
         ]
     )
     assert obs.values == (0.5, math.inf)
-    assert round(float(np.trace(obs.projectors[-1]).real)) == 2
+    assert round(float(np.trace(projectors(obs)[-1]).real)) == 2
 
 
 def test_extended_observable_rejects_close_finite_values():
@@ -197,13 +198,13 @@ def test_naimark_dilation_projector_family():
     rng = np.random.default_rng(7)
     for d, k in [(2, 2), (3, 4), (4, 5)]:
         dil = qf.naimark_dilate(random_povm(d, k, rng))
-        total = sum(dil.projectors)
+        total = sum(projectors(dil))
         assert np.abs(total - np.eye(d * k)).max() < 1e-10
         for a in range(k):
-            pa = dil.projectors[a]
+            pa = projectors(dil)[a]
             assert np.abs(pa @ pa - pa).max() < 1e-10
             for b in range(a + 1, k):
-                assert np.abs(pa @ dil.projectors[b]).max() < 1e-10
+                assert np.abs(pa @ projectors(dil)[b]).max() < 1e-10
 
 
 def test_naimark_dilate_randomized_same_contract_different_unitary():

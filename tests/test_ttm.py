@@ -10,7 +10,7 @@ import qfluct as qf
 from qfluct.errors import ConsistencyError, IllPosedProtocolError, ValidationError
 from qfluct.rand import random_density_matrix, random_pure_state
 
-from oracles import merge_atoms_reference
+from oracles import merge_atoms_reference, projectors
 from random_inputs import haar_unitary, random_hermitian, random_observable
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -79,7 +79,7 @@ def test_joint_distribution_marginal_property():
         marginals = joint.probs.sum(axis=1)
         direct = [
             float(np.trace(p @ protocol.initial_state @ p).real)
-            for p in protocol.initial_observable.projectors
+            for p in projectors(protocol.initial_observable)
         ]
         assert np.abs(marginals - direct).max() < 1e-10
         assert abs(joint.total() - 1.0) < 1e-10
@@ -289,10 +289,10 @@ def test_unitary_covariance():
     u = haar_unitary(3, rng)
     conj = lambda m: u @ m @ u.conj().T
     a_i = qf.ExtendedObservable.create(
-        [(v, conj(p)) for v, p in zip(protocol.initial_observable.values, protocol.initial_observable.projectors)]
+        [(v, conj(p)) for v, p in zip(protocol.initial_observable.values, projectors(protocol.initial_observable))]
     )
     a_f = qf.ExtendedObservable.create(
-        [(v, conj(p)) for v, p in zip(protocol.final_observable.values, protocol.final_observable.projectors)]
+        [(v, conj(p)) for v, p in zip(protocol.final_observable.values, projectors(protocol.final_observable))]
     )
     channel = qf.KrausChannel.create([conj(k) for k in protocol.channel.kraus_ops])
     rotated = qf.TwoTimeProtocol.create(conj(protocol.initial_state), a_i, channel, a_f)
