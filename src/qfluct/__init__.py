@@ -37,7 +37,6 @@ from .measurement import (
     dilation_probabilities,
     measurement_channel,
     naimark_dilate,
-    naimark_dilate_randomized,
     observable_from_hermitian,
     povm_probabilities,
 )
@@ -49,7 +48,6 @@ from .operator_core import (
     func_on_support,
     group_eigenspaces,
     kron,
-    pseudo_log,
     spectral_decompose,
     support_projector,
 )

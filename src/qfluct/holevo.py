@@ -3,12 +3,14 @@ quantity, and the measurement-dependent sharpening of the Holevo bound.
 
 The sharpening comes from running the two-time measurement engine on a
 composite encoding (x) probe (x) message space, a direct sum over the
-message register that is solved word by word: the mean outcome
-difference equals chi - I and the fluctuation identity supplies a
-correction term -ln(gamma) >= 0, with gamma computed both by exact outcome
-enumeration and by the trace formula.  A trace-inequality chain
-certifies -ln(gamma) >= 0 step by step, and an operator residual
-quantifies how far an instance is from saturating the bound.
+message register that is solved word by word.  The composite's state and
+observables vanish off probe |0>, so each word runs on the encoding space
+alone.  The mean outcome difference equals chi - I and the fluctuation
+identity supplies a correction term -ln(gamma) >= 0, with gamma computed
+both by exact outcome enumeration and by the trace formula.  A
+trace-inequality chain certifies -ln(gamma) >= 0 step by step, and an
+operator residual quantifies how far an instance is from saturating the
+bound.
 """
 
 from __future__ import annotations
@@ -21,14 +23,12 @@ import numpy as np
 
 from .channel import identity_channel
 from .errors import ConsistencyError, ValidationError
-from .measurement import ExtendedObservable, NaimarkDilation, POVM, naimark_dilate
+from .measurement import ExtendedObservable, POVM
 from .operator_core import (
     DEFAULT_TOLS,
     SpectralDecomposition,
     Tolerances,
-    basis_projector,
     group_eigenspaces,
-    kron,
     max_abs,
     require_density_matrix,
     spectral_decompose,
@@ -206,11 +206,13 @@ def holevo_chi(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOLS) -> float:
 @dataclass(frozen=True, eq=False)
 class HolevoInternals:
     """Everything the per-word composite construction produces, kept for
-    the chain diagnostic and the equality residual, which reuse its spectra."""
+    the chain diagnostic and the equality residual, which reuse its spectra.
+    Each word's protocol acts on the encoding space: the composite's state
+    and observables vanish off probe |0>, where the dilated projectors
+    compress to the POVM elements."""
 
     ensemble: Ensemble
     povm_elements: tuple[np.ndarray, ...]
-    dilation: NaimarkDilation
     tolerances: Tolerances
     cond: np.ndarray            # (J, K) conditional probabilities
     marginals: np.ndarray       # (K,)
@@ -220,20 +222,12 @@ class HolevoInternals:
     average_support: SpectralDecomposition  # rho_bar on supp rho_bar: r > 0 values, d x r columns
     word_supports: tuple[SpectralDecomposition, ...]  # each rho_j on its support
     exp_traces: np.ndarray      # (J,) tr W_j, W_j = exp(-A_f) of word j
-    protocols: tuple[TwoTimeProtocol, ...]  # per word: rho_j (x) |0><0|, A_i, identity, A_f
+    protocols: tuple[TwoTimeProtocol, ...]  # per word: rho_j, A_i, identity, A_f
 
 
-def _probe_observable(
-    values: np.ndarray, encoding: np.ndarray, other: float, kp: int, tol: Tolerances
-) -> ExtendedObservable:
-    """The observable on encoding (x) probe with value values[a] (+infinity
-    allowed) on encoding[:, a] (x) |0> and the value other on every column
-    (x) |k> for k > 0; finite values within degeneracy_tol share a branch."""
-    d, n = encoding.shape[0], encoding.shape[0] * kp
-    values = np.concatenate([values, np.full(n - d, other)])
-    vectors = np.zeros((n, n), dtype=complex)
-    vectors[::kp, :d] = encoding
-    vectors[np.arange(n) % kp != 0, d:] = np.eye(n - d)
+def _observable(values: np.ndarray, vectors: np.ndarray, tol: Tolerances) -> ExtendedObservable:
+    """The observable with value values[a] (+infinity allowed) on the
+    column vectors[:, a]; finite values within degeneracy_tol share a branch."""
     finite = np.isfinite(values)
     order = np.argsort(values[finite], kind="stable")
     dec = SpectralDecomposition(values=values[finite][order], vectors=vectors[:, finite][:, order])
@@ -243,31 +237,25 @@ def _probe_observable(
     return ExtendedObservable.from_blocks(branches, tol)
 
 
-def prepare_instance(
-    inst: CqChannelInstance,
-    tol: Tolerances = DEFAULT_TOLS,
-    dilation: NaimarkDilation | None = None,
-) -> HolevoInternals:
-    """Dilate the POVM and assemble each word's protocol on encoding (x)
-    probe from d x d spectra.  Each rho_j is decomposed once; supp rho_bar
+def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) -> HolevoInternals:
+    """Assemble each word's protocol from d x d spectra.  The composite's
+    state rho_j (x) |0><0| and both observables vanish off probe |0>, where
+    the dilated projectors compress to the POVM elements M_k, so each word
+    runs on the encoding space.  Each rho_j is decomposed once; supp rho_bar
     is the span of their support columns (rank cut by an SVD at rank_tol
     times the top singular value), where rho_bar has values lambda_bar > 0
-    on columns s_bar.  With M_k the dilation's probe-|0> blocks, one eigh of
+    on columns s_bar.  One eigh of
     F_c = diag(ln lambda_bar) + sum_k info_jk s_bar† M_k s_bar (retained k),
     compressed to the kernel of the dropped s_bar† M_k s_bar, gives A_f = -w
-    on (s_bar v) (x) |0> where e^w is on the support of W_j = exp(-A_f), and
-    +infinity elsewhere.  A_i is -ln(lambda) on rho_j's support (x) |0>, else 0.
+    on s_bar v where e^w is on the support of W_j = exp(-A_f), and
+    +infinity elsewhere.  A_i is -ln(lambda) on rho_j's support, else 0.
     """
-    if dilation is None:
-        dilation = naimark_dilate(inst.povm, tol)
-    elif dilation.encoding_dim != inst.ensemble.dim or dilation.probe_dim != inst.povm.n_outcomes:
-        raise ValidationError("provided dilation does not match the instance POVM")
     ensemble = inst.ensemble
-    d, kp, jw = ensemble.dim, dilation.probe_dim, ensemble.n_words
+    d, jw = ensemble.dim, ensemble.n_words
     cond = conditional_probabilities(inst, tol)
     marginals = ensemble.priors @ cond
     retained = cond > tol.prob_floor
-    for k in range(kp):
+    for k in range(inst.povm.n_outcomes):
         if retained[:, k].any() and marginals[k] <= tol.prob_floor:
             raise ValidationError(
                 f"inconsistent marginal: outcome {k} has probability {marginals[k]:.3e} "
@@ -290,11 +278,10 @@ def prepare_instance(
     if inner.values[0] <= 0:
         raise ValidationError(f"the average state has eigenvalue {inner.values[0]:.3e} on its support")
     s_bar = span[:, :rank] @ inner.vectors
-    compressed = [s_bar.conj().T @ dilation.povm_element(k) @ s_bar for k in range(kp)]
+    compressed = [s_bar.conj().T @ m @ s_bar for m in inst.povm.elements]
     log_bar = np.diag(np.log(inner.values))
 
-    probe = basis_projector(kp, 0)
-    channel = identity_channel(d * kp)
+    channel = identity_channel(d)
     exp_traces, protocols = np.zeros(jw), []
     for j, (rho, dec, mask) in enumerate(zip(ensemble.states, spectra, masks)):
         exponent = log_bar + sum(info_terms[j, k] * compressed[k] for k in np.flatnonzero(retained[j]))
@@ -304,18 +291,17 @@ def prepare_instance(
         finite = _support_mask(np.exp(w), tol, "exp(-A_f)")
         values = np.concatenate([np.where(finite, -w, math.inf), np.full(d - w.size, math.inf)])
         encoding = np.concatenate([s_bar @ cols, s_bar @ suppressed, outside], axis=1)
-        a_f = _probe_observable(values, encoding, math.inf, kp, tol)
+        a_f = _observable(values, encoding, tol)
         neg_log = np.zeros(d)
         neg_log[mask] = -np.log(dec.values[mask])
-        a_i = _probe_observable(neg_log, dec.vectors, 0.0, kp, tol)
+        a_i = _observable(neg_log, dec.vectors, tol)
         # Built without TwoTimeProtocol.create, whose state check would repeat
-        # Ensemble.create's; every part is d*K-dimensional and A_i is finite.
-        protocols.append(TwoTimeProtocol(kron(rho, probe), a_i, channel, a_f))
+        # Ensemble.create's; every part is d-dimensional and A_i is finite.
+        protocols.append(TwoTimeProtocol(rho, a_i, channel, a_f))
 
     return HolevoInternals(
         ensemble=ensemble,
         povm_elements=inst.povm.elements,
-        dilation=dilation,
         tolerances=tol,
         cond=cond,
         marginals=marginals,
@@ -394,11 +380,12 @@ def gt_chain(
     """
     priors = internals.ensemble.priors
     g1 = float(priors @ internals.exp_traces)
-    g2 = 0.0
-    for j, k in zip(*np.nonzero(internals.retained)):
-        # tr((rho_bar (x) |0><0|) Pi_k) = tr(rho_bar M_k)
-        overlap = float(np.trace(internals.rho_bar @ internals.dilation.povm_element(k)).real)
-        g2 += float(priors[j] * internals.cond[j, k] / internals.marginals[k]) * overlap
+    # tr((rho_bar (x) |0><0|) Pi_k) = tr(rho_bar M_k), once per outcome
+    overlaps = np.array([np.trace(internals.rho_bar @ m).real for m in internals.povm_elements])
+    ratios = np.divide(
+        internals.cond, internals.marginals, out=np.zeros_like(internals.cond), where=internals.retained
+    )
+    g2 = float(priors @ ratios @ overlaps)
     chain = ChainValues(gamma=gamma, g1=g1, g2=g2)
     if strict:
         if gamma > g1 + chain_tol or g1 > g2 + chain_tol:
@@ -443,20 +430,19 @@ def analyze(
     tol: Tolerances = DEFAULT_TOLS,
     identity_tol: float = 1e-8,
     strict: bool = True,
-    dilation: NaimarkDilation | None = None,
 ) -> HolevoReport:
     """Full sharpened-bound analysis of a classical-quantum instance.
 
-    Dilates the POVM, builds the composite construction, and runs the
-    two-time engine with the identity channel per word, on encoding (x)
-    probe: the composite is a direct sum over the message register.  The
-    efficacy comes by the enumeration route (the prior-weighted outcome
-    pairs of all words merged into one set of atoms) and by the trace
-    route (the prior-weighted sum), and every bound, chain and residual is
-    evaluated.  With strict=True any failed cross-check raises
+    Builds the composite construction and runs the two-time engine with
+    the identity channel per word: the composite is a direct sum over the
+    message register, and each word runs on the encoding space, since its
+    state and observables vanish off probe |0>.  The efficacy comes by the
+    enumeration route (the prior-weighted outcome pairs of all words merged
+    into one set of atoms) and by the trace route (the prior-weighted sum),
+    and every bound, chain and residual is evaluated.  With strict=True any failed cross-check raises
     ConsistencyError; otherwise failures are recorded in the report's checks.
     """
-    internals = prepare_instance(inst, tol, dilation)
+    internals = prepare_instance(inst, tol)
     priors = internals.ensemble.priors
     info = float(_mutual_information_arrays(priors, internals.cond, tol.prob_floor))
     shannon, conditional = _decomposition_arrays(priors, internals.cond, tol.prob_floor)

@@ -171,9 +171,6 @@ class ExtendedObservable(BranchBlocks):
         cols = self.vectors[:, : self.offsets[n_finite]]
         return (cols * np.repeat(f(values), np.diff(self.offsets[: n_finite + 1]))) @ cols.conj().T
 
-    def measurement(self) -> ProjectiveMeasurement:
-        return ProjectiveMeasurement(vectors=self.vectors, offsets=self.offsets)
-
     def exp_neg(self) -> np.ndarray:
         """exp(-A) with the +infinity branch mapped to the kernel."""
         if self.values[0] < -_EXP_LIMIT:
@@ -297,10 +294,16 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def _dilate(povm: POVM, candidates: np.ndarray, tol: Tolerances) -> NaimarkDilation:
-    """Complete the square-root isometry |psi> -> sum_k (sqrt(M_k)|psi>) (x) |k>
-    to a unitary U with one QR of [isometry | candidates], and hold the
-    dilated projectors as branch blocks."""
+def naimark_dilate(povm: POVM, tol: Tolerances = DEFAULT_TOLS) -> NaimarkDilation:
+    """Canonical probe dilation of a POVM.
+
+    Builds the square-root isometry |psi> -> sum_k (sqrt(M_k)|psi>) (x) |k>,
+    completes its columns to a unitary U with the QR of the isometry, and
+    conjugates the probe projectors back.  The probe-block of projector k
+    reproduces M_k within 1e-10.  Every quantity of the composite
+    construction depends on the projectors only through these probe
+    blocks, so any other completion gives the same results to rounding.
+    """
     d, kp = povm.dim, povm.n_outcomes
     n = d * kp
     isometry = np.zeros((n, d), dtype=complex)
@@ -310,7 +313,7 @@ def _dilate(povm: POVM, candidates: np.ndarray, tol: Tolerances) -> NaimarkDilat
     defect = max_abs(isometry.conj().T @ isometry - np.eye(d))
     if defect > tol.proj_tol * 10:
         raise ValidationError(f"POVM isometry defect {defect:.3e}; completeness too loose")
-    q, _ = np.linalg.qr(np.hstack([isometry, candidates]), mode="complete")
+    q, _ = np.linalg.qr(isometry, mode="complete")
     # Columns for |i> (x) |0> carry the isometry; the rest take the completion,
     # which QR makes orthogonal to the isometry's range.
     u = np.empty((n, n), dtype=complex)
@@ -329,33 +332,6 @@ def _dilate(povm: POVM, candidates: np.ndarray, tol: Tolerances) -> NaimarkDilat
                 f"dilation contract violated for element {k}: probe-block defect {defect:.3e}"
             )
     return dilation
-
-
-def naimark_dilate(povm: POVM, tol: Tolerances = DEFAULT_TOLS) -> NaimarkDilation:
-    """Canonical probe dilation of a POVM.
-
-    Builds the square-root isometry |psi> -> sum_k (sqrt(M_k)|psi>) (x) |k>,
-    completes its columns to a unitary U with the QR of the isometry, and
-    conjugates the probe projectors back.  The probe-block of projector k
-    reproduces M_k within 1e-10.  Every quantity of the composite
-    construction depends on the projectors only through these probe
-    blocks, so any other completion gives the same results to rounding.
-    """
-    return _dilate(povm, np.zeros((povm.dim * povm.n_outcomes, 0)), tol)
-
-
-def naimark_dilate_randomized(
-    povm: POVM, rng: np.random.Generator, tol: Tolerances = DEFAULT_TOLS
-) -> NaimarkDilation:
-    """Dilation with a randomized unitary completion.
-
-    Same probe construction and contract as naimark_dilate, but the
-    completion comes from the QR of the isometry followed by Gaussian
-    columns drawn from rng.  Used to check that derived quantities do not
-    depend on the choice of dilation.
-    """
-    n, d = povm.dim * povm.n_outcomes, povm.dim
-    return _dilate(povm, rng.normal(size=(n, n - d)) + 1j * rng.normal(size=(n, n - d)), tol)
 
 
 def dilation_probabilities(

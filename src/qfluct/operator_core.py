@@ -236,11 +236,6 @@ def func_on_support(
     return (dec.vectors * mapped) @ dec.vectors.conj().T
 
 
-def pseudo_log(a, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """log on the support, 0 on the kernel."""
-    return func_on_support(a, np.log, 0.0, tol)
-
-
 def compressed_exp(f, n, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Exponential of F with an infinitely suppressed subspace.
 

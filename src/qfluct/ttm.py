@@ -254,7 +254,7 @@ def _efficacy_blocks(protocols: Sequence[TwoTimeProtocol], weights: Sequence[flo
     value = 0j
     for protocol, weight in zip(protocols, weights):
         a_i = protocol.initial_observable
-        rho_m = measurement_channel(protocol.initial_state, a_i.measurement())
+        rho_m = measurement_channel(protocol.initial_state, a_i)
         weighted = apply_channel(protocol.channel, rho_m @ a_i.exp_pos())
         # tr(X Y) as an elementwise sum, without forming X Y
         value += weight * complex(np.sum(protocol.final_observable.exp_neg().T * weighted))

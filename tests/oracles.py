@@ -56,6 +56,30 @@ def proj(dim, idx):
     return p
 
 
+def naimark_dilate_randomized(povm, rng):
+    """A Naimark dilation of povm with a random unitary completion.
+
+    The square-root isometry |psi> -> sum_k (sqrt(M_k)|psi>) (x) |k>, with
+    each square root from np.linalg.eigh, fills the columns |i> (x) |0> of
+    U; the other columns come from the QR of the isometry followed by
+    Gaussian columns drawn from rng.  Branch k spans U†(I (x) |k>), the
+    range of the dilated projector U†(I (x) |k><k|)U.
+    """
+    d, kp = povm.dim, povm.n_outcomes
+    n = d * kp
+    isometry = np.zeros((n, d), dtype=complex)
+    for k, m in enumerate(povm.elements):
+        w, v = np.linalg.eigh(m)
+        isometry[k::kp] = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    gaussian = rng.normal(size=(n, n - d)) + 1j * rng.normal(size=(n, n - d))
+    q, _ = np.linalg.qr(np.hstack([isometry, gaussian]))
+    u = np.empty((n, n), dtype=complex)
+    u[:, ::kp] = isometry
+    u[:, np.arange(n) % kp != 0] = q[:, d:]
+    blocks = [u.conj().T @ np.kron(np.eye(d), np.eye(kp)[:, [k]]) for k in range(kp)]
+    return qf.NaimarkDilation(vectors=np.hstack(blocks), offsets=tuple(range(0, n + 1, d)), probe_dim=kp)
+
+
 def partial_trace(m, dims, keep):
     """Trace out the tensor factors not listed in ``keep`` (indices into
     ``dims``, encoding (x) probe (x) message ordering); the kept factors
@@ -70,11 +94,12 @@ def partial_trace(m, dims, keep):
     return t.reshape(d, d)
 
 
-def build_joint_state(ensemble, dilation):
+def build_joint_state(ensemble, povm):
     """Composite state sum_j p_j rho_j (x) |0><0| (x) |j><j| under the
-    encoding (x) probe (x) message ordering."""
+    encoding (x) probe (x) message ordering, with one probe level per
+    outcome of povm."""
     j_dim = ensemble.n_words
-    probe = proj(dilation.probe_dim, 0)
+    probe = proj(povm.n_outcomes, 0)
     return sum(
         p * kron_all(rho, probe, proj(j_dim, j))
         for j, (p, rho) in enumerate(zip(ensemble.priors, ensemble.states))
@@ -142,11 +167,11 @@ def composite_reference(inst, internals):
     mean outcome difference and the merged atoms.
     """
     ensemble, tol = inst.ensemble, internals.tolerances
-    j_dim, probe_dim = ensemble.n_words, internals.dilation.probe_dim
-    probe = proj(probe_dim, 0)
-    rho0 = build_joint_state(ensemble, internals.dilation)
+    j_dim = ensemble.n_words
+    probe = proj(inst.povm.n_outcomes, 0)
+    rho0 = build_joint_state(ensemble, inst.povm)
     a_i = sum(
-        kron_all(-qf.pseudo_log(rho, tol), probe, proj(j_dim, j))
+        kron_all(-qf.func_on_support(rho, np.log, tol=tol), probe, proj(j_dim, j))
         for j, rho in enumerate(ensemble.states)
     )
     pairs = compressed_exponents(inst, internals)

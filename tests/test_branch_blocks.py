@@ -105,9 +105,8 @@ def test_block_statistics_match_projector_reference(case):
     want = efficacy_reference(protocol.initial_state, values_i, proj_i, kraus, values_f, proj_f)
     assert abs(gamma - want) <= TOL * max(1.0, abs(want))
 
-    m_i = protocol.initial_observable.measurement()
     for state in (protocol.initial_state, full_state):
-        out = qf.measurement_channel(state, m_i)
+        out = qf.measurement_channel(state, protocol.initial_observable)
         assert np.abs(out - dephase_reference(state, proj_i)).max() <= TOL
 
 

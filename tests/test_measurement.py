@@ -7,7 +7,7 @@ import qfluct as qf
 from qfluct.errors import ValidationError
 from qfluct.rand import random_density_matrix, random_povm
 
-from oracles import projectors
+from oracles import naimark_dilate_randomized, projectors
 from random_inputs import random_hermitian
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -113,7 +113,7 @@ def test_measurement_channel_commuting_fixpoint():
         w = rng.dirichlet(np.ones(3))
         dec = qf.spectral_decompose(h)
         rho = (dec.vectors * w) @ dec.vectors.conj().T
-        out = qf.measurement_channel(rho, obs.measurement())
+        out = qf.measurement_channel(rho, obs)
         assert np.abs(out - rho).max() < 1e-12
 
 
@@ -129,9 +129,8 @@ def test_measurement_channel_idempotent():
     for _ in range(5):
         rho = random_density_matrix(3, rng)
         obs = qf.observable_from_hermitian(random_hermitian(3, rng))
-        m = obs.measurement()
-        once = qf.measurement_channel(rho, m)
-        twice = qf.measurement_channel(once, m)
+        once = qf.measurement_channel(rho, obs)
+        twice = qf.measurement_channel(once, obs)
         assert np.abs(once - twice).max() < 1e-12
 
 
@@ -211,7 +210,7 @@ def test_naimark_dilate_randomized_same_contract_different_unitary():
     rng = np.random.default_rng(8)
     povm = random_povm(2, 3, rng)
     canonical = qf.naimark_dilate(povm)
-    randomized = qf.naimark_dilate_randomized(povm, np.random.default_rng(99))
+    randomized = naimark_dilate_randomized(povm, np.random.default_rng(99))
     for k in range(3):
         assert np.abs(randomized.povm_element(k) - povm.elements[k]).max() < 1e-10
     assert np.abs(canonical.vectors - randomized.vectors).max() > 1e-3

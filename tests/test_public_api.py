@@ -53,12 +53,10 @@ PUBLIC_NAMES = [
     "measurement_channel",
     "mutual_information",
     "naimark_dilate",
-    "naimark_dilate_randomized",
     "observable_from_hermitian",
     "optimize_measurement",
     "povm_probabilities",
     "prepare_instance",
-    "pseudo_log",
     "random_instance",
     "spectral_decompose",
     "support_projector",
@@ -74,4 +72,4 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
-    assert len(names) == 58
+    assert len(names) == 56

@@ -274,7 +274,7 @@ def test_back_action_consistency():
         protocol = random_protocol(seed)
         joint = qf.joint_distribution(protocol)
         dephased = qf.measurement_channel(
-            protocol.initial_state, protocol.initial_observable.measurement()
+            protocol.initial_state, protocol.initial_observable
         )
         protocol2 = qf.TwoTimeProtocol.create(
             dephased, protocol.initial_observable, protocol.channel, protocol.final_observable
