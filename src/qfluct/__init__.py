@@ -33,7 +33,6 @@ from .measurement import (
     ExtendedObservable,
     NaimarkDilation,
     POVM,
-    ProjectiveMeasurement,
     dilation_probabilities,
     measurement_channel,
     naimark_dilate,

@@ -9,6 +9,7 @@ converts the stderr summary only; files always stay in nats.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -18,7 +19,6 @@ from .errors import ConsistencyError, QfluctError, ValidationError
 from .holevo import (
     STATE_KINDS,
     analyze,
-    holevo_chi,
     mutual_information,
     optimize_measurement,
     random_instance,
@@ -33,7 +33,7 @@ from .scenario import (
     report_document,
     write_report,
 )
-from .ttm import jarzynski_scenario, verify_ft
+from .ttm import CHECK_TOL, Check, jarzynski_scenario, verify_ft
 
 CSV_HEADER = (
     "trial,seed,dim,words,outcomes,state_kind,mutual_information,chi,gamma,"
@@ -67,10 +67,7 @@ def _emit(doc: dict, args) -> None:
 
 
 def _check_dicts(checks) -> list[dict]:
-    return [
-        {"name": c.name, "value": float(c.value), "threshold": float(c.threshold), "passed": bool(c.passed)}
-        for c in checks
-    ]
+    return [dataclasses.asdict(c) for c in checks]
 
 
 def cmd_verify(args) -> int:
@@ -78,20 +75,6 @@ def cmd_verify(args) -> int:
     if scenario.kind != "two_time":
         raise ValidationError(f"verify expects a two_time scenario, got kind {scenario.kind!r}")
     report = verify_ft(scenario.two_time, tolerances=scenario.tolerances)
-    checks = [
-        {
-            "name": "fluctuation_identity",
-            "value": report.identity_error,
-            "threshold": report.identity_tol,
-            "passed": report.identity_pass,
-        },
-        {
-            "name": "jensen_bound",
-            "value": report.jensen_slack,
-            "threshold": -report.jensen_tol,
-            "passed": report.jensen_pass,
-        },
-    ]
     doc = report_document(
         kind="two_time",
         input_sha256=digest,
@@ -104,7 +87,7 @@ def cmd_verify(args) -> int:
             "identity_error": report.identity_error,
             "max_violation": report.max_violation,
         },
-        checks=checks,
+        checks=_check_dicts(report.checks),
         atoms=list(report.atoms),
         seed=scenario.seed,
     )
@@ -127,26 +110,6 @@ def cmd_jarzynski(args) -> int:
     _, report = jarzynski_scenario(
         scenario.jarzynski_h0, scenario.jarzynski_protocol, beta, tolerances=scenario.tolerances
     )
-    checks = [
-        {
-            "name": "jarzynski_identity",
-            "value": report.identity_error,
-            "threshold": 1e-8,
-            "passed": report.identity_pass,
-        },
-        {
-            "name": "max_work",
-            "value": report.max_work_slack,
-            "threshold": -1e-8,
-            "passed": report.max_work_pass,
-        },
-        {
-            "name": "fluctuation_identity",
-            "value": report.ft.identity_error,
-            "threshold": report.ft.identity_tol,
-            "passed": report.ft.identity_pass,
-        },
-    ]
     doc = report_document(
         kind="jarzynski",
         input_sha256=digest,
@@ -161,7 +124,7 @@ def cmd_jarzynski(args) -> int:
             "exp_neg_beta_work": report.exp_neg_beta_work,
             "gamma": report.gamma,
         },
-        checks=checks,
+        checks=_check_dicts(report.checks),
         atoms=list(report.ft.atoms),
         seed=scenario.seed,
     )
@@ -277,19 +240,11 @@ def cmd_holevo_optimize(args) -> int:
     outcomes = args.outcomes or scenario.holevo_instance.povm.n_outcomes
     seed = args.seed if args.seed is not None else (scenario.seed or 0)
     povm, achieved = optimize_measurement(ensemble, outcomes, seed, scenario.tolerances)
-    chi = holevo_chi(ensemble, scenario.tolerances)
     baseline = mutual_information(scenario.holevo_instance, scenario.tolerances)
     report = analyze(
         CqChannelInstance.create(ensemble, povm), tol=scenario.tolerances, strict=False
     )
-    checks = _check_dicts(report.checks) + [
-        {
-            "name": "achieved_le_chi",
-            "value": achieved,
-            "threshold": chi + 1e-8,
-            "passed": achieved <= chi + 1e-8,
-        }
-    ]
+    checks = (*report.checks, Check.at_most("achieved_le_chi", achieved, report.chi + CHECK_TOL))
     doc = report_document(
         kind="holevo_optimize",
         input_sha256=digest,
@@ -299,7 +254,7 @@ def cmd_holevo_optimize(args) -> int:
             "achieved_mutual_information": achieved,
             "scenario_povm_mutual_information": baseline,
         },
-        checks=checks,
+        checks=_check_dicts(checks),
         atoms=list(report.atoms),
         extras={"optimized_povm": [matrix_to_json(m) for m in povm.elements]},
         seed=seed,
@@ -308,7 +263,7 @@ def cmd_holevo_optimize(args) -> int:
     _summary(
         [
             f"achieved I = {_display(achieved, args.bits)} "
-            f"(scenario POVM: {_display(baseline, args.bits)}, chi cap: {_display(chi, args.bits)})",
+            f"(scenario POVM: {_display(baseline, args.bits)}, chi cap: {_display(report.chi, args.bits)})",
             "PASS" if doc["passed"] else "FAIL",
         ]
     )

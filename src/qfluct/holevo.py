@@ -45,7 +45,10 @@ from .rand import (
     random_pure_state,
 )
 from .ttm import (
+    CHECK_TOL,
+    Check,
     TwoTimeProtocol,
+    _Checked,
     _efficacy_blocks,
     _joint_blocks,
     _merge_atoms,
@@ -319,16 +322,6 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
 
 
 @dataclass(frozen=True)
-class Check:
-    """One named assertion with its measured value and threshold."""
-
-    name: str
-    value: float
-    threshold: float
-    passed: bool
-
-
-@dataclass(frozen=True)
 class ChainValues:
     """The trace-inequality chain gamma <= g1 <= g2 with g2 = 1."""
 
@@ -338,7 +331,7 @@ class ChainValues:
 
 
 @dataclass(frozen=True, eq=False)
-class HolevoReport:
+class HolevoReport(_Checked):
     """Scalar battery of the sharpened-bound analysis (all logs in nats)."""
 
     mutual_information: float
@@ -357,26 +350,15 @@ class HolevoReport:
     atoms: tuple[tuple[float, float], ...]  # merged delta_a distribution
     checks: tuple[Check, ...]
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.passed]
-
-
-def gt_chain(
-    internals: HolevoInternals,
-    gamma: float,
-    chain_tol: float = 1e-8,
-    strict: bool = True,
-) -> ChainValues:
+def gt_chain(internals: HolevoInternals, gamma: float) -> ChainValues:
     """Evaluate the inequality chain gamma <= g1 <= g2 and g2 = 1.
 
     g1 is the per-word trace of the compressed exponential of the combined
     exponent; g2 contracts the exponentials separately, which telescopes
-    to exactly one.  A violation flags a construction or numerics bug and
-    raises when strict.
+    to exactly one.  The values are returned, not judged: analyze's checks
+    chain_gamma_le_g1, chain_g1_le_g2 and chain_g2_is_one judge them, and a
+    violation there flags a construction or numerics bug.
     """
     priors = internals.ensemble.priors
     g1 = float(priors @ internals.exp_traces)
@@ -386,15 +368,7 @@ def gt_chain(
         internals.cond, internals.marginals, out=np.zeros_like(internals.cond), where=internals.retained
     )
     g2 = float(priors @ ratios @ overlaps)
-    chain = ChainValues(gamma=gamma, g1=g1, g2=g2)
-    if strict:
-        if gamma > g1 + chain_tol or g1 > g2 + chain_tol:
-            raise ConsistencyError(
-                f"inequality chain violated: gamma={gamma!r}, g1={g1!r}, g2={g2!r}"
-            )
-        if abs(g2 - 1.0) > 1e-9:
-            raise ConsistencyError(f"chain endpoint g2={g2!r} differs from 1 beyond 1e-9")
-    return chain
+    return ChainValues(gamma=gamma, g1=g1, g2=g2)
 
 
 def equality_residual(internals: HolevoInternals, gamma: float) -> tuple[float, float]:
@@ -428,7 +402,6 @@ def equality_residual(internals: HolevoInternals, gamma: float) -> tuple[float, 
 def analyze(
     inst: CqChannelInstance,
     tol: Tolerances = DEFAULT_TOLS,
-    identity_tol: float = 1e-8,
     strict: bool = True,
 ) -> HolevoReport:
     """Full sharpened-bound analysis of a classical-quantum instance.
@@ -439,8 +412,11 @@ def analyze(
     state and observables vanish off probe |0>.  The efficacy comes by the
     enumeration route (the prior-weighted outcome pairs of all words merged
     into one set of atoms) and by the trace route (the prior-weighted sum),
-    and every bound, chain and residual is evaluated.  With strict=True any failed cross-check raises
-    ConsistencyError; otherwise failures are recorded in the report's checks.
+    and every bound, chain and residual is evaluated.  The report's checks
+    hold the route, mean, bound and chain comparisons to CHECK_TOL and the
+    rest to their own fixed thresholds.  With strict=True any failed check
+    raises ConsistencyError; otherwise failures are recorded in the
+    report's checks.
     """
     internals = prepare_instance(inst, tol)
     priors = internals.ensemble.priors
@@ -459,43 +435,23 @@ def analyze(
     bound_slack = (chi - info) - neg_log_gamma
     route_error = abs(gamma_dist - gamma_trace)
 
-    chain = gt_chain(internals, gamma, chain_tol=identity_tol, strict=False)
+    chain = gt_chain(internals, gamma)
     residual, dropped_overlap = equality_residual(internals, gamma)
 
     checks = (
-        Check("route_agreement", route_error, identity_tol, route_error <= identity_tol),
-        Check(
-            "mean_identity",
-            abs(mean - (chi - info)),
-            identity_tol,
-            abs(mean - (chi - info)) <= identity_tol,
-        ),
-        Check(
-            "decomposition_identity",
-            abs(shannon + conditional - info),
-            1e-10,
-            abs(shannon + conditional - info) <= 1e-10,
-        ),
-        Check("bound_slack_nonneg", bound_slack, -identity_tol, bound_slack >= -identity_tol),
-        Check(
-            "neg_log_gamma_nonneg",
-            neg_log_gamma,
-            -identity_tol,
-            neg_log_gamma >= -identity_tol,
-        ),
-        Check("gamma_le_one", gamma, 1.0 + 1e-9, gamma <= 1.0 + 1e-9),
-        Check(
-            "chain_gamma_le_g1",
-            chain.g1 - gamma,
-            -identity_tol,
-            chain.g1 - gamma >= -identity_tol,
-        ),
-        Check("chain_g1_le_g2", chain.g2 - chain.g1, -identity_tol, chain.g2 - chain.g1 >= -identity_tol),
-        Check("chain_g2_is_one", abs(chain.g2 - 1.0), 1e-9, abs(chain.g2 - 1.0) <= 1e-9),
-        Check("info_nonneg", info, -1e-9, info >= -1e-9),
-        Check("chi_nonneg", chi, -1e-9, chi >= -1e-9),
-        Check("info_le_shannon", shannon - info, -1e-9, shannon - info >= -1e-9),
-        Check("dropped_outcome_overlap", dropped_overlap, 1e-8, dropped_overlap <= 1e-8),
+        Check.at_most("route_agreement", route_error, CHECK_TOL),
+        Check.at_most("mean_identity", abs(mean - (chi - info)), CHECK_TOL),
+        Check.at_most("decomposition_identity", abs(shannon + conditional - info), 1e-10),
+        Check.at_least("bound_slack_nonneg", bound_slack, -CHECK_TOL),
+        Check.at_least("neg_log_gamma_nonneg", neg_log_gamma, -CHECK_TOL),
+        Check.at_most("gamma_le_one", gamma, 1.0 + 1e-9),
+        Check.at_least("chain_gamma_le_g1", chain.g1 - gamma, -CHECK_TOL),
+        Check.at_least("chain_g1_le_g2", chain.g2 - chain.g1, -CHECK_TOL),
+        Check.at_most("chain_g2_is_one", abs(chain.g2 - 1.0), 1e-9),
+        Check.at_least("info_nonneg", info, -1e-9),
+        Check.at_least("chi_nonneg", chi, -1e-9),
+        Check.at_least("info_le_shannon", shannon - info, -1e-9),
+        Check.at_most("dropped_outcome_overlap", dropped_overlap, 1e-8),
     )
     report = HolevoReport(
         mutual_information=info,

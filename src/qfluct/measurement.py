@@ -4,9 +4,9 @@ and the probe-based orthogonal realization of a POVM.
 An extended observable carries a spectral list of (value, eigenvector
 block) branches where at most one value may be +infinity; that branch
 marks the subspace on which exp(-A) vanishes, keeping the exponential
-bounded.  Projective measurements, Naimark dilations and extended
-observables share one representation: the columns of a unitary grouped
-into branch blocks.
+bounded.  Naimark dilations and extended observables share one
+representation of a projective measurement: the columns of a unitary
+grouped into branch blocks.
 """
 
 from __future__ import annotations
@@ -87,17 +87,6 @@ class BranchBlocks:
 
     def blocks(self) -> list[np.ndarray]:
         return [self.vectors[:, a:b] for a, b in zip(self.offsets, self.offsets[1:])]
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectiveMeasurement(BranchBlocks):
-    """Complete family of mutually orthogonal projectors."""
-
-    @classmethod
-    def create(cls, projectors: Iterable, tol: Tolerances = DEFAULT_TOLS) -> "ProjectiveMeasurement":
-        blocks = [_projector_columns(require_projector(p, tol)) for p in projectors]
-        vectors, offsets = _stack_blocks(blocks, tol, "projective measurement")
-        return cls(vectors=vectors, offsets=offsets)
 
 
 @dataclass(frozen=True, eq=False)

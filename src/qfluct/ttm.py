@@ -94,27 +94,67 @@ class DeltaDistribution:
     probs: np.ndarray
 
 
+# Check thresholds.  The fluctuation identity <exp(-delta_a)> = gamma of one
+# protocol is held to FT_IDENTITY_TOL, relative to max(1, gamma).  CHECK_TOL
+# holds the Jensen and maximum-work bounds, the Jarzynski identity, and the
+# route, mean, bound and chain checks of holevo.analyze.
+FT_IDENTITY_TOL = 1e-9
+CHECK_TOL = 1e-8
+
+
 @dataclass(frozen=True)
-class FtReport:
+class Check:
+    """One named assertion with its measured value and threshold."""
+
+    name: str
+    value: float
+    threshold: float
+    passed: bool
+
+    @classmethod
+    def at_most(cls, name: str, value: float, threshold: float) -> "Check":
+        """Passes when value <= threshold."""
+        return cls(name, float(value), float(threshold), bool(value <= threshold))
+
+    @classmethod
+    def at_least(cls, name: str, value: float, threshold: float) -> "Check":
+        """Passes when value >= threshold."""
+        return cls(name, float(value), float(threshold), bool(value >= threshold))
+
+
+class _Checked:
+    """A report whose verdict is the conjunction of its checks."""
+
+    checks: tuple[Check, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def failures(self) -> list[Check]:
+        return [c for c in self.checks if not c.passed]
+
+
+@dataclass(frozen=True)
+class FtReport(_Checked):
     """Fluctuation-theorem verification: exponential average vs. trace
-    formula, and the Jensen bound.  Failure is a report outcome, not an
-    exception."""
+    formula, and the Jensen bound.  Its checks are fluctuation_identity
+    (identity_error at most FT_IDENTITY_TOL) and jensen_bound (jensen_slack
+    at least -CHECK_TOL).  Failure is a report outcome, not an exception."""
 
     lhs: float                # <exp(-delta_a)> from the distribution
     gamma: float              # trace-formula efficacy
     mean_delta_a: float
-    jensen_slack: float       # <delta_a> + ln(gamma), must be >= -jensen_tol
+    jensen_slack: float       # <delta_a> + ln(gamma)
     identity_error: float     # |lhs - gamma| / max(1, |gamma|)
     max_violation: float
-    identity_tol: float
-    jensen_tol: float
-    identity_pass: bool
-    jensen_pass: bool
     atoms: tuple[tuple[float, float], ...]  # merged delta_a distribution
+    checks: tuple[Check, ...]
 
     @property
-    def passed(self) -> bool:
-        return self.identity_pass and self.jensen_pass
+    def identity_tol(self) -> float:
+        """Threshold of the fluctuation_identity check."""
+        return FT_IDENTITY_TOL
 
 
 def joint_distribution(
@@ -272,13 +312,9 @@ def mean_delta_a(delta: DeltaDistribution) -> float:
     return float(np.sum(delta.probs * delta.values))
 
 
-def verify_ft(
-    protocol: TwoTimeProtocol,
-    tol: float = 1e-9,
-    jensen_tol: float = 1e-8,
-    tolerances: Tolerances = DEFAULT_TOLS,
-) -> FtReport:
-    """Check <exp(-delta_a)> = gamma and <delta_a> >= -ln(gamma).
+def verify_ft(protocol: TwoTimeProtocol, tolerances: Tolerances = DEFAULT_TOLS) -> FtReport:
+    """Check <exp(-delta_a)> = gamma and <delta_a> >= -ln(gamma), the
+    checks fluctuation_identity and jensen_bound.
 
     The left side comes from exact enumeration of the outcome
     distribution, the right side from the trace formula; the two code
@@ -293,8 +329,6 @@ def verify_ft(
     mean = mean_delta_a(delta)
     identity_error = abs(lhs - gamma) / max(1.0, abs(gamma))
     jensen_slack = mean + math.log(gamma)
-    identity_pass = identity_error <= tol
-    jensen_pass = jensen_slack >= -jensen_tol
     return FtReport(
         lhs=lhs,
         gamma=gamma,
@@ -302,17 +336,18 @@ def verify_ft(
         jensen_slack=jensen_slack,
         identity_error=identity_error,
         max_violation=max(identity_error, -min(jensen_slack, 0.0)),
-        identity_tol=tol,
-        jensen_tol=jensen_tol,
-        identity_pass=identity_pass,
-        jensen_pass=jensen_pass,
         atoms=tuple(zip(delta.values.tolist(), delta.probs.tolist())),
+        checks=(
+            Check.at_most("fluctuation_identity", identity_error, FT_IDENTITY_TOL),
+            Check.at_least("jensen_bound", jensen_slack, -CHECK_TOL),
+        ),
     )
 
 
 @dataclass(frozen=True)
-class JarzynskiReport:
-    """Work-statistics summary of a Gibbs-initialized unitary protocol."""
+class JarzynskiReport(_Checked):
+    """Work-statistics summary of a Gibbs-initialized unitary protocol.  Its
+    checks are jarzynski_identity, max_work and the checks of ft."""
 
     beta: float
     z0: float
@@ -323,14 +358,9 @@ class JarzynskiReport:
     exp_neg_beta_work: float    # <exp(-beta W)>
     gamma: float
     identity_error: float       # |<exp(-beta W)> - Z_tau/Z_0|
-    max_work_slack: float       # beta <W> - beta dF, must be >= -tol
-    identity_pass: bool
-    max_work_pass: bool
+    max_work_slack: float       # beta <W> - beta dF
     ft: FtReport
-
-    @property
-    def passed(self) -> bool:
-        return self.identity_pass and self.max_work_pass and self.ft.passed
+    checks: tuple[Check, ...]
 
 
 def gibbs_state(
@@ -363,7 +393,6 @@ def jarzynski_scenario(
     h0,
     protocol: EvolutionProtocol,
     beta: float,
-    identity_tol: float = 1e-8,
     tolerances: Tolerances = DEFAULT_TOLS,
 ) -> tuple[TwoTimeProtocol, JarzynskiReport]:
     """Build the work-statistics special case and verify its identities.
@@ -371,7 +400,7 @@ def jarzynski_scenario(
     Initial Gibbs state of h0, energy observables scaled by beta at both
     ends, unitary evolution from the protocol.  The report checks
     <exp(-beta W)> = Z_tau/Z_0 and the maximum work inequality
-    beta <W> >= beta dF.
+    beta <W> >= beta dF, both at CHECK_TOL, then the checks of verify_ft.
     """
     beta = float(beta)
     if beta <= 0:
@@ -407,8 +436,11 @@ def jarzynski_scenario(
         gamma=ft.gamma,
         identity_error=identity_error,
         max_work_slack=max_work_slack,
-        identity_pass=identity_error <= identity_tol,
-        max_work_pass=max_work_slack >= -identity_tol,
         ft=ft,
+        checks=(
+            Check.at_most("jarzynski_identity", identity_error, CHECK_TOL),
+            Check.at_least("max_work", max_work_slack, -CHECK_TOL),
+            *ft.checks,
+        ),
     )
     return two_time, report

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,9 @@ import qfluct as qf
 import qfluct.cli as cli
 from qfluct.errors import ConsistencyError
 from qfluct.scenario import load_scenario
+from qfluct.ttm import CHECK_TOL, Check
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def cmat(rows):
@@ -279,3 +284,80 @@ def test_shipped_sample_scenarios_pass(tmp_path):
     assert abs(report["scalars"]["mutual_information"] - math.log(2)) < 1e-10
     assert abs(report["scalars"]["chi"] - math.log(2)) < 1e-10
     assert abs(report["scalars"]["gamma"] - 1.0) < 1e-10
+
+
+def _library_checks(command: str, path: Path):
+    """The checks of the library report that the command serializes."""
+    scenario, _ = load_scenario(path)
+    tol = scenario.tolerances
+    if command == "verify":
+        return qf.verify_ft(scenario.two_time, tolerances=tol).checks
+    if command == "jarzynski":
+        return qf.jarzynski_scenario(
+            scenario.jarzynski_h0, scenario.jarzynski_protocol, scenario.jarzynski_beta, tolerances=tol
+        )[1].checks
+    if command == "analyze":
+        return qf.analyze(scenario.holevo_instance, tol=tol, strict=False).checks
+    ensemble = scenario.holevo_instance.ensemble
+    povm, achieved = qf.optimize_measurement(ensemble, scenario.holevo_instance.povm.n_outcomes, 1, tol)
+    report = qf.analyze(qf.CqChannelInstance.create(ensemble, povm), tol=tol, strict=False)
+    return (*report.checks, Check.at_most("achieved_le_chi", achieved, report.chi + CHECK_TOL))
+
+
+COMMANDS = {
+    "verify": ["verify"],
+    "jarzynski": ["jarzynski"],
+    "analyze": ["holevo", "analyze"],
+    "optimize": ["holevo", "optimize"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("verify", "bit_flip_two_time"),
+        ("jarzynski", "sudden_quench_jarzynski"),
+        ("analyze", "zero_plus_holevo"),
+        ("analyze", "orthogonal_holevo"),
+        ("optimize", "zero_plus_holevo"),
+    ],
+)
+def test_report_checks_are_the_library_checks(command, name, tmp_path):
+    path = SCENARIOS / f"{name}.json"
+    out = tmp_path / "report.json"
+    code = cli.main(COMMANDS[command] + [str(path), "--seed", "1", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    expected = _library_checks(command, path)
+    assert doc["checks"] == [dataclasses.asdict(c) for c in expected]
+    assert doc["passed"] is (code == 0)
+    if command == "jarzynski":
+        assert doc["checks"][-1]["name"] == "jensen_bound"
+    if command == "optimize":
+        assert doc["checks"][-1]["name"] == "achieved_le_chi"
+
+
+@pytest.mark.parametrize(
+    "command, name, target",
+    [
+        ("verify", "bit_flip_two_time", "verify_ft"),
+        ("jarzynski", "sudden_quench_jarzynski", "jarzynski_scenario"),
+        ("analyze", "zero_plus_holevo", "analyze"),
+    ],
+)
+def test_a_failed_last_check_fails_the_document_and_the_exit_code(command, name, target, tmp_path, monkeypatch):
+    def fail_last(report):
+        *kept, last = report.checks
+        return dataclasses.replace(report, checks=(*kept, dataclasses.replace(last, passed=False)))
+
+    real = getattr(cli, target)
+
+    def failing(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return (result[0], fail_last(result[1])) if isinstance(result, tuple) else fail_last(result)
+
+    monkeypatch.setattr(cli, target, failing)
+    out = tmp_path / "report.json"
+    assert cli.main(COMMANDS[command] + [str(SCENARIOS / f"{name}.json"), "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["checks"][-1]["passed"] is False
+    assert doc["passed"] is False

@@ -15,9 +15,7 @@ PLUS = np.full((2, 2), 0.5, dtype=complex)
 
 
 def z_basis_measurement():
-    return qf.ProjectiveMeasurement.create(
-        [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-    )
+    return qf.observable_from_hermitian(PAULI_Z)
 
 
 def test_observable_from_hermitian_pauli_z():

@@ -1,6 +1,8 @@
-"""The public names of qfluct, pinned so that adding or removing one shows
-in the diff of this file."""
+"""The public names of qfluct and the parameters of its checked entry
+points, pinned so that adding or removing one shows in the diff of this
+file."""
 
+import inspect
 import types
 
 import qfluct
@@ -23,7 +25,6 @@ PUBLIC_NAMES = [
     "KrausChannel",
     "NaimarkDilation",
     "POVM",
-    "ProjectiveMeasurement",
     "QfluctError",
     "SpectralDecomposition",
     "Tolerances",
@@ -64,6 +65,14 @@ PUBLIC_NAMES = [
     "verify_ft",
 ]
 
+PARAMETERS = {
+    "analyze": ["inst", "tol", "strict"],
+    "gt_chain": ["internals", "gamma"],
+    "jarzynski_scenario": ["h0", "protocol", "beta", "tolerances"],
+    "optimize_measurement": ["ensemble", "n_outcomes", "seed", "tol"],
+    "verify_ft": ["protocol", "tolerances"],
+}
+
 
 def test_public_names_are_pinned():
     names = sorted(
@@ -72,4 +81,9 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC_NAMES
-    assert len(names) == 56
+    assert len(names) == 55
+
+
+def test_entry_point_parameters_are_pinned():
+    for name, parameters in PARAMETERS.items():
+        assert list(inspect.signature(getattr(qfluct, name)).parameters) == parameters, name

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import qfluct as qf
 from qfluct.errors import ConsistencyError, IllPosedProtocolError, ValidationError
 from qfluct.rand import random_density_matrix, random_pure_state
+from qfluct.ttm import Check
 
 from oracles import merge_atoms_reference, projectors
 from random_inputs import haar_unitary, random_hermitian, random_observable
@@ -240,6 +241,16 @@ def test_efficacy_bit_flip_closed_form():
     gamma = qf.efficacy(z_protocol(rho, qf.bit_flip_channel(0.5)))
     expected = (3 / 8) * (1 + np.exp(2)) + (1 / 8) * (1 + np.exp(-2))
     assert abs(gamma - expected) < 1e-12
+
+
+def test_checks_pass_at_their_threshold():
+    assert Check.at_most("x", 1e-9, 1e-9).passed
+    assert Check.at_least("x", -1e-8, -1e-8).passed
+    assert not Check.at_most("x", math.nextafter(1e-9, 1.0), 1e-9).passed
+    assert not Check.at_least("x", math.nextafter(-1e-8, -1.0), -1e-8).passed
+    assert not Check.at_most("x", math.nan, 1.0).passed
+    check = Check.at_least("x", np.float64(0.5), np.float64(0.25))
+    assert (type(check.value), type(check.threshold), type(check.passed)) == (float, float, bool)
 
 
 def test_verify_ft_random_protocols():
