@@ -16,6 +16,7 @@ from .operator_core import (
     max_abs,
     require_hermitian,
     spectral_decompose,
+    _as_matrices,
 )
 
 
@@ -49,11 +50,12 @@ class KrausChannel:
 
 
 def apply_channel(channel: KrausChannel, rho) -> np.ndarray:
-    """Apply the channel: sum_k K_k rho K_k†."""
-    state = as_matrix(rho)
-    if state.shape[0] != channel.dim:
+    """Apply the channel: sum_k K_k rho K_k†, to one matrix or to each
+    matrix of a stack (..., d, d)."""
+    state = _as_matrices(rho)
+    if state.shape[-1] != channel.dim:
         raise ValidationError(
-            f"dimension mismatch: state {state.shape[0]}, channel {channel.dim}"
+            f"dimension mismatch: state {state.shape[-1]}, channel {channel.dim}"
         )
     out = np.zeros_like(state)
     for k in channel.kraus_ops:

@@ -3,9 +3,9 @@ quantity, and the measurement-dependent sharpening of the Holevo bound.
 
 The sharpening comes from running the two-time measurement engine on a
 composite encoding (x) probe (x) message space, a direct sum over the
-message register that is solved word by word.  The composite's state and
-observables vanish off probe |0>, so each word runs on the encoding space
-alone.  The mean outcome difference equals chi - I and the fluctuation
+message register whose words are solved as one batch on a leading word
+axis.  The composite's state and observables vanish off probe |0>, so each
+word runs on the encoding space alone.  The mean outcome difference equals chi - I and the fluctuation
 identity supplies a correction term -ln(gamma) >= 0, with gamma computed
 both by exact outcome enumeration and by the trace formula.  A
 trace-inequality chain certifies -ln(gamma) >= 0 step by step, and an
@@ -23,17 +23,17 @@ import numpy as np
 
 from .channel import identity_channel
 from .errors import ConsistencyError, ValidationError
-from .measurement import ExtendedObservable, POVM
+from .measurement import POVM, _observables
 from .operator_core import (
     DEFAULT_TOLS,
     SpectralDecomposition,
     Tolerances,
-    group_eigenspaces,
-    max_abs,
     require_density_matrix,
     spectral_decompose,
+    _checked_eigh,
     _compressed_eigh,
     _density_spectrum,
+    _max_abs_each,
     _support_mask,
 )
 from .rand import (
@@ -57,18 +57,12 @@ from .ttm import (
 )
 
 
-def von_neumann_entropy(rho, tol: Tolerances = DEFAULT_TOLS) -> float:
-    """-tr(rho ln rho) in nats, with 0 ln 0 = 0."""
-    w = _density_spectrum(rho, tol)[1]
-    w = w[w > 0]
-    return float(-np.sum(w * np.log(w)))
-
-
-def shannon_entropy(probs: np.ndarray) -> float:
-    """-sum p ln p in nats over the strictly positive entries."""
-    p = np.asarray(probs, dtype=float)
-    p = p[p > 0]
-    return float(-np.sum(p * np.log(p)))
+def _entropy(probs: np.ndarray) -> np.ndarray:
+    """-sum p ln p in nats over the strictly positive entries of the last
+    axis (..., n): a Shannon entropy, or a von Neumann entropy from a
+    spectrum."""
+    positive = probs > 0
+    return -np.sum(np.where(positive, probs * np.log(probs, out=np.ones_like(probs), where=positive), 0.0), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,10 +115,7 @@ class Ensemble:
         return len(self.states)
 
     def average_state(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for p, s in zip(self.priors, self.states):
-            out += p * s
-        return out
+        return np.tensordot(self.priors, np.asarray(self.states, dtype=complex), axes=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,19 +137,22 @@ class CqChannelInstance:
 def conditional_probabilities(
     inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS
 ) -> np.ndarray:
-    """Matrix of outcome probabilities given the word, rows indexed by word.
+    """Matrix of outcome probabilities given the word, rows indexed by word:
+    tr(rho_j M_k) for all pairs from one stacked product.
 
     Rows must sum to one within 1e-10.
     """
-    cond = np.zeros((inst.ensemble.n_words, inst.povm.n_outcomes))
-    for j, rho in enumerate(inst.ensemble.states):
-        row = np.array([float(np.trace(rho @ m).real) for m in inst.povm.elements])
-        if row.min() < -tol.prob_floor:
-            raise ValidationError(f"conditional probability {row.min():.3e} below -prob_floor")
-        row = np.clip(row, 0.0, None)
-        if abs(row.sum() - 1.0) > 1e-10:
-            raise ConsistencyError(f"conditional row {j} sums to {row.sum()!r}")
-        cond[j] = row
+    states, elements = np.asarray(inst.ensemble.states), np.asarray(inst.povm.elements)
+    cond = np.trace(states[:, None] @ elements, axis1=-2, axis2=-1).real
+    lows = cond.min(axis=1)
+    cond = np.clip(cond, 0.0, None)
+    sums = cond.sum(axis=1)
+    failed = (lows < -tol.prob_floor) | (np.abs(sums - 1.0) > 1e-10)
+    if failed.any():
+        j = int(np.argmax(failed))
+        if lows[j] < -tol.prob_floor:
+            raise ValidationError(f"conditional probability {lows[j]:.3e} of word {j} below -prob_floor")
+        raise ConsistencyError(f"conditional row {j} sums to {float(sums[j])!r}")
     return cond
 
 
@@ -186,24 +180,29 @@ def mutual_information(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) 
 def _decomposition_arrays(
     priors: np.ndarray, cond: np.ndarray, prob_floor: float
 ) -> tuple[float, float]:
+    """H(p) and sum_jk p(k) p(j|k) ln p(j|k), over the outcomes whose
+    marginal p(k) and the posteriors p(j|k) above prob_floor."""
     marginals = priors @ cond
-    conditional = 0.0
-    for k in range(cond.shape[1]):
-        if marginals[k] <= prob_floor:
-            continue
-        for j in range(cond.shape[0]):
-            posterior = cond[j, k] * priors[j] / marginals[k]
-            if posterior > prob_floor:
-                conditional += marginals[k] * posterior * math.log(posterior)
-    return shannon_entropy(priors), float(conditional)
+    posterior = np.divide(
+        cond * priors[:, None], marginals, out=np.zeros_like(cond), where=marginals > prob_floor
+    )
+    kept = posterior > prob_floor
+    log_posterior = np.log(posterior, out=np.zeros_like(posterior), where=kept)
+    terms = np.where(kept, marginals * posterior * log_posterior, 0.0)
+    return float(_entropy(priors)), float(terms.sum())
 
 
 def holevo_chi(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOLS) -> float:
-    """Entropy of the average state minus the average state entropy (nats)."""
-    chi = von_neumann_entropy(ensemble.average_state(), tol)
-    for p, rho in zip(ensemble.priors, ensemble.states):
-        chi -= p * von_neumann_entropy(rho, tol)
-    return float(chi)
+    """Entropy of the average state minus the average state entropy (nats).
+
+    One eigvalsh of the stack (rho_1 ... rho_J, rho_bar) with the state
+    checks batched; an error names the first failing state, and index J is
+    the average state.  The spectra are this function's own, not those of
+    prepare_instance, so analyze's mean_identity compares two computations.
+    """
+    stack = np.concatenate([np.asarray(ensemble.states, dtype=complex), ensemble.average_state()[None]])
+    entropies = _entropy(_density_spectrum(stack, tol)[1])
+    return float(entropies[-1] - ensemble.priors @ entropies[:-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,10 +211,11 @@ class HolevoInternals:
     the chain diagnostic and the equality residual, which reuse its spectra.
     Each word's protocol acts on the encoding space: the composite's state
     and observables vanish off probe |0>, where the dilated projectors
-    compress to the POVM elements."""
+    compress to the POVM elements.  Per-word arrays carry a leading word
+    axis of length J."""
 
     ensemble: Ensemble
-    povm_elements: tuple[np.ndarray, ...]
+    elements: np.ndarray        # (K, d, d) POVM elements
     tolerances: Tolerances
     cond: np.ndarray            # (J, K) conditional probabilities
     marginals: np.ndarray       # (K,)
@@ -223,88 +223,107 @@ class HolevoInternals:
     retained: np.ndarray        # (J, K) bool, cond > prob_floor
     rho_bar: np.ndarray
     average_support: SpectralDecomposition  # rho_bar on supp rho_bar: r > 0 values, d x r columns
-    word_supports: tuple[SpectralDecomposition, ...]  # each rho_j on its support
+    word_values: np.ndarray     # (J, d) ascending eigenvalues of each rho_j
+    word_vectors: np.ndarray    # (J, d, d) their eigenvectors
+    word_support: np.ndarray    # (J, d) bool, the support rule on word_values
     exp_traces: np.ndarray      # (J,) tr W_j, W_j = exp(-A_f) of word j
     protocols: tuple[TwoTimeProtocol, ...]  # per word: rho_j, A_i, identity, A_f
 
 
-def _observable(values: np.ndarray, vectors: np.ndarray, tol: Tolerances) -> ExtendedObservable:
-    """The observable with value values[a] (+infinity allowed) on the
-    column vectors[:, a]; finite values within degeneracy_tol share a branch."""
-    finite = np.isfinite(values)
-    order = np.argsort(values[finite], kind="stable")
-    dec = SpectralDecomposition(values=values[finite][order], vectors=vectors[:, finite][:, order])
-    branches = group_eigenspaces(dec, tol.degeneracy_tol)
-    if not finite.all():
-        branches.append((math.inf, vectors[:, ~finite]))
-    return ExtendedObservable.from_blocks(branches, tol)
-
-
 def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) -> HolevoInternals:
-    """Assemble each word's protocol from d x d spectra.  The composite's
-    state rho_j (x) |0><0| and both observables vanish off probe |0>, where
-    the dilated projectors compress to the POVM elements M_k, so each word
-    runs on the encoding space.  Each rho_j is decomposed once; supp rho_bar
-    is the span of their support columns (rank cut by an SVD at rank_tol
-    times the top singular value), where rho_bar has values lambda_bar > 0
-    on columns s_bar.  One eigh of
-    F_c = diag(ln lambda_bar) + sum_k info_jk s_bar† M_k s_bar (retained k),
-    compressed to the kernel of the dropped s_bar† M_k s_bar, gives A_f = -w
-    on s_bar v where e^w is on the support of W_j = exp(-A_f), and
-    +infinity elsewhere.  A_i is -ln(lambda) on rho_j's support, else 0.
+    """Assemble each word's protocol from d x d spectra, all words at once.
+
+    The composite's state rho_j (x) |0><0| and both observables vanish off
+    probe |0>, where the dilated projectors compress to the POVM elements
+    M_k, so each word runs on the encoding space.  The words are stacked on
+    a leading axis: the conditionals are one contraction, the states
+    (J, d, d) one eigh, and every check (Hermiticity, reconstruction,
+    orthonormality, PSD, support leak, |V†V - I| of each observable) runs
+    once over the stack and names the failing word.  supp rho_bar is the
+    span of the words' support columns (rank cut by an SVD at rank_tol
+    times the top singular value), where rho_bar has values
+    lambda_bar > 0 on columns s_bar.  The exponent
+    F_c = diag(ln lambda_bar) + sum_k info_jk s_bar† M_k s_bar (retained k)
+    of the words that drop no outcome is one batched eigh; a word that
+    drops one is compressed to the kernel of its dropped s_bar† M_k s_bar
+    on its own, since that kernel's size is its own.  A_f = -w on s_bar v
+    where e^w is on the support of W_j = exp(-A_f), and +infinity
+    elsewhere; A_i is -ln(lambda) on rho_j's support, else 0.  Both
+    observables of every word are grouped into branches by one call.
     """
     ensemble = inst.ensemble
     d, jw = ensemble.dim, ensemble.n_words
+    states = np.asarray(ensemble.states)
+    elements = np.asarray(inst.povm.elements)
     cond = conditional_probabilities(inst, tol)
     marginals = ensemble.priors @ cond
     retained = cond > tol.prob_floor
-    for k in range(inst.povm.n_outcomes):
-        if retained[:, k].any() and marginals[k] <= tol.prob_floor:
-            raise ValidationError(
-                f"inconsistent marginal: outcome {k} has probability {marginals[k]:.3e} "
-                f"but a conditional probability above prob_floor"
-            )
+    inconsistent = retained.any(axis=0) & (marginals <= tol.prob_floor)
+    if inconsistent.any():
+        k = int(np.argmax(inconsistent))
+        raise ValidationError(
+            f"inconsistent marginal: outcome {k} has probability {marginals[k]:.3e} "
+            f"but a conditional probability above prob_floor"
+        )
     info_terms = _information_terms(ensemble.priors, cond, tol.prob_floor)
 
-    spectra = [spectral_decompose(rho, tol) for rho in ensemble.states]
-    masks = [_support_mask(dec.values, tol, "a code word state") for dec in spectra]
-    supports = np.concatenate([dec.vectors[:, mask] for dec, mask in zip(spectra, masks)], axis=1)
-    span, singular, _ = np.linalg.svd(supports)
+    values, vectors = _checked_eigh(states, tol, "state")
+    support = _support_mask(values, tol, "code word state")
+    # the words' support columns side by side, word by word
+    span, singular, _ = np.linalg.svd(vectors.transpose(1, 0, 2)[:, support])
     rank = int(np.count_nonzero(singular > tol.rank_tol * singular[0]))
     outside = span[:, rank:]
-    for j, rho in enumerate(ensemble.states):
-        leak = float(np.trace(outside.conj().T @ rho @ outside).real)
-        if leak > tol.psd_tol:
-            raise ValidationError(f"state {j} leaks {leak:.3e} outside the support of the average state")
+    leaks = np.einsum("ai,jab,bi->j", outside.conj(), states, outside).real
+    leaking = leaks > tol.psd_tol
+    if leaking.any():
+        j = int(np.argmax(leaking))
+        raise ValidationError(f"state {j} leaks {leaks[j]:.3e} outside the support of the average state")
     rho_bar = ensemble.average_state()
     inner = spectral_decompose(span[:, :rank].conj().T @ rho_bar @ span[:, :rank], tol)
     if inner.values[0] <= 0:
         raise ValidationError(f"the average state has eigenvalue {inner.values[0]:.3e} on its support")
     s_bar = span[:, :rank] @ inner.vectors
-    compressed = [s_bar.conj().T @ m @ s_bar for m in inst.povm.elements]
-    log_bar = np.diag(np.log(inner.values))
+    compressed = s_bar.conj().T @ elements @ s_bar
+    # info_terms is 0 on the dropped outcomes, so only retained ones add
+    exponents = np.diag(np.log(inner.values)) + np.einsum("jk,kab->jab", info_terms, compressed)
 
-    channel = identity_channel(d)
-    exp_traces, protocols = np.zeros(jw), []
-    for j, (rho, dec, mask) in enumerate(zip(ensemble.states, spectra, masks)):
-        exponent = log_bar + sum(info_terms[j, k] * compressed[k] for k in np.flatnonzero(retained[j]))
-        dropped = [compressed[k] for k in np.flatnonzero(~retained[j])]
-        w, cols, suppressed = _compressed_eigh(exponent, sum(dropped) if dropped else None, tol)
-        exp_traces[j] = np.exp(w).sum()
+    exp_traces = np.empty(jw)
+    final_values = np.full((jw, d), math.inf)
+    encoding = np.empty((jw, d, d), dtype=complex)
+    encoding[:, :, rank:] = outside
+
+    def place(words, w: np.ndarray, cols: np.ndarray) -> None:
+        exp_traces[words] = np.exp(w).sum(axis=-1)
         finite = _support_mask(np.exp(w), tol, "exp(-A_f)")
-        values = np.concatenate([np.where(finite, -w, math.inf), np.full(d - w.size, math.inf)])
-        encoding = np.concatenate([s_bar @ cols, s_bar @ suppressed, outside], axis=1)
-        a_f = _observable(values, encoding, tol)
-        neg_log = np.zeros(d)
-        neg_log[mask] = -np.log(dec.values[mask])
-        a_i = _observable(neg_log, dec.vectors, tol)
-        # Built without TwoTimeProtocol.create, whose state check would repeat
-        # Ensemble.create's; every part is d-dimensional and A_i is finite.
-        protocols.append(TwoTimeProtocol(rho, a_i, channel, a_f))
+        final_values[words, : w.shape[-1]] = np.where(finite, -w, math.inf)
+        encoding[words, :, : w.shape[-1]] = s_bar @ cols
+
+    dropping = ~retained.all(axis=1)
+    full = np.flatnonzero(~dropping)
+    if full.size:
+        place(full, *_compressed_eigh(exponents[full], None, tol)[:2])
+    for j in np.flatnonzero(dropping):
+        w, cols, suppressed = _compressed_eigh(exponents[j], compressed[~retained[j]].sum(axis=0), tol)
+        encoding[j, :, w.size : rank] = s_bar @ suppressed
+        place(j, w, cols)
+    initial_values = np.where(support, -np.log(np.where(support, values, 1.0)), 0.0)
+    observables = _observables(
+        np.concatenate([initial_values, final_values]),
+        np.concatenate([vectors, encoding]),
+        tol,
+        lambda i: f"{'A_i' if i < jw else 'A_f'} of word {i % jw}",
+    )
+    channel = identity_channel(d)
+    # Built without TwoTimeProtocol.create, whose state check would repeat
+    # Ensemble.create's; every part is d-dimensional and A_i is finite.
+    protocols = tuple(
+        TwoTimeProtocol(rho, a_i, channel, a_f)
+        for rho, a_i, a_f in zip(ensemble.states, observables[:jw], observables[jw:])
+    )
 
     return HolevoInternals(
         ensemble=ensemble,
-        povm_elements=inst.povm.elements,
+        elements=elements,
         tolerances=tol,
         cond=cond,
         marginals=marginals,
@@ -312,12 +331,11 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
         retained=retained,
         rho_bar=rho_bar,
         average_support=SpectralDecomposition(values=inner.values, vectors=s_bar),
-        word_supports=tuple(
-            SpectralDecomposition(values=dec.values[mask], vectors=dec.vectors[:, mask])
-            for dec, mask in zip(spectra, masks)
-        ),
+        word_values=values,
+        word_vectors=vectors,
+        word_support=support,
         exp_traces=exp_traces,
-        protocols=tuple(protocols),
+        protocols=protocols,
     )
 
 
@@ -362,8 +380,8 @@ def gt_chain(internals: HolevoInternals, gamma: float) -> ChainValues:
     """
     priors = internals.ensemble.priors
     g1 = float(priors @ internals.exp_traces)
-    # tr((rho_bar (x) |0><0|) Pi_k) = tr(rho_bar M_k), once per outcome
-    overlaps = np.array([np.trace(internals.rho_bar @ m).real for m in internals.povm_elements])
+    # tr((rho_bar (x) |0><0|) Pi_k) = tr(rho_bar M_k), all outcomes at once
+    overlaps = np.einsum("ab,kba->k", internals.rho_bar, internals.elements).real
     ratios = np.divide(
         internals.cond, internals.marginals, out=np.zeros_like(internals.cond), where=internals.retained
     )
@@ -378,25 +396,26 @@ def equality_residual(internals: HolevoInternals, gamma: float) -> tuple[float, 
     For each word the log of the state on its support, the log of the
     average state on its support, the information-weighted POVM elements
     and ln(gamma) must cancel on the state's support; the max-norm of the
-    remainder is the defect.  Both logs come from the spectra that
-    prepare_instance keeps.  Near-zero certifies saturation of the
+    remainder is the defect, evaluated for all words at once.  Both logs
+    come from the spectra that prepare_instance keeps.  Near-zero certifies saturation of the
     sharpened bound.  An overlap above 1e-8 means prob_floor is too large
     for the instance, and the defect misses that outcome's term.
     """
-    log_gamma = math.log(gamma)
     bar = internals.average_support
     log_bar = (bar.vectors * np.log(bar.values)) @ bar.vectors.conj().T
-    eye, worst, overlap = np.eye(len(internals.rho_bar)), 0.0, 0.0
-    for j, word in enumerate(internals.word_supports):
-        p_j = word.vectors @ word.vectors.conj().T
-        inner = (word.vectors * np.log(word.values)) @ word.vectors.conj().T - log_bar + log_gamma * eye
-        for k, m_k in enumerate(internals.povm_elements):
-            if internals.retained[j, k]:
-                inner = inner - internals.info_terms[j, k] * m_k
-            else:
-                overlap = max(overlap, max_abs(m_k @ p_j))
-        worst = max(worst, max_abs(p_j @ inner @ p_j))
-    return worst, overlap
+    vectors, support = internals.word_vectors, internals.word_support
+    adj = vectors.conj().swapaxes(-1, -2)
+    p = (vectors * support[:, None, :]) @ adj
+    logs = np.log(internals.word_values, out=np.zeros_like(internals.word_values), where=support)
+    inner = (
+        (vectors * logs[:, None, :]) @ adj
+        - log_bar
+        + math.log(gamma) * np.eye(len(log_bar))
+        - np.einsum("jk,kab->jab", internals.info_terms, internals.elements)
+    )
+    worst = float(_max_abs_each(p @ inner @ p).max())
+    overlaps = _max_abs_each(internals.elements @ p[:, None])
+    return worst, float(np.max(overlaps, where=~internals.retained, initial=0.0))
 
 
 def analyze(
@@ -407,12 +426,13 @@ def analyze(
     """Full sharpened-bound analysis of a classical-quantum instance.
 
     Builds the composite construction and runs the two-time engine with
-    the identity channel per word: the composite is a direct sum over the
-    message register, and each word runs on the encoding space, since its
-    state and observables vanish off probe |0>.  The efficacy comes by the
-    enumeration route (the prior-weighted outcome pairs of all words merged
-    into one set of atoms) and by the trace route (the prior-weighted sum),
-    and every bound, chain and residual is evaluated.  The report's checks
+    the identity channel on all words as one batch: the composite is a
+    direct sum over the message register, and each word runs on the
+    encoding space, since its state and observables vanish off probe |0>.
+    The efficacy comes by the enumeration route (the prior-weighted outcome
+    pairs of all words merged into one set of atoms) and by the trace route
+    (the prior-weighted sum), and every bound, chain and residual is
+    evaluated.  The report's checks
     hold the route, mean, bound and chain comparisons to CHECK_TOL and the
     rest to their own fixed thresholds.  With strict=True any failed check
     raises ConsistencyError; otherwise failures are recorded in the

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .operator_core import (
     require_hermitian,
     require_projector,
     spectral_decompose,
+    _branch_starts,
+    _max_abs_each,
 )
 
 
@@ -153,30 +155,83 @@ class ExtendedObservable(BranchBlocks):
     def has_infinite_branch(self) -> bool:
         return bool(self.values) and math.isinf(self.values[-1])
 
-    def _finite_function(self, f) -> np.ndarray:
-        """V_fin diag(f(v)) V_fin† over the columns of the finite branches."""
-        n_finite = len(self.values) - self.has_infinite_branch
-        values = np.array(self.values[:n_finite])
-        cols = self.vectors[:, : self.offsets[n_finite]]
-        return (cols * np.repeat(f(values), np.diff(self.offsets[: n_finite + 1]))) @ cols.conj().T
+    def _exp(self, sign: float) -> np.ndarray:
+        """V diag(exp(sign * v)) V† over the columns, by _column_exp."""
+        factors = np.repeat(_column_exp(np.array(self.values), sign), np.diff(self.offsets))
+        return (self.vectors * factors) @ self.vectors.conj().T
 
     def exp_neg(self) -> np.ndarray:
         """exp(-A) with the +infinity branch mapped to the kernel."""
-        if self.values[0] < -_EXP_LIMIT:
-            raise ValidationError(
-                f"exp(-A) overflows: branch value {self.values[0]!r} is below -{_EXP_LIMIT:.2f}"
-            )
-        return self._finite_function(lambda v: np.exp(-v))
+        return self._exp(-1.0)
 
     def exp_pos(self) -> np.ndarray:
         """exp(+A); requires a finite spectrum."""
-        if self.has_infinite_branch:
+        return self._exp(1.0)
+
+
+def _column_exp(values: np.ndarray, sign: float) -> np.ndarray:
+    """exp(sign * v) of the branch or column values of one observable or of
+    a stack.  exp(+A) needs a finite spectrum, neither exponential may
+    overflow, and exp(-A) maps a +infinity value to 0, its kernel."""
+    if sign > 0:
+        if np.isinf(values).any():
             raise ValidationError("exp(+A) is unbounded for an observable with a +infinity branch")
-        if self.values[-1] > _EXP_LIMIT:
+        if values.max() > _EXP_LIMIT:
             raise ValidationError(
-                f"exp(+A) overflows: branch value {self.values[-1]!r} exceeds {_EXP_LIMIT:.2f}"
+                f"exp(+A) overflows: branch value {float(values.max())!r} exceeds {_EXP_LIMIT:.2f}"
             )
-        return self._finite_function(np.exp)
+    elif values.min() < -_EXP_LIMIT:
+        raise ValidationError(
+            f"exp(-A) overflows: branch value {float(values.min())!r} is below -{_EXP_LIMIT:.2f}"
+        )
+    return np.exp(sign * values)
+
+
+def _observables(
+    values: np.ndarray, vectors: np.ndarray, tol: Tolerances, name: Callable[[int], str]
+) -> list[ExtendedObservable]:
+    """Observable j has value values[j, a] (+infinity allowed) on the column
+    vectors[j, :, a], for a stack (J, n) of values and (J, n, n) of columns.
+
+    The batched from_blocks: each row is sorted ascending (stably, so
+    +infinity columns keep their order, last), clustered by the rule of
+    _branch_starts, and each finite branch takes its cluster's mean.  Its
+    checks (no NaN value, finite branch values distinct beyond
+    degeneracy_tol, |V†V - I| <= proj_tol) run once over the stack, and
+    an error names the failing observable by name(j).
+    """
+    def check(failed: np.ndarray, message: str) -> None:
+        if failed.any():
+            raise ValidationError(f"{name(int(np.argmax(failed)))}: {message}")
+
+    check(np.isnan(values).any(axis=-1), "NaN branch value")
+    order = np.argsort(values, axis=-1, kind="stable")
+    values = np.take_along_axis(values, order, axis=-1)
+    vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
+    finite = np.isfinite(values)
+    starts = _branch_starts(values, tol.degeneracy_tol)
+    rows, cols = np.nonzero(starts)
+    flat = np.flatnonzero(starts)
+    # summed from +0.0, as np.mean sums, so a lone -0.0 becomes 0.0
+    sums = 0.0 + np.add.reduceat(np.where(finite, values, 0.0).ravel(), flat)
+    branch_finite = finite.ravel()[flat]
+    edges = np.concatenate((flat, [values.size]))
+    means = np.where(branch_finite, sums / (edges[1:] - edges[:-1]), 0.0)
+    close = (rows[1:] == rows[:-1]) & branch_finite[1:] & (means[1:] - means[:-1] <= tol.degeneracy_tol)
+    check(
+        np.bincount(rows[1:][close], minlength=len(values)) > 0,
+        "finite branch values are not distinct beyond degeneracy_tol; merge their projectors first",
+    )
+    n = values.shape[-1]
+    defect = _max_abs_each(vectors.conj().swapaxes(-1, -2) @ vectors - np.eye(n))
+    check(defect > tol.proj_tol, "branches overlap or are not orthonormal, |V†V - I| exceeds proj_tol")
+    means = np.where(branch_finite, means, math.inf).tolist()
+    cols = cols.tolist()
+    bounds = np.searchsorted(rows, np.arange(len(values) + 1)).tolist()
+    return [
+        ExtendedObservable(vectors=v, offsets=(*cols[a:b], n), values=tuple(means[a:b]))
+        for v, a, b in zip(vectors, bounds, bounds[1:])
+    ]
 
 
 def observable_from_hermitian(h, tol: Tolerances = DEFAULT_TOLS) -> ExtendedObservable:
@@ -195,9 +250,14 @@ def measurement_channel(rho, m: BranchBlocks) -> np.ndarray:
         raise ValidationError(f"dimension mismatch: state {state.shape[0]}, measurement {m.dim}")
     ranks = np.diff(m.offsets)
     labels = np.repeat(np.arange(ranks.size), ranks)
-    inner = m.vectors.conj().T @ state @ m.vectors
-    inner = np.where(labels[:, None] == labels[None, :], inner, 0.0)
+    inner = _dephased(m.vectors.conj().T @ state @ m.vectors, labels)
     return m.vectors @ inner @ m.vectors.conj().T
+
+
+def _dephased(inner: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """V† rho V cut to its branch-diagonal blocks: the entries (..., a, b)
+    whose columns a and b carry different branch labels (..., n) are zeroed."""
+    return np.where(labels[..., :, None] == labels[..., None, :], inner, 0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -72,44 +72,81 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
+def _max_abs_each(a: np.ndarray) -> np.ndarray:
+    """Max-norm of a matrix, or of each matrix of a stack (..., n, n)."""
+    return np.abs(a).max(axis=(-2, -1), initial=0.0)
+
+
+def _failure(failed: np.ndarray, label: str) -> tuple[str, int | tuple] | None:
+    """None when no flag of failed is set; else the subject and index of
+    the first set flag: a 0-d flag for one matrix gives (label, ()), one
+    flag per matrix of a stack gives ("label i", i)."""
+    if failed.ndim == 0:
+        return (label, ()) if failed else None
+    if not failed.any():
+        return None
+    i = int(np.argmax(failed))
+    return f"{label} {i}", i
+
+
+def _as_matrices(a) -> np.ndarray:
+    """Coerce to a square complex matrix, or a stack (..., n, n) of them,
+    with finite entries."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValidationError("matrix has non-finite entries")
     return m
 
 
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a square complex matrix with finite entries."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2:
+        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    return _as_matrices(m)
+
+
+def _hermitian(m: np.ndarray, tol: Tolerances, label: str = "matrix") -> np.ndarray:
+    """require_hermitian for a complex matrix or a stack (J, n, n) of them;
+    an error names the first failing matrix of a stack by its index."""
+    adj = m.conj().swapaxes(-1, -2)
+    asym = _max_abs_each(m - adj)
+    scale = np.maximum(1.0, _max_abs_each(m))
+    if failure := _failure(asym > tol.hermiticity_tol * scale, label):
+        subject, i = failure
+        raise ValidationError(
+            f"{subject} is not Hermitian: max asymmetry {asym[i]:.3e} exceeds "
+            f"{tol.hermiticity_tol:.1e} * {scale[i]:.3e}"
+        )
+    return (m + adj) / 2
+
+
 def require_hermitian(h, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Validate Hermiticity and return the exactly symmetrized matrix."""
-    m = as_matrix(h)
-    asym = max_abs(m - m.conj().T)
-    scale = max(1.0, max_abs(m))
-    if asym > tol.hermiticity_tol * scale:
-        raise ValidationError(
-            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds "
-            f"{tol.hermiticity_tol:.1e} * {scale:.3e}"
-        )
-    return (m + m.conj().T) / 2
+    return _hermitian(as_matrix(h), tol)
 
 
-def _density_spectrum(rho, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """The validated state and its ascending eigenvalues (one eigvalsh)."""
-    m = require_hermitian(rho, tol)
+def _density_spectrum(m: np.ndarray, tol: Tolerances, label: str = "state") -> tuple[np.ndarray, np.ndarray]:
+    """The validated state, or stack (J, n, n) of states, and its ascending
+    eigenvalues (one eigvalsh); an error names the first failing state."""
+    m = _hermitian(m, tol, label)
     values = np.linalg.eigvalsh(m)
-    if values[0] < -tol.psd_tol:
-        raise ValidationError(f"state has negative eigenvalue {values[0]:.3e} beyond psd_tol")
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > tol.trace_tol:
-        raise ValidationError(f"state trace {tr!r} differs from 1 beyond trace_tol")
+    low = values[..., 0]
+    if failure := _failure(low < -tol.psd_tol, label):
+        subject, i = failure
+        raise ValidationError(f"{subject} has negative eigenvalue {low[i]:.3e} beyond psd_tol")
+    tr = m.trace(axis1=-2, axis2=-1).real
+    if failure := _failure(np.abs(tr - 1.0) > tol.trace_tol, label):
+        subject, i = failure
+        raise ValidationError(f"{subject} trace {float(tr[i])!r} differs from 1 beyond trace_tol")
     return m, values
 
 
 def require_density_matrix(rho, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Validate Hermiticity, positivity and unit trace of a state."""
-    return _density_spectrum(rho, tol)[0]
+    return _density_spectrum(as_matrix(rho), tol)[0]
 
 
 def require_projector(p, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
@@ -137,6 +174,28 @@ class SpectralDecomposition:
         return self.values.shape[0]
 
 
+def _checked_eigh(m: np.ndarray, tol: Tolerances, label: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of the Hermitian part of a
+    complex matrix, or of each matrix of a stack (J, n, n) in one eigh,
+    with the Hermiticity, reconstruction and orthonormality checks of
+    spectral_decompose; an error names the first failing matrix."""
+    m = _hermitian(m, tol, label)
+    values, vectors = np.linalg.eigh(m)
+    adj = vectors.conj().swapaxes(-1, -2)
+    scale = np.maximum(1.0, _max_abs_each(m))
+    recon = _max_abs_each(m - (vectors * values[..., None, :]) @ adj)
+    if failure := _failure(recon > tol.recon_tol * scale, label):
+        subject, i = failure
+        raise ValidationError(f"eigendecomposition of {subject}: reconstruction error {recon[i]:.3e}")
+    ortho = _max_abs_each(adj @ vectors - np.eye(m.shape[-1]))
+    if failure := _failure(ortho > tol.ortho_tol, label):
+        subject, i = failure
+        raise ValidationError(
+            f"eigendecomposition of {subject}: eigenvector orthonormality error {ortho[i]:.3e}"
+        )
+    return values, vectors
+
+
 def spectral_decompose(h, tol: Tolerances = DEFAULT_TOLS) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix, verifying the result.
 
@@ -144,16 +203,21 @@ def spectral_decompose(h, tol: Tolerances = DEFAULT_TOLS) -> SpectralDecompositi
     tolerance (reporting the max asymmetry) and ConsistencyError-level
     ValidationError when the reconstruction or orthonormality check fails.
     """
-    m = require_hermitian(h, tol)
-    values, vectors = np.linalg.eigh(m)
-    scale = max(1.0, max_abs(m))
-    recon = max_abs(m - (vectors * values) @ vectors.conj().T)
-    if recon > tol.recon_tol * scale:
-        raise ValidationError(f"eigendecomposition reconstruction error {recon:.3e}")
-    ortho = max_abs(vectors.conj().T @ vectors - np.eye(m.shape[0]))
-    if ortho > tol.ortho_tol:
-        raise ValidationError(f"eigenvector orthonormality error {ortho:.3e}")
+    values, vectors = _checked_eigh(as_matrix(h), tol)
     return SpectralDecomposition(values=values.astype(float), vectors=vectors)
+
+
+def _branch_starts(values: np.ndarray, degeneracy_tol: float) -> np.ndarray:
+    """The grouping rule of eigenspaces and branches: flags, shaped like the
+    ascending values (..., n) with any +infinity last, of the entries that
+    start a cluster.  These are the first entry, each finite value more
+    than degeneracy_tol above its predecessor, and the first +infinity."""
+    finite = np.isfinite(values)
+    filled = np.where(finite, values, 0.0)
+    gaps = filled[..., 1:] - filled[..., :-1] > degeneracy_tol
+    starts = np.ones(values.shape, dtype=bool)
+    starts[..., 1:] = np.where(finite[..., 1:], gaps, finite[..., :-1])
+    return starts
 
 
 def group_eigenspaces(
@@ -167,36 +231,40 @@ def group_eigenspaces(
     The blocks partition the orthonormal eigenbasis by construction.
     """
     values, vectors = dec.values, dec.vectors
-    if not values.size:
-        return []
-    gaps = np.flatnonzero(np.diff(values) > degeneracy_tol) + 1
-    edges = [0, *gaps.tolist(), values.size]
+    edges = [*np.flatnonzero(_branch_starts(values, degeneracy_tol)).tolist(), values.size]
     return [(float(values[a:b].mean()), vectors[:, a:b]) for a, b in zip(edges, edges[1:])]
 
 
 def _support_mask(values: np.ndarray, tol: Tolerances, what: str) -> np.ndarray:
-    """The support rule: ascending eigenvalues of a PSD operator above
-    rank_tol * lambda_max, or above rank_tol when lambda_max is smaller.
-    Negativity beyond psd_tol * max(1, |lambda_max|) raises, naming what."""
-    lam_max = float(values[-1]) if values.size else 0.0
-    if values.size and values[0] < -tol.psd_tol * max(1.0, abs(lam_max)):
-        raise ValidationError(f"{what} requires a PSD operator; min eigenvalue {values[0]:.3e}")
-    return values > (tol.rank_tol * lam_max if lam_max > tol.rank_tol else tol.rank_tol)
+    """The support rule: ascending eigenvalues (..., n) of a PSD operator, or
+    of each operator of a stack, above rank_tol * lambda_max, or above
+    rank_tol when lambda_max is smaller.  Negativity beyond
+    psd_tol * max(1, |lambda_max|) raises, naming what (and, for a stack,
+    the operator's index)."""
+    if not values.shape[-1]:
+        return np.zeros(values.shape, dtype=bool)
+    lam_max, low = values[..., -1], values[..., 0]
+    if failure := _failure(low < -tol.psd_tol * np.maximum(1.0, np.abs(lam_max)), what):
+        subject, i = failure
+        raise ValidationError(f"{subject} requires a PSD operator; min eigenvalue {low[i]:.3e}")
+    cut = np.where(lam_max > tol.rank_tol, tol.rank_tol * lam_max, tol.rank_tol)
+    return values > cut[..., None]
 
 
 def _compressed_eigh(
     f: np.ndarray, suppress: np.ndarray | None, tol: Tolerances
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenpairs (ascending w, columns c) of a Hermitian F compressed to
-    the kernel of a PSD suppressor under the support rule (None: no eigh,
-    nothing suppressed), so exp of the compression is sum e^w |c><c|; and
-    columns spanning the suppressed rest."""
+    the kernel of a PSD suppressor under the support rule, so exp of the
+    compression is sum e^w |c><c|; and columns spanning the suppressed
+    rest.  With suppress None nothing is suppressed, and F may be a stack
+    (J, n, n) solved by one eigh."""
     if suppress is None:
-        kernel, rest = np.eye(f.shape[0]), np.zeros((f.shape[0], 0))
-    else:
-        values, vectors = np.linalg.eigh(suppress)
-        mask = _support_mask(values, tol, "the suppressor of a compressed exponential")
-        kernel, rest = vectors[:, ~mask], vectors[:, mask]
+        values, vectors = np.linalg.eigh((f + f.conj().swapaxes(-1, -2)) / 2)
+        return values, vectors, np.zeros(f.shape[:-1] + (0,))
+    values, vectors = np.linalg.eigh(suppress)
+    mask = _support_mask(values, tol, "the suppressor of a compressed exponential")
+    kernel, rest = vectors[:, ~mask], vectors[:, mask]
     fc = kernel.conj().T @ f @ kernel
     values, vectors = np.linalg.eigh((fc + fc.conj().T) / 2)
     return values, kernel @ vectors, rest

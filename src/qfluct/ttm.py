@@ -22,8 +22,9 @@ from .errors import ConsistencyError, IllPosedProtocolError, ValidationError
 from .measurement import (
     _EXP_LIMIT,
     ExtendedObservable,
-    measurement_channel,
     observable_from_hermitian,
+    _column_exp,
+    _dephased,
 )
 from .operator_core import (
     DEFAULT_TOLS,
@@ -169,39 +170,76 @@ def joint_distribution(
     return _joint_blocks([protocol], [1.0], tol)[0]
 
 
+def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """One array as it is, or several stacked on a leading block axis: a
+    single protocol keeps 2-D products in the Kraus loops."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _columns(
+    observables: Sequence[ExtendedObservable],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The columns V of one observable, (d, d), or of several stacked on a
+    leading block axis; the branch label of each column, (d,) or (J, d),
+    distinct across the blocks; the first column of each branch in the
+    flattened labels; and the branch values, indexed by label."""
+    d = observables[0].dim
+    starts = np.array([j * d + a for j, obs in enumerate(observables) for a in obs.offsets[:-1]])
+    vectors = _stack([obs.vectors for obs in observables])
+    # a column's label counts the branch starts before or at it, less one
+    labels = np.searchsorted(starts, np.arange(len(observables) * d), side="right") - 1
+    values = np.array([v for obs in observables for v in obs.values])
+    return vectors, labels.reshape(vectors.shape[:-1]), starts, values
+
+
+def _shared_channel(protocols: Sequence[TwoTimeProtocol]) -> KrausChannel:
+    """The channel of every block of a direct sum: the same Kraus operators."""
+    ops = protocols[0].channel.kraus_ops
+    for p in protocols[1:]:
+        other = p.channel.kraus_ops
+        if other is not ops and (len(other) != len(ops) or not all(map(np.array_equal, other, ops))):
+            raise ValidationError("the blocks of a direct sum must share one channel")
+    return protocols[0].channel
+
+
 def _joint_blocks(
     protocols: Sequence[TwoTimeProtocol], weights: Sequence[float], tol: Tolerances
 ) -> list[JointDistribution]:
-    """Joint distributions of a direct sum of protocols, block j weighted by
-    weights[j].  With c the dephased state weight * V_i† rho V_i cut to its
-    initial-branch diagonal blocks and T_k = V_f† K_k V_i, entry (j, a) of
-    sum_k Re((T_k c) ∘ conj(T_k)) is initial column a's share of final
-    column j: one pass over the Kraus operators, summed per branch.  The
-    weighted blocks are checked as one protocol: entries >= -prob_floor, a
-    total of one within 1e-10, and at most prob_floor on the +infinity final
-    branches together."""
+    """Joint distributions of a direct sum of protocols that share one
+    channel, block j weighted by weights[j].  With c the dephased state
+    weight * V_i† rho V_i cut to its initial-branch diagonal blocks and
+    T_k = V_f† K_k V_i, entry (j, a) of sum_k Re((T_k c) ∘ conj(T_k)) is
+    initial column a's share of final column j: one pass over the Kraus
+    operators, summed per branch.  The blocks are stacked on a leading
+    axis, so c, each T_k and the marginal check run once for all of them;
+    a single protocol keeps 2-D arrays.  The weighted blocks are checked as
+    one protocol: entries >= -prob_floor, a total of one within 1e-10, and
+    at most prob_floor on the +infinity final branches together."""
+    channel = _shared_channel(protocols)
+    v_i, labels, starts, _ = _columns([p.initial_observable for p in protocols])
+    v_f_adj = _stack([p.final_observable.vectors for p in protocols]).conj().swapaxes(-1, -2)
+    rho = _stack([p.initial_state for p in protocols])
+    c = np.asarray(weights, dtype=float).reshape(labels.shape[:-1] + (1, 1)) * _dephased(
+        v_i.conj().swapaxes(-1, -2) @ rho @ v_i, labels
+    )
+    shares = np.zeros(c.shape)
+    for k in channel.kraus_ops:
+        t = v_f_adj @ (k @ v_i)
+        shares += ((t @ c) * t.conj()).real
+    marginals = np.add.reduceat(c.diagonal(axis1=-2, axis2=-1).real.ravel(), starts)
+    rows = np.add.reduceat(shares.sum(axis=-2).ravel(), starts)
+    off = np.abs(rows - marginals) > 1e-10
+    if off.any():
+        m = int(np.argmax(off))
+        raise ConsistencyError(
+            f"joint marginal over final outcomes {float(rows[m])!r} differs from "
+            f"initial probability {float(marginals[m])!r}"
+        )
     joints = []
-    for protocol, weight in zip(protocols, weights):
+    for block, protocol in zip(shares.reshape((-1,) + c.shape[-2:]), protocols):
         a_i, a_f = protocol.initial_observable, protocol.final_observable
-        v_i, v_f_adj = a_i.vectors, a_f.vectors.conj().T
-        starts_i = a_i.offsets[:-1]
-        branch = np.repeat(np.arange(len(a_i.values)), np.diff(a_i.offsets))
-        c = weight * (v_i.conj().T @ protocol.initial_state @ v_i)
-        c[branch[:, None] != branch[None, :]] = 0.0
-        shares = np.zeros(c.shape)
-        for k in protocol.channel.kraus_ops:
-            t = v_f_adj @ (k @ v_i)
-            shares += ((t @ c) * t.conj()).real
-        probs = np.add.reduceat(np.add.reduceat(shares, starts_i, axis=1), a_f.offsets[:-1], axis=0).T
-        marginals = np.add.reduceat(np.diagonal(c).real, starts_i)
-        for row, marginal in zip(probs.sum(axis=1), marginals):
-            if abs(row - marginal) > 1e-10:
-                raise ConsistencyError(
-                    f"joint marginal over final outcomes {float(row)!r} differs from "
-                    f"initial probability {float(marginal)!r}"
-                )
-        values = (np.array(a_i.values, dtype=float), np.array(a_f.values, dtype=float))
-        joints.append(JointDistribution(probs, *values))
+        probs = np.add.reduceat(np.add.reduceat(block, a_i.offsets[:-1], axis=1), a_f.offsets[:-1], axis=0).T
+        joints.append(JointDistribution(probs, np.array(a_i.values, dtype=float), np.array(a_f.values, dtype=float)))
     low = min(float(joint.probs.min()) for joint in joints)
     if low < -tol.prob_floor:
         raise ConsistencyError(f"joint probability {low:.3e} below -prob_floor")
@@ -289,15 +327,26 @@ def efficacy(protocol: TwoTimeProtocol) -> float:
 
 
 def _efficacy_blocks(protocols: Sequence[TwoTimeProtocol], weights: Sequence[float]) -> float:
-    """Efficacy of a direct sum of protocols: the weights[j]-weighted sum
-    of the block traces, whose imaginary residue is checked once."""
-    value = 0j
-    for protocol, weight in zip(protocols, weights):
-        a_i = protocol.initial_observable
-        rho_m = measurement_channel(protocol.initial_state, a_i)
-        weighted = apply_channel(protocol.channel, rho_m @ a_i.exp_pos())
-        # tr(X Y) as an elementwise sum, without forming X Y
-        value += weight * complex(np.sum(protocol.final_observable.exp_neg().T * weighted))
+    """Efficacy of a direct sum of protocols that share one channel: the
+    weights[j]-weighted sum of the block traces
+    tr(exp(-A_f) E(M_i(rho) exp(A_i))), whose imaginary residue is checked
+    once.  The blocks are stacked on a leading axis, so the dephasing, both
+    exponentials, the channel and the traces run once for all of them; a
+    single protocol keeps 2-D arrays.  Both exponentials are spectral over
+    the columns, with the +infinity branch of A_f mapped to the kernel of
+    exp(-A_f); A_i must be finite and neither may overflow."""
+    channel = _shared_channel(protocols)
+    v_i, labels_i, _, a_i = _columns([p.initial_observable for p in protocols])
+    v_f, labels_f, _, a_f = _columns([p.final_observable for p in protocols])
+    v_i_adj = v_i.conj().swapaxes(-1, -2)
+    rho = _stack([p.initial_state for p in protocols])
+    rho_m = v_i @ _dephased(v_i_adj @ rho @ v_i, labels_i) @ v_i_adj
+    exp_pos = (v_i * _column_exp(a_i, 1.0)[labels_i][..., None, :]) @ v_i_adj
+    weighted = apply_channel(channel, rho_m @ exp_pos)
+    exp_neg = (v_f * _column_exp(a_f, -1.0)[labels_f][..., None, :]) @ v_f.conj().swapaxes(-1, -2)
+    # tr(X Y) as an elementwise sum, without forming X Y
+    traces = np.sum(exp_neg.swapaxes(-1, -2) * weighted, axis=(-2, -1))
+    value = complex(np.sum(np.asarray(weights, dtype=float).reshape(traces.shape) * traces))
     if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
         raise ConsistencyError(f"efficacy trace has imaginary residue {value.imag:.3e}")
     return float(value.real)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -14,10 +16,13 @@ from qfluct.rand import complex_gaussian, normalized_blocks, random_density_matr
 from oracles import (
     build_joint_state,
     composite_reference,
+    compressed_exponents,
     enumeration_oracle,
     naimark_dilate_randomized,
     partial_trace,
+    proj,
     projectors,
+    relative_cutoff,
 )
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -590,13 +595,19 @@ def test_final_branch_values_are_the_compressed_exponent_spectrum():
         lambda: qf.random_instance(2, 2, 3, seed=5, state_kind="mix"),
         lambda: qf.random_instance(3, 3, 4, seed=6, state_kind="mix"),
         orthogonal_instance,  # each word drops one outcome
+        lambda: qf.random_instance(2, 6, 3, seed=7, state_kind="mix"),
     ],
-    ids=["d2_j2_k3", "d3_j3_k4", "orthogonal"],
+    ids=["d2_j2_k3", "d3_j3_k4", "orthogonal", "d2_j6_k3"],
 )
 def test_analyze_decomposes_nothing_larger_than_d(make, monkeypatch):
+    # Counted in matrices, a batched call counting each matrix of its stack:
     # rho_j, rho_bar and each word's compressed exponent take 2J + 1 eigh
-    # calls, plus one for each word with a dropped outcome; no POVM element
-    # is decomposed.  holevo_chi takes one eigvalsh per state and rho_bar
+    # matrices, plus one for each word with a dropped outcome; no POVM
+    # element is decomposed.  holevo_chi takes J + 1 eigvalsh matrices, the
+    # states and rho_bar.  Counted in calls, the states, rho_bar and the
+    # exponents of the words that drop no outcome take three eigh calls
+    # whatever J is, each word that drops an outcome two more (its
+    # suppressor and its compressed exponent), and holevo_chi one eigvalsh.
     inst = make()
     d, n_words = inst.ensemble.dim, inst.ensemble.n_words
     dropping = int((~qf.prepare_instance(inst).retained).any(axis=1).sum())
@@ -608,6 +619,124 @@ def test_analyze_decomposes_nothing_larger_than_d(make, monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, wrapped)
     assert qf.analyze(inst).passed
-    assert all(len(shape) == 2 and max(shape) <= d for seen in shapes.values() for shape in seen)
-    assert len(shapes["eigh"]) <= 2 * n_words + 1 + dropping
-    assert len(shapes["eigvalsh"]) <= n_words + 1
+    assert all(len(shape) >= 2 and max(shape[-2:]) <= d for seen in shapes.values() for shape in seen)
+    matrices = {name: sum(math.prod(shape[:-2]) for shape in seen) for name, seen in shapes.items()}
+    assert matrices["eigh"] <= 2 * n_words + 1 + dropping
+    assert matrices["eigvalsh"] <= n_words + 1
+    assert len(shapes["eigh"]) <= 3 + 2 * dropping
+    assert len(shapes["eigvalsh"]) <= 1
+
+
+def raw_instance(second_state):
+    """Word 0 is |0><0| and word 1 the given state, priors 1/2, under the Z
+    POVM; the raw Ensemble constructor skips validation, as a corrupted
+    instance would."""
+    ens = qf.Ensemble(priors=np.array([0.5, 0.5]), states=(P0, np.asarray(second_state, dtype=complex)))
+    return qf.CqChannelInstance(ensemble=ens, povm=qf.POVM.create(Z_POVM_ELEMENTS))
+
+
+@pytest.mark.parametrize(
+    "state, error, match",
+    [
+        ([[0.5, 0.1], [0.3, 0.5]], ValidationError, "state 1 is not Hermitian: max asymmetry"),
+        ([[0.5, 0.6], [0.6, 0.5]], ValidationError, "code word state 1 requires a PSD operator; min eigenvalue"),
+        (np.diag([0.7, 0.2]), ConsistencyError, "conditional row 1 sums to"),
+        (np.diag([1.5, -0.5]), ValidationError, "conditional probability .* of word 1 below -prob_floor"),
+    ],
+    ids=["not_hermitian", "not_psd", "row_sum", "negative_conditional"],
+)
+def test_batched_checks_name_the_failing_word(state, error, match):
+    # every check of the word-stacked construction still runs and names the word
+    with pytest.raises(error, match=match):
+        qf.analyze(raw_instance(state), strict=False)
+
+
+def test_holevo_chi_batched_state_checks_name_the_failing_word():
+    for state, match in (
+        ([[0.5, 0.1], [0.3, 0.5]], "state 1 is not Hermitian"),
+        ([[0.5, 0.6], [0.6, 0.5]], "state 1 has negative eigenvalue"),
+        (np.diag([0.7, 0.2]), "state 1 trace 0.8999"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            qf.holevo_chi(raw_instance(state).ensemble)
+
+
+def test_batched_observable_check_names_the_failing_word(monkeypatch):
+    # The third eigh of analyze is the batched exponent of the words that
+    # drop no outcome; tilting one column of word 1 by 1e-6 breaks the
+    # orthonormality of its A_f columns, which |V†V - I| <= proj_tol catches.
+    inst = qf.random_instance(2, 3, 3, seed=5, state_kind="mixed")
+    assert qf.prepare_instance(inst).retained.all()
+    original, calls = np.linalg.eigh, []
+
+    def tilted(m, *args, **kwargs):
+        values, vectors = original(m, *args, **kwargs)
+        calls.append(np.shape(m))
+        if len(calls) == 3:
+            vectors = vectors.copy()
+            vectors[1, :, 0] *= 1 + 1e-6
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", tilted)
+    with pytest.raises(ValidationError, match="A_f of word 1: branches overlap or are not orthonormal"):
+        qf.analyze(inst, strict=False)
+    assert calls[2] == (3, 2, 2)
+
+
+def check_exponent_paths(inst):
+    """analyze against the dense composite reference at the 1e-8 gate, and
+    each word's finite A_f values against the spectrum of its compressed
+    exponent, built by the oracle, at 1e-12 relative."""
+    internals = qf.prepare_instance(inst)
+    dropping = (~internals.retained).any(axis=1)
+    rep = qf.analyze(inst)
+    ref = composite_reference(inst, internals)
+    for name in ("gamma_distribution", "gamma_trace", "mean_delta_a"):
+        assert abs(getattr(rep, name) - ref[name]) <= 1e-8, name
+    tol = internals.tolerances
+    for (w, _), word in zip(compressed_exponents(inst, internals), internals.protocols):
+        expected = np.sort(-w[np.exp(w) > relative_cutoff(np.exp(w), tol.rank_tol)])
+        a_f = word.final_observable
+        n = len(a_f.values) - a_f.has_infinite_branch
+        values = np.repeat(a_f.values[:n], np.diff(a_f.offsets[: n + 1]))
+        assert values.shape == expected.shape
+        assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+    return dropping
+
+
+def test_both_exponent_paths_in_one_instance():
+    # |0><0| drops the Z outcome 1, the full-rank word drops nothing
+    rho = random_density_matrix(2, np.random.default_rng(3))
+    ens = qf.Ensemble.create([0.4, 0.6], [P0, rho])
+    dropping = check_exponent_paths(qf.CqChannelInstance.create(ens, qf.POVM.create(Z_POVM_ELEMENTS)))
+    assert dropping.tolist() == [True, False]
+
+
+@st.composite
+def mixed_dropping_cases(draw):
+    """Words that are basis states of a d-outcome computational-basis POVM
+    drop every other outcome; random full-rank words drop none."""
+    d = draw(st.integers(2, 3))
+    kinds = draw(st.lists(st.integers(-1, d - 1), min_size=2, max_size=4))  # -1: a full-rank word
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = [proj(d, k) if k >= 0 else random_density_matrix(d, rng) for k in kinds]
+    ens = qf.Ensemble.create(rng.dirichlet(np.ones(len(kinds))), states)
+    return qf.CqChannelInstance.create(ens, qf.POVM.create([proj(d, k) for k in range(d)]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mixed_dropping_cases())
+def test_both_exponent_paths_on_mixed_dropping_instances(inst):
+    dropping = (~qf.prepare_instance(inst).retained).any(axis=1)
+    assume(dropping.any() and not dropping.all())
+    check_exponent_paths(inst)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_analyze_passes_on_every_small_shape(seed):
+    # the edges of the word batch: d = 1, J = 1, K = 1 and empty dropped sets
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d, n_words, n_outcomes in itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3, 4)):
+            inst = qf.random_instance(d, n_words, n_outcomes, seed=100 * seed + d + 3 * n_words, state_kind="mix")
+            assert qf.analyze(inst).passed, (d, n_words, n_outcomes)
