@@ -4,7 +4,7 @@ channels from piecewise-constant protocols."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -18,6 +18,28 @@ from .operator_core import (
     spectral_decompose,
     _as_matrices,
 )
+
+
+# Entries c * d * d of one chunk of Kraus operators (see _kraus_chunks).  At
+# c = _CHUNK_ENTRIES // d² every product of a chunk, c * d³ multiply-adds,
+# stays below 2**16 whenever c > 1: from that size on OpenBLAS splits a GEMM
+# over threads, which runs about ten times slower once scipy's BLAS has also
+# run in the process.  2047 is the largest value that keeps the bound at
+# every d (at d = 32 a chunk of two would reach it).
+_CHUNK_ENTRIES = 2047
+
+
+def _kraus_chunks(kraus_ops: tuple[np.ndarray, ...]) -> Iterator[np.ndarray]:
+    """The Kraus operators in order, as stacks (c, d, d) of at most
+    max(1, _CHUNK_ENTRIES // d²) operators each.  A loop over the chunks
+    turns the per-operator products into tall GEMMs of bounded size and
+    never holds a stacked copy of the whole tuple; a chunk of one operator
+    is a view, not a copy."""
+    d = kraus_ops[0].shape[-1]
+    size = max(1, _CHUNK_ENTRIES // (d * d))
+    for start in range(0, len(kraus_ops), size):
+        chunk = kraus_ops[start : start + size]
+        yield chunk[0][None] if len(chunk) == 1 else np.concatenate(chunk).reshape(-1, d, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,8 +57,9 @@ class KrausChannel:
         if any(k.shape[0] != dim for k in ops):
             raise ValidationError("Kraus operators have mixed dimensions")
         acc = np.zeros((dim, dim), dtype=complex)
-        for k in ops:
-            acc += k.conj().T @ k
+        for chunk in _kraus_chunks(ops):
+            flat = chunk.reshape(-1, dim)
+            acc += flat.conj().T @ flat
         defect = max_abs(acc - np.eye(dim))
         if defect > 1e-10:
             raise ValidationError(
@@ -51,15 +74,22 @@ class KrausChannel:
 
 def apply_channel(channel: KrausChannel, rho) -> np.ndarray:
     """Apply the channel: sum_k K_k rho K_k†, to one matrix or to each
-    matrix of a stack (..., d, d)."""
+    matrix of a stack (..., d, d).  Per chunk of n operators (see
+    _kraus_chunks) this is two GEMMs: the stacked K_k rho, (n d, d), then
+    the row of blocks [K_1 rho ... K_n rho] times the column [K_1†; ...; K_n†]."""
     state = _as_matrices(rho)
-    if state.shape[-1] != channel.dim:
+    d = channel.dim
+    if state.shape[-1] != d:
         raise ValidationError(
-            f"dimension mismatch: state {state.shape[-1]}, channel {channel.dim}"
+            f"dimension mismatch: state {state.shape[-1]}, channel {d}"
         )
-    out = np.zeros_like(state)
-    for k in channel.kraus_ops:
-        out += k @ state @ k.conj().T
+    lead = state.shape[:-2]
+    out = 0.0
+    for chunk in _kraus_chunks(channel.kraus_ops):
+        n = len(chunk)
+        stacked = (chunk.reshape(n * d, d) @ state).reshape(lead + (n, d, d))
+        row = stacked.swapaxes(-3, -2).reshape(lead + (d, n * d))
+        out += row @ chunk.conj().swapaxes(-1, -2).reshape(n * d, d)
     return out
 
 

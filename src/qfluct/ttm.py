@@ -17,7 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import EvolutionProtocol, KrausChannel, apply_channel, unitary_from_protocol
+from .channel import (
+    EvolutionProtocol,
+    KrausChannel,
+    apply_channel,
+    unitary_from_protocol,
+    _kraus_chunks,
+)
 from .errors import ConsistencyError, IllPosedProtocolError, ValidationError
 from .measurement import (
     _EXP_LIMIT,
@@ -172,7 +178,7 @@ def joint_distribution(
 
 def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """One array as it is, or several stacked on a leading block axis: a
-    single protocol keeps 2-D products in the Kraus loops."""
+    single protocol keeps 2-D arrays, with no block axis."""
     return arrays[0] if len(arrays) == 1 else np.stack(arrays)
 
 
@@ -210,22 +216,30 @@ def _joint_blocks(
     weight * V_i† rho V_i cut to its initial-branch diagonal blocks and
     T_k = V_f† K_k V_i, entry (j, a) of sum_k Re((T_k c) ∘ conj(T_k)) is
     initial column a's share of final column j: one pass over the Kraus
-    operators, summed per branch.  The blocks are stacked on a leading
-    axis, so c, each T_k and the marginal check run once for all of them;
-    a single protocol keeps 2-D arrays.  The weighted blocks are checked as
-    one protocol: entries >= -prob_floor, a total of one within 1e-10, and
-    at most prob_floor on the +infinity final branches together."""
+    operators, summed per branch.  The pass takes the operators in bounded
+    chunks (see channel._kraus_chunks): per chunk, K_k V_i for all k is one
+    tall product of the stacked operators, and so is T_k c.  The blocks are
+    stacked on a leading axis, so c, each T_k and the marginal check run
+    once for all of them; a single protocol has no block axis.  The
+    weighted blocks are checked as one protocol: entries >= -prob_floor, a
+    total of one within 1e-10, and at most prob_floor on the +infinity
+    final branches together."""
     channel = _shared_channel(protocols)
     v_i, labels, starts, _ = _columns([p.initial_observable for p in protocols])
-    v_f_adj = _stack([p.final_observable.vectors for p in protocols]).conj().swapaxes(-1, -2)
+    # V_f†, with an axis for the operators of a Kraus chunk
+    v_f_adj = _stack([p.final_observable.vectors for p in protocols]).conj().swapaxes(-1, -2)[..., None, :, :]
     rho = _stack([p.initial_state for p in protocols])
     c = np.asarray(weights, dtype=float).reshape(labels.shape[:-1] + (1, 1)) * _dephased(
         v_i.conj().swapaxes(-1, -2) @ rho @ v_i, labels
     )
-    shares = np.zeros(c.shape)
-    for k in channel.kraus_ops:
-        t = v_f_adj @ (k @ v_i)
-        shares += ((t @ c) * t.conj()).real
+    d = channel.dim
+    lead = c.shape[:-2]
+    shares = 0.0
+    for chunk in _kraus_chunks(channel.kraus_ops):
+        n = len(chunk)
+        t = v_f_adj @ (chunk.reshape(n * d, d) @ v_i).reshape(lead + (n, d, d))
+        tc = t.reshape(lead + (n * d, d)) @ c
+        shares += (tc.reshape(t.shape) * t.conj()).real.sum(axis=-3)
     marginals = np.add.reduceat(c.diagonal(axis1=-2, axis2=-1).real.ravel(), starts)
     rows = np.add.reduceat(shares.sum(axis=-2).ravel(), starts)
     off = np.abs(rows - marginals) > 1e-10
@@ -332,9 +346,10 @@ def _efficacy_blocks(protocols: Sequence[TwoTimeProtocol], weights: Sequence[flo
     tr(exp(-A_f) E(M_i(rho) exp(A_i))), whose imaginary residue is checked
     once.  The blocks are stacked on a leading axis, so the dephasing, both
     exponentials, the channel and the traces run once for all of them; a
-    single protocol keeps 2-D arrays.  Both exponentials are spectral over
-    the columns, with the +infinity branch of A_f mapped to the kernel of
-    exp(-A_f); A_i must be finite and neither may overflow."""
+    single protocol keeps 2-D arrays.  The channel is apply_channel: two
+    tall products per chunk of Kraus operators.  Both exponentials are
+    spectral over the columns, with the +infinity branch of A_f mapped to
+    the kernel of exp(-A_f); A_i must be finite and neither may overflow."""
     channel = _shared_channel(protocols)
     v_i, labels_i, _, a_i = _columns([p.initial_observable for p in protocols])
     v_f, labels_f, _, a_f = _columns([p.final_observable for p in protocols])

@@ -311,6 +311,8 @@ def enumeration_oracle(priors, states, povm_elements, dilation_projectors):
 
 
 def apply_kraus(kraus, x):
+    """sum_k K_k X K_k†, one operator at a time, for one matrix or a stack
+    (..., d, d)."""
     return sum(k @ x @ k.conj().T for k in kraus)
 
 

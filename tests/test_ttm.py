@@ -108,8 +108,8 @@ def test_joint_distribution_rejects_trace_decreasing_channel():
 
 
 def test_verify_ft_does_not_copy_the_kraus_operators():
-    # 257 Kraus operators of 16 x 16, 1 MiB together: both routes take one
-    # operator at a time, so the traced peak stays far below a stacked copy
+    # 257 Kraus operators of 16 x 16, 1 MiB together: both routes take a
+    # bounded chunk at a time, so the traced peak stays far below a stacked copy
     protocol = random_protocol(1, dim=16)  # seed 1: depolarizing
     channel = protocol.channel
     kraus_bytes = sum(k.nbytes for k in channel.kraus_ops)
