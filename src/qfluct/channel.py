@@ -3,6 +3,7 @@ channels from piecewise-constant protocols."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -104,11 +105,13 @@ class EvolutionProtocol:
         cls, steps: Iterable[tuple[np.ndarray, float]], tol: Tolerances = DEFAULT_TOLS
     ) -> "EvolutionProtocol":
         validated = []
-        for h, duration in steps:
+        for i, (h, duration) in enumerate(steps):
             hm = require_hermitian(h, tol)
             t = float(duration)
+            if not math.isfinite(t):
+                raise ValidationError(f"step {i} duration {t} is not finite")
             if t < 0:
-                raise ValidationError(f"step duration {t} is negative")
+                raise ValidationError(f"step {i} duration {t} is negative")
             validated.append((hm, t))
         if not validated:
             raise ValidationError("protocol needs at least one step")
@@ -127,9 +130,17 @@ class EvolutionProtocol:
 
 
 def step_unitary(h, duration: float, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """exp(-i H t) computed spectrally, exact at any step size."""
+    """exp(-i H t) computed spectrally, exact at any step size whose
+    phases E t are finite doubles."""
     dec = spectral_decompose(h, tol)
-    return (dec.vectors * np.exp(-1j * dec.values * duration)) @ dec.vectors.conj().T
+    t = float(duration)
+    energy = float(np.abs(dec.values).max())
+    # a Python float product, which overflows to inf without a warning
+    if not math.isfinite(energy * t):
+        raise ValidationError(
+            f"step of duration {t!r}: the phase E t = {energy!r} * {t!r} is not a finite double"
+        )
+    return (dec.vectors * np.exp(-1j * dec.values * t)) @ dec.vectors.conj().T
 
 
 def unitary_from_protocol(

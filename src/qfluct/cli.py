@@ -237,7 +237,7 @@ def cmd_holevo_optimize(args) -> int:
     if scenario.kind != "holevo":
         raise ValidationError(f"holevo optimize expects a holevo scenario, got kind {scenario.kind!r}")
     ensemble = scenario.holevo_instance.ensemble
-    outcomes = args.outcomes or scenario.holevo_instance.povm.n_outcomes
+    outcomes = args.outcomes if args.outcomes is not None else scenario.holevo_instance.povm.n_outcomes
     seed = args.seed if args.seed is not None else (scenario.seed or 0)
     povm, achieved = optimize_measurement(ensemble, outcomes, seed, scenario.tolerances)
     baseline = mutual_information(scenario.holevo_instance, scenario.tolerances)

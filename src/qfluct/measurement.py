@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .operator_core import (
     Tolerances,
     as_matrix,
     basis_projector,
-    group_eigenspaces,
     kron,
     max_abs,
     require_density_matrix,
@@ -31,6 +30,7 @@ from .operator_core import (
     require_projector,
     spectral_decompose,
     _branch_starts,
+    _cluster_means,
     _max_abs_each,
 )
 
@@ -43,35 +43,6 @@ def _projector_columns(p: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the range of a validated projector."""
     w, v = np.linalg.eigh(p)
     return v[:, w > 0.5]
-
-
-def _stack_blocks(
-    blocks: Sequence[np.ndarray], tol: Tolerances, what: str
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Concatenate column blocks into V and check that they form a complete
-    orthonormal basis: ranks summing to the dimension together with
-    V†V = I within proj_tol give mutual orthogonality and completeness."""
-    if not blocks:
-        raise ValidationError(f"{what} needs at least one branch")
-    dim = blocks[0].shape[0]
-    if any(b.shape[0] != dim for b in blocks):
-        raise ValidationError(f"{what}: branches have mixed dimensions")
-    ranks = [b.shape[1] for b in blocks]
-    if min(ranks) == 0:
-        raise ValidationError(f"{what}: branch {ranks.index(0)} has rank 0")
-    total = sum(ranks)
-    if total < dim:
-        raise ValidationError(f"{what}: incomplete, branch ranks sum to {total} < dimension {dim}")
-    if total > dim:
-        raise ValidationError(f"{what}: branches overlap, ranks sum to {total} > dimension {dim}")
-    vectors = np.concatenate(blocks, axis=1)
-    defect = max_abs(vectors.conj().T @ vectors - np.eye(dim))
-    if defect > tol.proj_tol:
-        raise ValidationError(
-            f"{what}: branches overlap or are not orthonormal, |V†V - I| = {defect:.3e} "
-            f"exceeds proj_tol"
-        )
-    return vectors, tuple(np.cumsum([0, *ranks]).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,11 +68,8 @@ class ExtendedObservable(BranchBlocks):
 
     Branch b has value values[b] and projector V_b V_b† with the
     orthonormal block V_b = vectors[:, offsets[b]:offsets[b+1]].  Branches
-    are kept sorted by value with the infinite branch last, and finite
-    values are pairwise distinct beyond degeneracy_tol.  The blocks
-    together form one unitary V; a single check (ranks summing to n and
-    |V†V - I| <= proj_tol) certifies that the projectors are mutually
-    orthogonal and complete.
+    ascend with the infinite branch last, finite values are pairwise
+    distinct beyond degeneracy_tol, and the blocks form one unitary V.
     """
 
     values: tuple[float, ...]
@@ -119,54 +87,43 @@ class ExtendedObservable(BranchBlocks):
     def from_blocks(
         cls, branches: Iterable[tuple[float, np.ndarray]], tol: Tolerances = DEFAULT_TOLS
     ) -> "ExtendedObservable":
-        """Construction from (value, orthonormal column block) branches.
-
-        Finite branches are sorted by value; all +infinity branches merge
-        into one last branch.
-        """
-        finite: list[tuple[float, np.ndarray]] = []
-        infinite: list[np.ndarray] = []
-        for value, cols in branches:
-            v = float(value)
-            if math.isinf(v):
-                if v < 0:
-                    raise ValidationError("-infinity branch values are not supported")
-                infinite.append(cols)
-            elif math.isnan(v):
-                raise ValidationError("NaN branch value")
-            else:
-                finite.append((v, cols))
-        finite.sort(key=lambda b: b[0])
-        for (va, _), (vb, _) in zip(finite, finite[1:]):
-            if vb - va <= tol.degeneracy_tol:
-                raise ValidationError(
-                    f"finite branch values {va!r} and {vb!r} are not distinct beyond "
-                    f"degeneracy_tol; merge their projectors first"
-                )
-        values = [v for v, _ in finite]
-        blocks = [c for _, c in finite]
-        if infinite:
-            values.append(math.inf)
-            blocks.append(np.concatenate(infinite, axis=1))
-        vectors, offsets = _stack_blocks(blocks, tol, "extended observable")
-        return cls(vectors=vectors, offsets=offsets, values=tuple(values))
+        """Construction from (value, orthonormal column block) branches:
+        finite branches sorted by value, all +infinity branches merged, in
+        their order, into one last branch, then checked and built by _build."""
+        branches = list(branches)
+        if not branches:
+            raise ValidationError("extended observable needs at least one branch")
+        values = np.array([float(value) for value, _ in branches])
+        if np.isnan(values).any():
+            raise ValidationError("NaN branch value")
+        if (values == -math.inf).any():
+            raise ValidationError("-infinity branch values are not supported")
+        blocks = [cols for _, cols in branches]
+        dim = blocks[0].shape[0]
+        if any(b.shape[0] != dim for b in blocks):
+            raise ValidationError("extended observable: branches have mixed dimensions")
+        ranks = np.array([b.shape[1] for b in blocks])
+        if not ranks.all():
+            raise ValidationError(f"extended observable: branch {int(np.argmin(ranks))} has rank 0")
+        total = int(ranks.sum())
+        if total != dim:
+            what, sign = ("incomplete", "<") if total < dim else ("branches overlap", ">")
+            raise ValidationError(
+                f"extended observable: {what}, branch ranks sum to {total} {sign} dimension {dim}"
+            )
+        # every finite branch starts a block, and so does the first +infinity
+        order = np.argsort(values, kind="stable")
+        values, ranks = values[order], ranks[order]
+        first = np.append(True, np.isfinite(values[:-1]))
+        starts = (np.cumsum(ranks) - ranks)[first]
+        vectors = np.concatenate([blocks[b] for b in order], axis=1)[None]
+        return _build(
+            values[first], np.zeros_like(starts), starts, vectors, tol, lambda j: "extended observable"
+        )[0]
 
     @property
     def has_infinite_branch(self) -> bool:
         return bool(self.values) and math.isinf(self.values[-1])
-
-    def _exp(self, sign: float) -> np.ndarray:
-        """V diag(exp(sign * v)) V† over the columns, by _column_exp."""
-        factors = np.repeat(_column_exp(np.array(self.values), sign), np.diff(self.offsets))
-        return (self.vectors * factors) @ self.vectors.conj().T
-
-    def exp_neg(self) -> np.ndarray:
-        """exp(-A) with the +infinity branch mapped to the kernel."""
-        return self._exp(-1.0)
-
-    def exp_pos(self) -> np.ndarray:
-        """exp(+A); requires a finite spectrum."""
-        return self._exp(1.0)
 
 
 def _column_exp(values: np.ndarray, sign: float) -> np.ndarray:
@@ -187,59 +144,67 @@ def _column_exp(values: np.ndarray, sign: float) -> np.ndarray:
     return np.exp(sign * values)
 
 
+def _build(
+    values: np.ndarray, rows: np.ndarray, starts: np.ndarray, vectors: np.ndarray,
+    tol: Tolerances, name: Callable[[int], str],
+) -> list[ExtendedObservable]:
+    """The observables of a stack (J, n, n) of columns in branch blocks:
+    branch b, in row-major order, is observable rows[b]'s block from its
+    column starts[b], with value values[b] (ascending within an observable,
+    +infinity only last).  One check over the stack, finite values distinct
+    beyond degeneracy_tol and |V†V - I| <= proj_tol, certifies them all;
+    an error names the failing observable by name(j)."""
+    finite = np.isfinite(values)
+    filled = np.where(finite, values, 0.0)
+    close = (rows[1:] == rows[:-1]) & finite[1:] & (filled[1:] - filled[:-1] <= tol.degeneracy_tol)
+    if close.any():
+        b = int(np.argmax(close))
+        raise ValidationError(
+            f"{name(int(rows[b]))}: finite branch values {float(values[b])!r} and "
+            f"{float(values[b + 1])!r} are not distinct beyond degeneracy_tol; "
+            f"merge their projectors first"
+        )
+    n = vectors.shape[-1]
+    defect = _max_abs_each(vectors.conj().swapaxes(-1, -2) @ vectors - np.eye(n))
+    if (defect > tol.proj_tol).any():
+        j = int(np.argmax(defect > tol.proj_tol))
+        raise ValidationError(
+            f"{name(j)}: branches overlap or are not orthonormal, "
+            f"|V†V - I| = {defect[j]:.3e} exceeds proj_tol"
+        )
+    values, starts = values.tolist(), starts.tolist()
+    bounds = np.searchsorted(rows, np.arange(len(vectors) + 1)).tolist()
+    return [
+        ExtendedObservable(vectors=v, offsets=(*starts[a:b], n), values=tuple(values[a:b]))
+        for v, a, b in zip(vectors, bounds, bounds[1:])
+    ]
+
+
 def _observables(
     values: np.ndarray, vectors: np.ndarray, tol: Tolerances, name: Callable[[int], str]
 ) -> list[ExtendedObservable]:
     """Observable j has value values[j, a] (+infinity allowed) on the column
     vectors[j, :, a], for a stack (J, n) of values and (J, n, n) of columns.
-
-    The batched from_blocks: each row is sorted ascending (stably, so
-    +infinity columns keep their order, last), clustered by the rule of
-    _branch_starts, and each finite branch takes its cluster's mean.  Its
-    checks (no NaN value, finite branch values distinct beyond
-    degeneracy_tol, |V†V - I| <= proj_tol) run once over the stack, and
-    an error names the failing observable by name(j).
-    """
-    def check(failed: np.ndarray, message: str) -> None:
-        if failed.any():
-            raise ValidationError(f"{name(int(np.argmax(failed)))}: {message}")
-
-    check(np.isnan(values).any(axis=-1), "NaN branch value")
+    Each row is sorted stably (+infinity columns keep their order, last),
+    grouped by _branch_starts into branches valued by _cluster_means, and
+    checked and built by _build; an error names observable j by name(j)."""
+    nan = np.isnan(values).any(axis=-1)
+    if nan.any():
+        raise ValidationError(f"{name(int(np.argmax(nan)))}: NaN branch value")
     order = np.argsort(values, axis=-1, kind="stable")
     values = np.take_along_axis(values, order, axis=-1)
     vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
-    finite = np.isfinite(values)
     starts = _branch_starts(values, tol.degeneracy_tol)
     rows, cols = np.nonzero(starts)
-    flat = np.flatnonzero(starts)
-    # summed from +0.0, as np.mean sums, so a lone -0.0 becomes 0.0
-    sums = 0.0 + np.add.reduceat(np.where(finite, values, 0.0).ravel(), flat)
-    branch_finite = finite.ravel()[flat]
-    edges = np.concatenate((flat, [values.size]))
-    means = np.where(branch_finite, sums / (edges[1:] - edges[:-1]), 0.0)
-    close = (rows[1:] == rows[:-1]) & branch_finite[1:] & (means[1:] - means[:-1] <= tol.degeneracy_tol)
-    check(
-        np.bincount(rows[1:][close], minlength=len(values)) > 0,
-        "finite branch values are not distinct beyond degeneracy_tol; merge their projectors first",
-    )
-    n = values.shape[-1]
-    defect = _max_abs_each(vectors.conj().swapaxes(-1, -2) @ vectors - np.eye(n))
-    check(defect > tol.proj_tol, "branches overlap or are not orthonormal, |V†V - I| exceeds proj_tol")
-    means = np.where(branch_finite, means, math.inf).tolist()
-    cols = cols.tolist()
-    bounds = np.searchsorted(rows, np.arange(len(values) + 1)).tolist()
-    return [
-        ExtendedObservable(vectors=v, offsets=(*cols[a:b], n), values=tuple(means[a:b]))
-        for v, a, b in zip(vectors, bounds, bounds[1:])
-    ]
+    return _build(_cluster_means(values, starts), rows, cols, vectors, tol, name)
 
 
 def observable_from_hermitian(h, tol: Tolerances = DEFAULT_TOLS) -> ExtendedObservable:
     """Wrap a Hermitian matrix as a finite extended observable, grouping
     eigenvalues closer than degeneracy_tol into joint eigenspaces whose
-    eigenvector blocks become the branches."""
+    eigenvector blocks become the branches: _observables on a stack of one."""
     dec = spectral_decompose(h, tol)
-    return ExtendedObservable.from_blocks(group_eigenspaces(dec, tol.degeneracy_tol), tol)
+    return _observables(dec.values[None], dec.vectors[None], tol, lambda j: "extended observable")[0]
 
 
 def measurement_channel(rho, m: BranchBlocks) -> np.ndarray:

@@ -220,19 +220,28 @@ def _branch_starts(values: np.ndarray, degeneracy_tol: float) -> np.ndarray:
     return starts
 
 
+def _cluster_means(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each cluster's value, in row-major order, for ascending values (..., n)
+    whose cluster starts are flagged (see _branch_starts): +infinity for the
+    infinite cluster, else the mean, summed from +0.0 as np.mean sums."""
+    flat = np.flatnonzero(starts)
+    finite = np.isfinite(values).ravel()
+    sums = 0.0 + np.add.reduceat(np.where(finite, values.ravel(), 0.0), flat)
+    sizes = np.concatenate((flat[1:], [values.size])) - flat
+    return np.where(finite[flat], sums / sizes, math.inf)
+
+
 def group_eigenspaces(
     dec: SpectralDecomposition, degeneracy_tol: float
 ) -> list[tuple[float, np.ndarray]]:
-    """Cluster eigenvalues by ascending gap threshold into eigenspaces.
-
-    Returns (value, columns) pairs, one per cluster: value is the mean of
-    the member eigenvalues and columns is the contiguous block of
-    eigenvectors spanning the eigenspace (its projector is cols @ cols†).
-    The blocks partition the orthonormal eigenbasis by construction.
-    """
-    values, vectors = dec.values, dec.vectors
-    edges = [*np.flatnonzero(_branch_starts(values, degeneracy_tol)).tolist(), values.size]
-    return [(float(values[a:b].mean()), vectors[:, a:b]) for a, b in zip(edges, edges[1:])]
+    """Cluster eigenvalues by ascending gap threshold into eigenspaces: one
+    (value, columns) pair per cluster, with the cluster value of an extended
+    observable's branch (_cluster_means) and the contiguous block of
+    eigenvectors spanning the eigenspace (its projector is cols @ cols†)."""
+    starts = _branch_starts(dec.values, degeneracy_tol)
+    edges = [*np.flatnonzero(starts).tolist(), dec.dim]
+    means = _cluster_means(dec.values, starts).tolist()
+    return [(mean, dec.vectors[:, a:b]) for mean, a, b in zip(means, edges, edges[1:])]
 
 
 def _support_mask(values: np.ndarray, tol: Tolerances, what: str) -> np.ndarray:

@@ -355,9 +355,11 @@ def _efficacy_blocks(protocols: Sequence[TwoTimeProtocol], weights: Sequence[flo
     v_f, labels_f, _, a_f = _columns([p.final_observable for p in protocols])
     v_i_adj = v_i.conj().swapaxes(-1, -2)
     rho = _stack([p.initial_state for p in protocols])
-    rho_m = v_i @ _dephased(v_i_adj @ rho @ v_i, labels_i) @ v_i_adj
-    exp_pos = (v_i * _column_exp(a_i, 1.0)[labels_i][..., None, :]) @ v_i_adj
-    weighted = apply_channel(channel, rho_m @ exp_pos)
+    # M_i(rho) exp(A_i) = V_i (c e^{a}) V_i†, with c = V_i† rho V_i dephased
+    # and its columns scaled by e^{a}: the two exponentially spread factors
+    # are never multiplied in the computational basis.
+    c = _dephased(v_i_adj @ rho @ v_i, labels_i) * _column_exp(a_i, 1.0)[labels_i][..., None, :]
+    weighted = apply_channel(channel, v_i @ c @ v_i_adj)
     exp_neg = (v_f * _column_exp(a_f, -1.0)[labels_f][..., None, :]) @ v_f.conj().swapaxes(-1, -2)
     # tr(X Y) as an elementwise sum, without forming X Y
     traces = np.sum(exp_neg.swapaxes(-1, -2) * weighted, axis=(-2, -1))
@@ -438,7 +440,14 @@ def gibbs_state(
     finite doubles.
     """
     dec = spectral_decompose(h, tol)
-    lowest = beta * float(dec.values[0])
+    lo, hi = float(dec.values[0]), float(dec.values[-1])
+    # Python float products, which overflow to inf without a warning
+    if not math.isfinite(beta * (hi - lo)) or not math.isfinite(beta * max(-lo, hi)):
+        raise ValidationError(
+            f"beta = {beta!r} with energies in [{lo!r}, {hi!r}]: beta * (E_max - E_min) "
+            f"and beta * E must be finite doubles"
+        )
+    lowest = beta * lo
     shift = -lowest if abs(lowest) > _EXP_LIMIT / 4 else 0.0
     weights = np.exp(-beta * dec.values - shift)
     z = float(weights.sum())
@@ -467,8 +476,8 @@ def jarzynski_scenario(
     beta <W> >= beta dF, both at CHECK_TOL, then the checks of verify_ft.
     """
     beta = float(beta)
-    if beta <= 0:
-        raise ValidationError(f"inverse temperature must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValidationError(f"inverse temperature beta must be positive and finite, got {beta}")
     h0 = require_hermitian(h0, tolerances)
     h_tau = protocol.final_hamiltonian
     rho0, z0_scaled, shift0 = gibbs_state(h0, beta, tolerances)

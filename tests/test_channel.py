@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import qfluct as qf
+from qfluct.channel import step_unitary
 from qfluct.errors import ValidationError
 from qfluct.rand import random_density_matrix
 
@@ -129,3 +132,20 @@ def test_protocol_unitarity_invariant():
 def test_protocol_rejects_negative_duration():
     with pytest.raises(ValidationError, match="negative"):
         qf.EvolutionProtocol.create([(PAULI_Z, -0.1)])
+
+
+@pytest.mark.parametrize("duration", [math.inf, -math.inf, math.nan])
+def test_protocol_rejects_non_finite_duration(duration):
+    with pytest.raises(ValidationError, match="step 1 duration .* is not finite"):
+        qf.EvolutionProtocol.create([(PAULI_Z, 0.5), (PAULI_Z, duration)])
+
+
+def test_step_phase_must_be_a_finite_double():
+    # E t = 2e308 overflows; 1e308 is a finite phase, and exp(-i E t) is exact
+    protocol = qf.EvolutionProtocol.create([(2 * PAULI_Z, 1e308)])
+    with pytest.raises(ValidationError, match="step of duration 1e\\+308"):
+        qf.unitary_from_protocol(protocol)
+    with pytest.raises(ValidationError, match="not a finite double"):
+        step_unitary(PAULI_Z, math.inf)
+    u = step_unitary(PAULI_Z, 1e308)
+    assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-15

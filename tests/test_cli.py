@@ -144,6 +144,36 @@ def test_jarzynski_overflowing_exponential_exit_2(tmp_path, capsys):
     assert err.startswith("error:") and "1000.0" in err
 
 
+@pytest.mark.parametrize(
+    "beta, duration, flags, words",
+    [
+        ("1.0", "1.0", ["--beta", "inf"], "beta must be positive and finite"),
+        ("1.0", "1.0", ["--beta", "1e308"], "beta = 1e+308"),
+        ("Infinity", "1.0", [], "beta must be positive and finite"),
+        ("NaN", "1.0", [], "beta must be positive and finite"),
+        ("1.0", "1e308", [], "step of duration 1e+308"),
+        ("1.0", "Infinity", [], "step 0 duration inf is not finite"),
+    ],
+)
+def test_jarzynski_non_finite_beta_or_duration_exit_2(tmp_path, capsys, beta, duration, flags, words):
+    # Python's json reads Infinity and NaN; each must end as a typed error
+    # that names beta or the step, not a numpy RuntimeWarning
+    text = json.dumps(
+        {
+            "schema": 1,
+            "kind": "jarzynski",
+            "beta": "BETA",
+            "h0": cmat([[1, 0], [0, -1]]),
+            "protocol": [{"hamiltonian": cmat([[2, 0], [0, -2]]), "duration": "DURATION"}],
+        }
+    )
+    path = tmp_path / "jz.json"
+    path.write_text(text.replace('"BETA"', beta).replace('"DURATION"', duration))
+    assert cli.main(["jarzynski", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and words in err
+
+
 def test_verify_atoms_come_from_the_report(bit_flip_scenario, tmp_path):
     out = tmp_path / "report.json"
     assert cli.main(["verify", str(bit_flip_scenario), "--out", str(out)]) == 0
@@ -246,6 +276,12 @@ def test_holevo_optimize_cli(holevo_scenario, tmp_path):
     for element in report["optimized_povm"]:
         total += np.array([[complex(a, b) for a, b in row] for row in element])
     assert np.abs(total - np.eye(2)).max() < 1e-10
+
+
+def test_holevo_optimize_zero_outcomes_exit_2(holevo_scenario, capsys):
+    # --outcomes 0 is an explicit request, not a fallback to the scenario's K
+    assert cli.main(["holevo", "optimize", str(holevo_scenario), "--outcomes", "0"]) == 2
+    assert "at least 2 outcomes" in capsys.readouterr().err
 
 
 def test_holevo_analyze_summary_prints_no_negative_zero(tmp_path, capsys):

@@ -112,6 +112,24 @@ def test_dropped_outcome_overlap_is_a_report_failure():
         qf.analyze(inst)
 
 
+def test_trace_route_is_formed_in_each_observables_eigenbasis():
+    # rho_0 = (1 - eps)|b><b| + eps|a><a| and rho_1 = I - rho_0 measured in
+    # {|a>, |b>}: exp(A_i) reaches 1/eps, so the trace route must not
+    # multiply M_i(rho) and exp(A_i) in the computational basis, where the
+    # O(1e-16) rounding between the two branches is scaled by 1e11.  A
+    # 60-digit mpmath evaluation on the same float inputs gives
+    # gamma = 1.0000000000000007.
+    eps = 1e-11
+    a = np.array([math.cos(0.7), math.sin(0.7)], dtype=complex)
+    b = np.array([-math.sin(0.7), math.cos(0.7)], dtype=complex)
+    pa, pb = np.outer(a, a.conj()), np.outer(b, b.conj())
+    rho0 = (1 - eps) * pb + eps * pa
+    ens = qf.Ensemble.create([0.5, 0.5], [rho0, np.eye(2) - rho0])
+    report = qf.analyze(qf.CqChannelInstance.create(ens, qf.POVM.create([pa, pb])), strict=True)
+    assert abs(report.gamma_trace - 1.0000000000000007) <= 1e-15
+    assert report.route_error <= 1e-15
+
+
 def test_mutual_information_cases():
     assert qf.mutual_information(identical_states_instance()) < 1e-12
     assert abs(qf.mutual_information(orthogonal_instance()) - math.log(2)) < 1e-12

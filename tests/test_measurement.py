@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qfluct as qf
 from qfluct.errors import ValidationError
+from qfluct.measurement import _observables
 from qfluct.rand import random_density_matrix, random_povm
 
 from oracles import naimark_dilate_randomized, projectors
-from random_inputs import random_hermitian
+from random_inputs import haar_unitary, random_hermitian
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
@@ -83,23 +85,98 @@ def test_extended_observable_rejects_incomplete_family():
         )
 
 
+E0 = np.diag([1.0, 0.0]).astype(complex)
+E1 = np.diag([0.0, 1.0]).astype(complex)
+C0, C1 = E0[:, :1], E1[:, 1:]
+
+
+@pytest.mark.parametrize(
+    "build, branches, words",
+    [
+        ("from_blocks", [], "needs at least one branch"),
+        ("from_blocks", [(math.nan, C0), (0.0, C1)], "NaN branch value"),
+        ("from_blocks", [(-math.inf, C0), (0.0, C1)], "-infinity branch values are not supported"),
+        ("from_blocks", [(0.0, C0), (1.0, np.eye(3, dtype=complex)[:, :1])], "mixed dimensions"),
+        ("from_blocks", [(0.0, np.eye(2, dtype=complex)), (1.0, np.zeros((2, 0)))], "branch 1 has rank 0"),
+        ("create", [(0.0, np.diag([1.0, 0.0, 0.0])), (1.0, np.diag([0.0, 1.0, 0.0]))],
+         "incomplete, branch ranks sum to 2 < dimension 3"),
+        ("create", [(0.0, E0), (1.0, np.eye(2))], "branches overlap, branch ranks sum to 3 > dimension 2"),
+        ("create", [(0.0, E0), (1.0, PLUS)], r"overlap or are not orthonormal, \|V†V - I\| = 7\.071e-01"),
+        ("create", [(1e-12, E1), (0.0, E0)], "values 0.0 and 1e-12 are not distinct beyond degeneracy_tol"),
+    ],
+)
+def test_extended_observable_rejections(build, branches, words):
+    # every rejection is a ValidationError whose message keeps its words:
+    # the two close values, and the |V†V - I| defect
+    with pytest.raises(ValidationError, match=words):
+        getattr(qf.ExtendedObservable, build)(branches)
+
+
+@st.composite
+def clustered_stacks(draw):
+    """One to three Hermitian matrices of one size, each spectrum holding a
+    near-degenerate cluster of 8 to 20 eigenvalues, with gaps below
+    degeneracy_tol, and up to three eigenvalues away from it."""
+    size, n_others = draw(st.integers(8, 20)), draw(st.integers(0, 3))
+    matrices = []
+    for _ in range(draw(st.integers(1, 3))):
+        center = draw(st.floats(-5.0, 5.0))
+        gaps = draw(st.lists(st.floats(0.0, 9e-10), min_size=size - 1, max_size=size - 1))
+        others = draw(st.lists(st.floats(1e-3, 20.0), min_size=n_others, max_size=n_others))
+        values = np.concatenate([center + np.concatenate([[0.0], np.cumsum(gaps)]), center - np.array(others)])
+        u = haar_unitary(values.size, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+        matrices.append((u * values) @ u.conj().T)
+    return matrices
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(clustered_stacks())
+def test_one_cluster_mean_for_every_builder(matrices):
+    # observable_from_hermitian, group_eigenspaces and the batched builder
+    # of prepare_instance share one grouping rule and one cluster mean, so
+    # their branch values agree exactly
+    decs = [qf.spectral_decompose(h) for h in matrices]
+    batched = _observables(
+        np.stack([d.values for d in decs]), np.stack([d.vectors for d in decs]), qf.DEFAULT_TOLS, str
+    )
+    for h, dec, obs in zip(matrices, decs, batched):
+        grouped = tuple(value for value, _ in qf.group_eigenspaces(dec, qf.DEFAULT_TOLS.degeneracy_tol))
+        assert qf.observable_from_hermitian(h).values == grouped
+        assert obs.values == grouped
+
+
+def _efficacy(rho, a_i, a_f):
+    """The trace route of a protocol on the identity channel, built with the
+    dataclass constructor so that an initial +infinity branch reaches it."""
+    return qf.efficacy(qf.TwoTimeProtocol(rho, a_i, qf.identity_channel(2), a_f))
+
+
 def test_extended_observable_exponentials_refuse_to_overflow():
+    zero = qf.observable_from_hermitian(np.zeros((2, 2), dtype=complex))
     big = qf.observable_from_hermitian(np.diag([0.0, 800.0]).astype(complex))
+    half = np.eye(2, dtype=complex) / 2
     with pytest.raises(ValidationError, match="800.0"):
-        big.exp_pos()
-    assert np.abs(big.exp_neg() - np.diag([1.0, 0.0])).max() < 1e-12
+        _efficacy(half, big, zero)
+    # exp(-A_f) = diag(1, 0): e^-800 underflows to the kernel
+    assert abs(_efficacy(half, zero, big) - 0.5) < 1e-12
     low = qf.observable_from_hermitian(np.diag([-800.0, 0.0]).astype(complex))
     with pytest.raises(ValidationError, match="-800.0"):
-        low.exp_neg()
+        _efficacy(half, zero, low)
 
 
 def test_extended_observable_exponentials():
     obs = qf.ExtendedObservable.create(
         [(math.inf, np.diag([1.0, 0.0]).astype(complex)), (2.0, np.diag([0.0, 1.0]).astype(complex))]
     )
-    assert np.abs(obs.exp_neg() - np.diag([0.0, np.exp(-2.0)])).max() < 1e-12
+    zero = qf.observable_from_hermitian(np.zeros((2, 2), dtype=complex))
+    one = np.diag([0.0, 1.0]).astype(complex)
+    # exp(-A_f) = diag(0, e^-2), the +infinity branch its kernel
+    report = qf.verify_ft(qf.TwoTimeProtocol.create(one, zero, qf.identity_channel(2), obs))
+    assert report.passed
+    assert abs(report.gamma - np.exp(-2.0)) < 1e-12
+    assert abs(report.lhs - np.exp(-2.0)) < 1e-12
     with pytest.raises(ValidationError, match="unbounded"):
-        obs.exp_pos()
+        _efficacy(one, obs, zero)
 
 
 def test_measurement_channel_commuting_fixpoint():

@@ -365,6 +365,27 @@ def test_jarzynski_rejects_nonpositive_beta():
         qf.jarzynski_scenario(PAULI_Z, qf.EvolutionProtocol.create([(PAULI_Z, 1.0)]), beta=0.0)
 
 
+@pytest.mark.parametrize("beta", [math.inf, math.nan, -math.inf])
+def test_jarzynski_rejects_non_finite_beta(beta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="beta must be positive and finite"):
+            qf.jarzynski_scenario(PAULI_Z, qf.EvolutionProtocol.create([(PAULI_Z, 1.0)]), beta=beta)
+
+
+def test_gibbs_state_rejects_overflowing_beta_energy_products():
+    # beta (E_max - E_min) = 2e308 overflows; so does beta E = 1e310 with
+    # no spread at all
+    for energies, beta in (([-1.0, 1.0], 1e308), ([1e300, 1e300], 1e10)):
+        h = np.diag(energies).astype(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="beta = .* must be finite doubles"):
+                qf.ttm.gibbs_state(h, beta)
+            with pytest.raises(ValidationError, match="beta"):
+                qf.jarzynski_scenario(h, qf.EvolutionProtocol.create([(h, 0.0)]), beta=beta)
+
+
 def test_protocol_rejects_infinite_initial_observable():
     a_i = qf.ExtendedObservable.create(
         [(math.inf, np.diag([1.0, 0.0]).astype(complex)), (0.0, np.diag([0.0, 1.0]).astype(complex))]
