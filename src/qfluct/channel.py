@@ -16,8 +16,8 @@ from .operator_core import (
     as_matrix,
     max_abs,
     require_hermitian,
-    spectral_decompose,
     _as_matrices,
+    _checked_eigh,
 )
 
 
@@ -129,34 +129,31 @@ class EvolutionProtocol:
         return self.steps[-1][0]
 
 
-def step_unitary(h, duration: float, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """exp(-i H t) computed spectrally, exact at any step size whose
-    phases E t are finite doubles."""
-    dec = spectral_decompose(h, tol)
-    t = float(duration)
-    energy = float(np.abs(dec.values).max())
-    # a Python float product, which overflows to inf without a warning
-    if not math.isfinite(energy * t):
-        raise ValidationError(
-            f"step of duration {t!r}: the phase E t = {energy!r} * {t!r} is not a finite double"
-        )
-    return (dec.vectors * np.exp(-1j * dec.values * t)) @ dec.vectors.conj().T
+def _unitary(values: np.ndarray, vectors: np.ndarray, durations: Iterable[float]) -> np.ndarray:
+    """Time-ordered product of V_k exp(-i E_k t_k) V_k† from the steps'
+    eigenpairs, (n, d) values and (n, d, d) vectors; exact at any step size
+    whose phases E t are finite doubles."""
+    u = np.eye(values.shape[-1], dtype=complex)
+    for e, v, t in zip(values, vectors, durations):
+        energy = float(np.abs(e).max())
+        # a Python float product, which overflows to inf without a warning
+        if not math.isfinite(energy * t):
+            raise ValidationError(
+                f"step of duration {t!r}: the phase E t = {energy!r} * {t!r} is not a finite double"
+            )
+        u = (v * np.exp(-1j * e * t)) @ v.conj().T @ u
+    return u
 
 
 def unitary_from_protocol(
     protocol: EvolutionProtocol, tol: Tolerances = DEFAULT_TOLS
 ) -> KrausChannel:
-    """Time-ordered unitary of the protocol as a single-Kraus channel.
-
-    Later steps multiply on the left: U = exp(-i H_n t_n) ... exp(-i H_1 t_1).
-    """
-    u = np.eye(protocol.dim, dtype=complex)
-    for h, duration in protocol.steps:
-        u = step_unitary(h, duration, tol) @ u
-    defect = max_abs(u.conj().T @ u - np.eye(protocol.dim))
-    if defect > 1e-10:
-        raise ValidationError(f"protocol unitary defect {defect:.3e} exceeds 1e-10")
-    return KrausChannel.create([u])
+    """Time-ordered unitary of the protocol as a single-Kraus channel, from
+    one eigh of the stacked steps.  Later steps multiply on the left:
+    U = exp(-i H_n t_n) ... exp(-i H_1 t_1)."""
+    hamiltonians, durations = zip(*protocol.steps)
+    values, vectors = _checked_eigh(np.stack(hamiltonians), tol, "step")
+    return KrausChannel.create([_unitary(values, vectors, durations)])
 
 
 def _check_strength(q: float) -> float:

@@ -21,6 +21,11 @@ import numpy as np
 from .errors import ValidationError
 
 
+def _is_number(value) -> bool:
+    """An int or a float, but not a bool, although bool subclasses int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical tolerance pack.
@@ -43,7 +48,7 @@ class Tolerances:
     def __post_init__(self):
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
+            if not _is_number(value) or not math.isfinite(value) or value <= 0:
                 raise ValidationError(
                     f"tolerance {field.name} must be a strictly positive finite number, got {value!r}"
                 )
@@ -60,7 +65,8 @@ class Tolerances:
         unknown = set(overrides) - known
         if unknown:
             raise ValidationError(f"unknown tolerance fields: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in overrides.items()})
+        # a value that is not a number reaches __post_init__ as it is
+        return cls(**{k: float(v) if _is_number(v) else v for k, v in overrides.items()})
 
 
 DEFAULT_TOLS = Tolerances()

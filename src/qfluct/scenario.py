@@ -21,7 +21,7 @@ from .channel import EvolutionProtocol, KrausChannel, unitary_from_protocol
 from .errors import ValidationError
 from .holevo import CqChannelInstance, Ensemble
 from .measurement import POVM, observable_from_hermitian
-from .operator_core import DEFAULT_TOLS, Tolerances
+from .operator_core import DEFAULT_TOLS, Tolerances, _is_number
 from .ttm import TwoTimeProtocol
 
 SCHEMA_VERSION = 1
@@ -44,10 +44,10 @@ def matrix_from_json(data: Any, what: str) -> np.ndarray:
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
-                or not all(isinstance(x, (int, float)) for x in cell)
+                or not all(_is_number(x) for x in cell)
             ):
                 raise ValidationError(
-                    f"{what}: entry ({r},{c}) must be a two-element [re, im] array"
+                    f"{what}: entry ({r},{c}) must be a two-element [re, im] array of numbers"
                 )
             entries.append(complex(float(cell[0]), float(cell[1])))
         rows.append(entries)
@@ -95,7 +95,7 @@ def _parse_protocol(data: Any, tol: Tolerances) -> EvolutionProtocol:
             raise ValidationError(f"protocol[{i}]: expected an object")
         h = matrix_from_json(_require(step, "hamiltonian", f"protocol[{i}]"), f"protocol[{i}].hamiltonian")
         duration = _require(step, "duration", f"protocol[{i}]")
-        if not isinstance(duration, (int, float)):
+        if not _is_number(duration):
             raise ValidationError(f"protocol[{i}].duration must be a number")
         steps.append((h, float(duration)))
     return EvolutionProtocol.create(steps, tol)
@@ -106,13 +106,13 @@ def parse_scenario(document: dict, tol_override: Tolerances | None = None) -> Sc
     if not isinstance(document, dict):
         raise ValidationError("scenario: top level must be a JSON object")
     schema = _require(document, "schema", "scenario")
-    if schema != SCHEMA_VERSION:
+    if isinstance(schema, bool) or schema != SCHEMA_VERSION:
         raise ValidationError(f"scenario: unsupported schema version {schema!r}")
     kind = _require(document, "kind", "scenario")
     if kind not in SCENARIO_KINDS:
         raise ValidationError(f"scenario: unknown kind {kind!r}; expected one of {SCENARIO_KINDS}")
     seed = document.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
         raise ValidationError("scenario: seed must be an integer")
     if tol_override is not None:
         tol = tol_override
@@ -140,7 +140,7 @@ def parse_scenario(document: dict, tol_override: Tolerances | None = None) -> Sc
         h0 = matrix_from_json(_require(document, "h0", "scenario"), "h0")
         protocol = _parse_protocol(_require(document, "protocol", "scenario"), tol)
         beta = _require(document, "beta", "scenario")
-        if not isinstance(beta, (int, float)) or beta <= 0:
+        if not _is_number(beta) or beta <= 0:
             raise ValidationError(f"scenario: beta must be a positive number, got {beta!r}")
         return Scenario(
             kind=kind,

@@ -21,23 +21,23 @@ from .channel import (
     EvolutionProtocol,
     KrausChannel,
     apply_channel,
-    unitary_from_protocol,
     _kraus_chunks,
+    _unitary,
 )
 from .errors import ConsistencyError, IllPosedProtocolError, ValidationError
 from .measurement import (
     _EXP_LIMIT,
     ExtendedObservable,
-    observable_from_hermitian,
     _column_exp,
     _dephased,
+    _observables,
 )
 from .operator_core import (
     DEFAULT_TOLS,
     Tolerances,
+    as_matrix,
     require_density_matrix,
-    require_hermitian,
-    spectral_decompose,
+    _checked_eigh,
 )
 
 
@@ -102,9 +102,10 @@ class DeltaDistribution:
 
 
 # Check thresholds.  The fluctuation identity <exp(-delta_a)> = gamma of one
-# protocol is held to FT_IDENTITY_TOL, relative to max(1, gamma).  CHECK_TOL
-# holds the Jensen and maximum-work bounds, the Jarzynski identity, and the
-# route, mean, bound and chain checks of holevo.analyze.
+# protocol is held to FT_IDENTITY_TOL relative to gamma, and the Jarzynski
+# identity to CHECK_TOL relative to Z_tau/Z_0, so no verdict depends on the
+# energy zero.  CHECK_TOL also holds the Jensen and maximum-work bounds, and
+# the route, mean, bound and chain checks of holevo.analyze.
 FT_IDENTITY_TOL = 1e-9
 CHECK_TOL = 1e-8
 
@@ -153,7 +154,7 @@ class FtReport(_Checked):
     gamma: float              # trace-formula efficacy
     mean_delta_a: float
     jensen_slack: float       # <delta_a> + ln(gamma)
-    identity_error: float     # |lhs - gamma| / max(1, |gamma|)
+    identity_error: float     # |lhs - gamma| / gamma
     max_violation: float
     atoms: tuple[tuple[float, float], ...]  # merged delta_a distribution
     checks: tuple[Check, ...]
@@ -393,7 +394,7 @@ def verify_ft(protocol: TwoTimeProtocol, tolerances: Tolerances = DEFAULT_TOLS) 
     if gamma <= 0:
         raise ConsistencyError(f"efficacy {gamma!r} is not positive")
     mean = mean_delta_a(delta)
-    identity_error = abs(lhs - gamma) / max(1.0, abs(gamma))
+    identity_error = abs(lhs - gamma) / gamma
     jensen_slack = mean + math.log(gamma)
     return FtReport(
         lhs=lhs,
@@ -423,43 +424,17 @@ class JarzynskiReport(_Checked):
     mean_work: float            # <delta_a> / beta
     exp_neg_beta_work: float    # <exp(-beta W)>
     gamma: float
-    identity_error: float       # |<exp(-beta W)> - Z_tau/Z_0|
+    identity_error: float       # |<exp(-beta W)> - Z_tau/Z_0| / (Z_tau/Z_0)
     max_work_slack: float       # beta <W> - beta dF
     ft: FtReport
     checks: tuple[Check, ...]
 
 
-def gibbs_state(
-    h, beta: float, tol: Tolerances = DEFAULT_TOLS
-) -> tuple[np.ndarray, float, float]:
-    """Thermal state exp(-beta H)/Z and Z as (z, shift) with Z = z e^shift.
-
-    Beyond |beta E_min| = _EXP_LIMIT / 4 the weights are shifted by the
-    ground energy, shift = -beta E_min, so they lie in (0, 1]; within it
-    shift = 0, z = Z, and both partition functions and their ratio are
-    finite doubles.
-    """
-    dec = spectral_decompose(h, tol)
-    lo, hi = float(dec.values[0]), float(dec.values[-1])
-    # Python float products, which overflow to inf without a warning
-    if not math.isfinite(beta * (hi - lo)) or not math.isfinite(beta * max(-lo, hi)):
-        raise ValidationError(
-            f"beta = {beta!r} with energies in [{lo!r}, {hi!r}]: beta * (E_max - E_min) "
-            f"and beta * E must be finite doubles"
-        )
-    lowest = beta * lo
-    shift = -lowest if abs(lowest) > _EXP_LIMIT / 4 else 0.0
-    weights = np.exp(-beta * dec.values - shift)
-    z = float(weights.sum())
-    return (dec.vectors * (weights / z)) @ dec.vectors.conj().T, z, shift
-
-
-def _scaled(mantissa: float, shift: float, what: str) -> float:
-    """mantissa * e^shift, which must be a finite positive double."""
-    log_value = shift + math.log(mantissa)
-    if abs(log_value) >= _EXP_LIMIT:
+def _finite_exp(log_value: float, what: str) -> float:
+    """e^log_value, which must be a finite positive double."""
+    if not abs(log_value) < _EXP_LIMIT:
         raise ValidationError(f"{what} = exp({log_value!r}) is not a finite positive double")
-    return math.exp(log_value) if shift else mantissa
+    return math.exp(log_value)
 
 
 def jarzynski_scenario(
@@ -471,32 +446,48 @@ def jarzynski_scenario(
     """Build the work-statistics special case and verify its identities.
 
     Initial Gibbs state of h0, energy observables scaled by beta at both
-    ends, unitary evolution from the protocol.  The report checks
-    <exp(-beta W)> = Z_tau/Z_0 and the maximum work inequality
-    beta <W> >= beta dF, both at CHECK_TOL, then the checks of verify_ft.
+    ends, unitary evolution from the protocol, all from one eigh of h0 and
+    the step Hamiltonians.  At each end w = exp(-beta (E - E_min)) lies in
+    (0, 1], rho = V (w / s) V† with s = sum w, and ln Z = ln s - beta E_min.
+    The report checks <exp(-beta W)> = Z_tau/Z_0 and the maximum work
+    inequality beta <W> >= beta dF, both at CHECK_TOL, then the checks of
+    verify_ft.
     """
     beta = float(beta)
     if not 0 < beta < math.inf:
         raise ValidationError(f"inverse temperature beta must be positive and finite, got {beta}")
-    h0 = require_hermitian(h0, tolerances)
-    h_tau = protocol.final_hamiltonian
-    rho0, z0_scaled, shift0 = gibbs_state(h0, beta, tolerances)
-    _, z_tau_scaled, shift_tau = gibbs_state(h_tau, beta, tolerances)
-    z0 = _scaled(z0_scaled, shift0, "Z_0")
-    z_tau = _scaled(z_tau_scaled, shift_tau, "Z_tau")
-    z_ratio = _scaled(z_tau_scaled / z0_scaled, shift_tau - shift0, "Z_tau/Z_0")
-    # dF = -(ln Z_tau - ln Z_0) / beta
-    delta_f = -(math.log(z_tau_scaled / z0_scaled) + (shift_tau - shift0)) / beta
-    two_time = TwoTimeProtocol.create(
-        rho0,
-        observable_from_hermitian(beta * h0, tolerances),
-        unitary_from_protocol(protocol, tolerances),
-        observable_from_hermitian(beta * h_tau, tolerances),
-        tolerances,
+    h0 = as_matrix(h0)
+    if h0.shape[0] != protocol.dim:
+        raise ValidationError(f"protocol dimensions disagree: {sorted({h0.shape[0], protocol.dim})}")
+    hamiltonians, durations = zip(*protocol.steps)
+    values, vectors = _checked_eigh(np.stack([h0, *hamiltonians]), tolerances, "Hamiltonian")
+    ends, end_vectors = values[[0, -1]], vectors[[0, -1]]
+    (lo0, _), (lo_tau, _) = bounds = ends[:, [0, -1]].tolist()
+    for lo, hi in bounds:
+        # Python float products, which overflow to inf without a warning
+        if not math.isfinite(beta * (hi - lo)) or not math.isfinite(beta * max(-lo, hi)):
+            raise ValidationError(
+                f"beta = {beta!r} with energies in [{lo!r}, {hi!r}]: beta * (E_max - E_min) "
+                f"and beta * E must be finite doubles"
+            )
+    weights = np.exp(-beta * (ends - ends[:, :1]))
+    s0, s_tau = weights.sum(axis=-1).tolist()
+    z0 = _finite_exp(math.log(s0) - beta * lo0, "Z_0")
+    z_tau = _finite_exp(math.log(s_tau) - beta * lo_tau, "Z_tau")
+    # from the ratio of the shifted sums, so no term of size beta E_min cancels
+    log_ratio = math.log(s_tau / s0) - beta * (lo_tau - lo0)
+    z_ratio = _finite_exp(log_ratio, "Z_tau/Z_0")
+    delta_f = -log_ratio / beta
+    a_i, a_f = _observables(beta * ends, end_vectors, tolerances, lambda j: ("A_i", "A_f")[j])
+    rho0 = (end_vectors[0] * (weights[0] / s0)) @ end_vectors[0].conj().T
+    # Built without TwoTimeProtocol.create: rho0 is PSD with unit trace by
+    # construction, every part is d-dimensional and A_i is finite.
+    two_time = TwoTimeProtocol(
+        rho0, a_i, KrausChannel.create([_unitary(values[1:], vectors[1:], durations)]), a_f
     )
     ft = verify_ft(two_time, tolerances=tolerances)
     mean_work = ft.mean_delta_a / beta
-    identity_error = abs(ft.lhs - z_ratio)
+    identity_error = abs(ft.lhs - z_ratio) / z_ratio
     max_work_slack = beta * mean_work - beta * delta_f
     report = JarzynskiReport(
         beta=beta,

@@ -174,6 +174,59 @@ def test_jarzynski_non_finite_beta_or_duration_exit_2(tmp_path, capsys, beta, du
     assert err.startswith("error:") and words in err
 
 
+def jarzynski_doc():
+    return {
+        "schema": 1,
+        "kind": "jarzynski",
+        "beta": 1.0,
+        "h0": cmat([[1, 0], [0, -1]]),
+        "protocol": [{"hamiltonian": cmat([[2, 0], [0, -2]]), "duration": 0.5}],
+    }
+
+
+@pytest.mark.parametrize(
+    "field, words",
+    [
+        ("beta", "beta must be a positive number, got True"),
+        ("duration", "protocol[0].duration must be a number"),
+        ("seed", "seed must be an integer"),
+        ("entry", "h0: entry (0,0) must be a two-element [re, im] array of numbers"),
+        ("tolerance", "tolerance degeneracy_tol must be a strictly positive finite number, got True"),
+        ("schema", "unsupported schema version True"),
+    ],
+)
+def test_jarzynski_rejects_json_booleans_exit_2(tmp_path, capsys, field, words):
+    # bool subclasses int, so true would otherwise read as the number 1
+    doc = jarzynski_doc()
+    if field == "beta":
+        doc["beta"] = True
+    elif field == "duration":
+        doc["protocol"][0]["duration"] = True
+    elif field == "seed":
+        doc["seed"] = True
+    elif field == "entry":
+        doc["h0"][0][0] = [True, False]
+    elif field == "tolerance":
+        doc["tolerances"] = {"degeneracy_tol": True}
+    else:
+        doc["schema"] = True
+    path = tmp_path / "jz.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["jarzynski", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and words in err
+
+
+def test_jarzynski_mismatched_h0_dimension_exit_2(tmp_path, capsys):
+    doc = jarzynski_doc()
+    doc["h0"] = cmat(np.eye(3))
+    path = tmp_path / "jz.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["jarzynski", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "protocol dimensions disagree: [2, 3]" in err
+
+
 def test_verify_atoms_come_from_the_report(bit_flip_scenario, tmp_path):
     out = tmp_path / "report.json"
     assert cli.main(["verify", str(bit_flip_scenario), "--out", str(out)]) == 0

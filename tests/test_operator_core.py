@@ -225,6 +225,13 @@ def test_tolerances_validation_and_overrides():
         qf.Tolerances(rank_tol=0.0)
     with pytest.raises(ValidationError, match="unknown tolerance"):
         qf.Tolerances.from_dict({"bogus": 1e-9})
+    # a bool or a string is not a number, although float() would take both
+    for value in (True, "1e-9"):
+        with pytest.raises(ValidationError, match="tolerance rank_tol must be a strictly positive"):
+            qf.Tolerances.from_dict({"rank_tol": value})
+        with pytest.raises(ValidationError, match="tolerance rank_tol must be a strictly positive"):
+            qf.Tolerances(rank_tol=value)
+    assert qf.Tolerances.from_dict({"rank_tol": 1}).rank_tol == 1.0
     t = qf.DEFAULT_TOLS.replace(degeneracy_tol=1e-6)
     assert t.degeneracy_tol == 1e-6
     assert qf.DEFAULT_TOLS.degeneracy_tol == 1e-9

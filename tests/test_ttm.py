@@ -381,8 +381,6 @@ def test_gibbs_state_rejects_overflowing_beta_energy_products():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="beta = .* must be finite doubles"):
-                qf.ttm.gibbs_state(h, beta)
-            with pytest.raises(ValidationError, match="beta"):
                 qf.jarzynski_scenario(h, qf.EvolutionProtocol.create([(h, 0.0)]), beta=beta)
 
 
@@ -397,24 +395,30 @@ def test_protocol_rejects_infinite_initial_observable():
 
 
 def test_gibbs_state_shifts_large_energies():
-    # exp(-beta E) overflows for E = -800 and underflows to 0 for E >= 800;
-    # shifted by the ground energy, both states come out finite and exact.
+    # exp(-beta E) overflows for E = -710 and underflows to 0 for E >= 746;
+    # shifted by the ground energy, the weights lie in (0, 1].  At +-700,
+    # the largest energies whose Z is a finite double, the state is exact
+    # and ln Z follows from the shifted sum.
     for energies, log_z in (
-        ([-800.0, 0.0], 800.0),
-        ([800.0, 801.0], -800.0 + math.log1p(math.exp(-1.0))),
+        ([-700.0, 0.0], 700.0 + math.log1p(math.exp(-700.0))),
+        ([700.0, 701.0], -700.0 + math.log1p(math.exp(-1.0))),
     ):
+        h = np.diag(energies).astype(complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rho, z, shift = qf.ttm.gibbs_state(np.diag(energies).astype(complex), 1.0)
+            two_time, report = qf.jarzynski_scenario(h, qf.EvolutionProtocol.create([(h, 0.0)]), 1.0)
         weights = np.exp(-(np.array(energies) - energies[0]))
-        assert np.abs(rho - np.diag(weights / weights.sum())).max() <= 1e-15
-        assert abs(shift + math.log(z) - log_z) <= 1e-12 * abs(log_z)
+        assert np.abs(two_time.initial_state - np.diag(weights / weights.sum())).max() <= 1e-15
+        assert abs(math.log(report.z0) - log_z) <= 1e-12 * abs(log_z)
+        assert report.passed
 
 
-def test_gibbs_state_moderate_energies_are_unshifted():
-    rho, z, shift = qf.ttm.gibbs_state(PAULI_Z, 1.0)
-    assert shift == 0.0
-    assert z == math.exp(-1.0) + math.exp(1.0)
+def test_gibbs_state_partition_function_of_pauli_z():
+    _, report = qf.jarzynski_scenario(PAULI_Z, qf.EvolutionProtocol.create([(PAULI_Z, 0.0)]), 1.0)
+    z = math.exp(-1.0) + math.exp(1.0)
+    assert abs(report.z0 - z) <= 1e-15 * z
+    assert report.z_tau == report.z0
+    assert report.z_ratio == 1.0 and report.delta_f == 0.0
 
 
 def test_jarzynski_shifted_partition_functions_closed_form():
@@ -453,3 +457,70 @@ def test_joint_blocks_judge_the_leak_on_the_weighted_sum():
     assert abs(joints[1].probs[:, -1].sum() - 5e-13) <= 1e-25
     with pytest.raises(IllPosedProtocolError, match="ill-posed"):
         qf.ttm._joint_blocks([clean, leaky, leaky], [1 - 3e-12, 1.5e-12, 1.5e-12], qf.DEFAULT_TOLS)
+
+
+def test_jarzynski_rejects_mismatched_h0_dimension():
+    protocol = qf.EvolutionProtocol.create([(np.eye(3, dtype=complex), 1.0)])
+    with pytest.raises(ValidationError, match="protocol dimensions disagree: \\[2, 3\\]"):
+        qf.jarzynski_scenario(PAULI_Z, protocol, beta=1.0)
+
+
+def test_jarzynski_decomposes_every_hamiltonian_once(monkeypatch):
+    # h0 and the three step Hamiltonians take one stacked eigh; the Gibbs
+    # state, both observables, both partition functions and the unitary all
+    # come from it, and the Gibbs state is not checked again
+    rng = np.random.default_rng(17)
+    h0 = random_hermitian(4, rng)
+    protocol = qf.EvolutionProtocol.create([(random_hermitian(4, rng), 0.4) for _ in range(3)])
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def wrapped(*args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapped)
+    _, report = qf.jarzynski_scenario(h0, protocol, beta=1.0)
+    assert report.passed
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    calls["eigh"] = 0
+    qf.unitary_from_protocol(protocol)
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+
+
+def test_jarzynski_identity_is_relative_to_z_ratio():
+    # Z_tau/Z_0 = 7.50e10: an absolute check would read 3.05e-5 here and
+    # fail, although lhs agrees with the ratio to rounding
+    h_tau = np.diag([-25.0, -24.0]).astype(complex) + 0.3 * PAULI_X
+    _, report = qf.jarzynski_scenario(
+        np.diag([0.0, 1.0]).astype(complex), qf.EvolutionProtocol.create([(h_tau, 0.0)]), beta=1.0
+    )
+    assert abs(report.z_ratio / 7.50e10 - 1.0) < 1e-3
+    assert report.identity_error <= 1e-15
+    assert report.passed
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 4),
+    n_steps=st.integers(1, 3),
+    beta=st.floats(0.2, 2.0),
+    shift=st.floats(-40.0, 40.0),
+    shift_h0=st.booleans(),
+)
+def test_verdicts_do_not_depend_on_the_energy_zero(seed, dim, n_steps, beta, shift, shift_h0):
+    # adding c to h0 or to h_tau multiplies both sides of each identity by
+    # the same factor e^{-+beta c}, and leaves both bounds as they are
+    rng = np.random.default_rng(seed)
+    h0 = random_hermitian(dim, rng)
+    steps = [(random_hermitian(dim, rng), float(rng.uniform(0.0, 1.0))) for _ in range(n_steps)]
+    _, plain = qf.jarzynski_scenario(h0, qf.EvolutionProtocol.create(steps), beta)
+    offset = shift * np.eye(dim)
+    if shift_h0:
+        h0 = h0 + offset
+    else:
+        steps[-1] = (steps[-1][0] + offset, steps[-1][1])
+    _, shifted = qf.jarzynski_scenario(h0, qf.EvolutionProtocol.create(steps), beta)
+    assert [c.passed for c in shifted.checks] == [c.passed for c in plain.checks]
+    assert abs(shifted.identity_error - plain.identity_error) <= 1e-12
+    assert abs(shifted.ft.identity_error - plain.ft.identity_error) <= 1e-12
