@@ -450,3 +450,44 @@ def test_a_failed_last_check_fails_the_document_and_the_exit_code(command, name,
     doc = json.loads(out.read_text())
     assert doc["checks"][-1]["passed"] is False
     assert doc["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, name, message",
+    [
+        (["verify"], "zero_plus_holevo", "verify expects a two_time scenario, got kind 'holevo'"),
+        (["jarzynski"], "bit_flip_two_time", "jarzynski expects a jarzynski scenario, got kind 'two_time'"),
+        (["holevo", "analyze"], "sudden_quench_jarzynski",
+         "holevo analyze expects a holevo scenario, got kind 'jarzynski'"),
+        (["holevo", "optimize"], "bit_flip_two_time",
+         "holevo optimize expects a holevo scenario, got kind 'two_time'"),
+    ],
+)
+def test_kind_mismatch_exit_2_names_both_kinds(argv, name, message, capsys):
+    assert cli.main(argv + [str(SCENARIOS / f"{name}.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_csv_header_is_the_readme_header():
+    readme = (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+    at = readme.index(cli.CSV_VERSION_LINE)
+    assert readme[at + 1] == cli.CSV_HEADER
+
+
+def test_holevo_random_rows_are_the_library_reports(capsys):
+    assert cli.main(["holevo", "random", "--dim", "2", "--words", "2", "--outcomes", "3",
+                     "--trials", "3", "--seed", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[1].split(",")
+    scalars = header[6:15]
+    assert scalars == ["mutual_information", "chi", "gamma", "neg_log_gamma", "bound_slack", "g1", "g2",
+                       "equality_residual", "route_error"]
+    for i, line in enumerate(lines[2:]):
+        report = qf.analyze(qf.random_instance(2, 2, 3, 7 + i, "mix"), strict=False)
+        owners = {"g1": report.chain, "g2": report.chain}
+        row = line.split(",")
+        assert row[:6] == [str(i), str(7 + i), "2", "2", "3", "mix"]
+        assert row[6:15] == [repr(float(getattr(owners.get(name, report), name))) for name in scalars]
+    assert len(lines) == 2 + 3
