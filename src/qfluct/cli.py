@@ -9,7 +9,6 @@ converts the stderr summary only; files always stay in nats.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -35,10 +34,11 @@ from .scenario import (
 )
 from .ttm import CHECK_TOL, Check, jarzynski_scenario, verify_ft
 
-CSV_HEADER = (
-    "trial,seed,dim,words,outcomes,state_kind,mutual_information,chi,gamma,"
-    "neg_log_gamma,bound_slack,g1,g2,equality_residual,route_error,passed"
+CSV_SCALARS = (
+    "mutual_information", "chi", "gamma", "neg_log_gamma", "bound_slack",
+    "g1", "g2", "equality_residual", "route_error",
 )
+CSV_HEADER = ",".join(("trial", "seed", "dim", "words", "outcomes", "state_kind", *CSV_SCALARS, "passed"))
 CSV_VERSION_LINE = "# qfluct-holevo-random-csv v1"
 
 LN2 = math.log(2.0)
@@ -55,88 +55,74 @@ def _display(value: float, bits: bool) -> str:
 
 
 def _tolerances(args) -> Tolerances | None:
-    if args.tol_pack:
-        return load_tolerances(args.tol_pack)
-    return None
+    return load_tolerances(args.tol_pack) if args.tol_pack else None
 
 
-def _emit(doc: dict, args) -> None:
+def _scenario(args, kind: str, command: str):
+    """Load the scenario file (with any --tol-pack) and require its kind."""
+    scenario, digest = load_scenario(args.scenario, _tolerances(args))
+    if scenario.kind != kind:
+        raise ValidationError(f"{command} expects a {kind} scenario, got kind {scenario.kind!r}")
+    return scenario, digest
+
+
+def _finish(args, scenario, digest: str, summary: list[str], **fields) -> int:
+    """Write the report to --out or stdout, print the summary and the
+    verdict to stderr, and return the exit code.  ``fields`` go to
+    report_document; kind and seed default to the scenario's."""
+    fields.setdefault("kind", scenario.kind)
+    fields.setdefault("seed", scenario.seed)
+    doc = report_document(input_sha256=digest, tolerances=scenario.tolerances, **fields)
     text = write_report(doc, args.out)
     if args.out is None:
         print(text)
-
-
-def _check_dicts(checks) -> list[dict]:
-    return [dataclasses.asdict(c) for c in checks]
+    _summary([*summary, "PASS" if doc["passed"] else "FAIL"])
+    return 0 if doc["passed"] else 1
 
 
 def cmd_verify(args) -> int:
-    scenario, digest = load_scenario(args.scenario, _tolerances(args))
-    if scenario.kind != "two_time":
-        raise ValidationError(f"verify expects a two_time scenario, got kind {scenario.kind!r}")
+    scenario, digest = _scenario(args, "two_time", "verify")
     report = verify_ft(scenario.two_time, tolerances=scenario.tolerances)
-    doc = report_document(
-        kind="two_time",
-        input_sha256=digest,
-        tolerances=scenario.tolerances,
-        scalars={
-            "lhs": report.lhs,
-            "gamma": report.gamma,
-            "mean_delta_a": report.mean_delta_a,
-            "jensen_slack": report.jensen_slack,
-            "identity_error": report.identity_error,
-            "max_violation": report.max_violation,
-        },
-        checks=_check_dicts(report.checks),
-        atoms=list(report.atoms),
-        seed=scenario.seed,
+    summary = [
+        f"<exp(-delta_a)> = {report.lhs:.12g}, gamma = {report.gamma:.12g}",
+        f"mean delta_a = {report.mean_delta_a:.12g}, jensen slack = {report.jensen_slack:.3e}",
+    ]
+    scalars = {
+        "lhs": report.lhs,
+        "gamma": report.gamma,
+        "mean_delta_a": report.mean_delta_a,
+        "jensen_slack": report.jensen_slack,
+        "identity_error": report.identity_error,
+        "max_violation": report.max_violation,
+    }
+    return _finish(
+        args, scenario, digest, summary, scalars=scalars, checks=report.checks, atoms=report.atoms
     )
-    _emit(doc, args)
-    _summary(
-        [
-            f"<exp(-delta_a)> = {report.lhs:.12g}, gamma = {report.gamma:.12g}",
-            f"mean delta_a = {report.mean_delta_a:.12g}, jensen slack = {report.jensen_slack:.3e}",
-            "PASS" if report.passed else "FAIL",
-        ]
-    )
-    return 0 if report.passed else 1
 
 
 def cmd_jarzynski(args) -> int:
-    scenario, digest = load_scenario(args.scenario, _tolerances(args))
-    if scenario.kind != "jarzynski":
-        raise ValidationError(f"jarzynski expects a jarzynski scenario, got kind {scenario.kind!r}")
+    scenario, digest = _scenario(args, "jarzynski", "jarzynski")
     beta = args.beta if args.beta is not None else scenario.jarzynski_beta
     _, report = jarzynski_scenario(
         scenario.jarzynski_h0, scenario.jarzynski_protocol, beta, tolerances=scenario.tolerances
     )
-    doc = report_document(
-        kind="jarzynski",
-        input_sha256=digest,
-        tolerances=scenario.tolerances,
-        scalars={
-            "beta": report.beta,
-            "z0": report.z0,
-            "z_tau": report.z_tau,
-            "z_ratio": report.z_ratio,
-            "delta_f": report.delta_f,
-            "mean_work": report.mean_work,
-            "exp_neg_beta_work": report.exp_neg_beta_work,
-            "gamma": report.gamma,
-        },
-        checks=_check_dicts(report.checks),
-        atoms=list(report.ft.atoms),
-        seed=scenario.seed,
+    summary = [
+        f"<exp(-beta W)> = {report.exp_neg_beta_work:.12g}, Z_tau/Z_0 = {report.z_ratio:.12g}",
+        f"<W> = {report.mean_work:.12g}, dF = {report.delta_f:.12g}",
+    ]
+    scalars = {
+        "beta": report.beta,
+        "z0": report.z0,
+        "z_tau": report.z_tau,
+        "z_ratio": report.z_ratio,
+        "delta_f": report.delta_f,
+        "mean_work": report.mean_work,
+        "exp_neg_beta_work": report.exp_neg_beta_work,
+        "gamma": report.gamma,
+    }
+    return _finish(
+        args, scenario, digest, summary, scalars=scalars, checks=report.checks, atoms=report.ft.atoms
     )
-    _emit(doc, args)
-    _summary(
-        [
-            f"<exp(-beta W)> = {report.exp_neg_beta_work:.12g}, Z_tau/Z_0 = {report.z_ratio:.12g}",
-            f"<W> = {report.mean_work:.12g}, dF = {report.delta_f:.12g}",
-            "PASS" if report.passed else "FAIL",
-        ]
-    )
-    return 0 if report.passed else 1
 
 
 def _holevo_scalars(report) -> dict:
@@ -158,35 +144,20 @@ def _holevo_scalars(report) -> dict:
     }
 
 
-def _holevo_summary(report, bits: bool) -> list[str]:
-    return [
-        f"I = {_display(report.mutual_information, bits)}, chi = {_display(report.chi, bits)}",
-        f"-ln(gamma) = {_display(report.neg_log_gamma, bits)}, "
-        f"bound slack = {_display(report.bound_slack, bits)}",
-        f"chain: gamma={report.gamma:.12g} <= g1={report.chain.g1:.12g} "
-        f"<= g2={report.chain.g2:.12g}",
-        f"equality residual = {report.equality_residual:.3e}",
-        "PASS" if report.passed else "FAIL",
-    ]
-
-
 def cmd_holevo_analyze(args) -> int:
-    scenario, digest = load_scenario(args.scenario, _tolerances(args))
-    if scenario.kind != "holevo":
-        raise ValidationError(f"holevo analyze expects a holevo scenario, got kind {scenario.kind!r}")
+    scenario, digest = _scenario(args, "holevo", "holevo analyze")
     report = analyze(scenario.holevo_instance, tol=scenario.tolerances, strict=False)
-    doc = report_document(
-        kind="holevo",
-        input_sha256=digest,
-        tolerances=scenario.tolerances,
-        scalars=_holevo_scalars(report),
-        checks=_check_dicts(report.checks),
-        atoms=list(report.atoms),
-        seed=scenario.seed,
+    summary = [
+        f"I = {_display(report.mutual_information, args.bits)}, chi = {_display(report.chi, args.bits)}",
+        f"-ln(gamma) = {_display(report.neg_log_gamma, args.bits)}, "
+        f"bound slack = {_display(report.bound_slack, args.bits)}",
+        f"chain: gamma={report.gamma:.12g} <= g1={report.chain.g1:.12g} <= g2={report.chain.g2:.12g}",
+        f"equality residual = {report.equality_residual:.3e}",
+    ]
+    scalars = _holevo_scalars(report)
+    return _finish(
+        args, scenario, digest, summary, scalars=scalars, checks=report.checks, atoms=report.atoms
     )
-    _emit(doc, args)
-    _summary(_holevo_summary(report, args.bits))
-    return 0 if report.passed else 1
 
 
 def cmd_holevo_random(args) -> int:
@@ -201,28 +172,10 @@ def cmd_holevo_random(args) -> int:
         inst = random_instance(args.dim, args.words, args.outcomes, seed, args.state_kind, tol)
         report = analyze(inst, tol=tol, strict=False)
         all_passed = all_passed and report.passed
-        rows.append(
-            ",".join(
-                [
-                    str(trial),
-                    str(seed),
-                    str(args.dim),
-                    str(args.words),
-                    str(args.outcomes),
-                    args.state_kind,
-                    repr(float(report.mutual_information)),
-                    repr(float(report.chi)),
-                    repr(float(report.gamma)),
-                    repr(float(report.neg_log_gamma)),
-                    repr(float(report.bound_slack)),
-                    repr(float(report.chain.g1)),
-                    repr(float(report.chain.g2)),
-                    repr(float(report.equality_residual)),
-                    repr(float(report.route_error)),
-                    str(int(report.passed)),
-                ]
-            )
-        )
+        scalars = _holevo_scalars(report)
+        fields = (trial, seed, args.dim, args.words, args.outcomes, args.state_kind)
+        values = (repr(float(scalars[name])) for name in CSV_SCALARS)
+        rows.append(",".join((*map(str, fields), *values, str(int(report.passed)))))
     text = "\n".join(rows) + "\n"
     if args.csv:
         Path(args.csv).write_text(text)
@@ -233,49 +186,45 @@ def cmd_holevo_random(args) -> int:
 
 
 def cmd_holevo_optimize(args) -> int:
-    scenario, digest = load_scenario(args.scenario, _tolerances(args))
-    if scenario.kind != "holevo":
-        raise ValidationError(f"holevo optimize expects a holevo scenario, got kind {scenario.kind!r}")
+    scenario, digest = _scenario(args, "holevo", "holevo optimize")
     ensemble = scenario.holevo_instance.ensemble
     outcomes = args.outcomes if args.outcomes is not None else scenario.holevo_instance.povm.n_outcomes
     seed = args.seed if args.seed is not None else (scenario.seed or 0)
     povm, achieved = optimize_measurement(ensemble, outcomes, seed, scenario.tolerances)
     baseline = mutual_information(scenario.holevo_instance, scenario.tolerances)
-    report = analyze(
-        CqChannelInstance.create(ensemble, povm), tol=scenario.tolerances, strict=False
-    )
-    checks = (*report.checks, Check.at_most("achieved_le_chi", achieved, report.chi + CHECK_TOL))
-    doc = report_document(
+    report = analyze(CqChannelInstance.create(ensemble, povm), tol=scenario.tolerances, strict=False)
+    summary = [
+        f"achieved I = {_display(achieved, args.bits)} "
+        f"(scenario POVM: {_display(baseline, args.bits)}, chi cap: {_display(report.chi, args.bits)})"
+    ]
+    return _finish(
+        args, scenario, digest, summary,
         kind="holevo_optimize",
-        input_sha256=digest,
-        tolerances=scenario.tolerances,
+        seed=seed,
         scalars={
             **_holevo_scalars(report),
             "achieved_mutual_information": achieved,
             "scenario_povm_mutual_information": baseline,
         },
-        checks=_check_dicts(checks),
-        atoms=list(report.atoms),
+        checks=(*report.checks, Check.at_most("achieved_le_chi", achieved, report.chi + CHECK_TOL)),
+        atoms=report.atoms,
         extras={"optimized_povm": [matrix_to_json(m) for m in povm.elements]},
-        seed=seed,
     )
-    _emit(doc, args)
-    _summary(
-        [
-            f"achieved I = {_display(achieved, args.bits)} "
-            f"(scenario POVM: {_display(baseline, args.bits)}, chi cap: {_display(report.chi, args.bits)})",
-            "PASS" if doc["passed"] else "FAIL",
-        ]
-    )
-    return 0 if doc["passed"] else 1
+
+
+def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one argument, so each command lists the flags it reads."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", type=Path, default=None, help="write the report to this path")
-    common.add_argument("--tol-pack", type=Path, default=None, help="JSON tolerance overrides")
-    common.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    common.add_argument("--bits", action="store_true", help="display information values in bits")
+    scenario = _flag("scenario", type=Path)
+    out = _flag("--out", type=Path, default=None, help="write the report to this path")
+    tol_pack = _flag("--tol-pack", type=Path, default=None, help="JSON tolerance overrides")
+    seed = _flag("--seed", type=int, default=None, help="random seed (default: the scenario seed, else 0)")
+    bits = _flag("--bits", action="store_true", help="display information values in bits")
 
     parser = argparse.ArgumentParser(
         prog="qfluct",
@@ -285,23 +234,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="verify the fluctuation identity")
-    p_verify.add_argument("scenario", type=Path)
+    p_verify = sub.add_parser(
+        "verify", parents=[scenario, out, tol_pack], help="verify the fluctuation identity"
+    )
     p_verify.set_defaults(func=cmd_verify)
 
-    p_jz = sub.add_parser("jarzynski", parents=[common], help="work statistics of a Gibbs protocol")
-    p_jz.add_argument("scenario", type=Path)
+    p_jz = sub.add_parser(
+        "jarzynski", parents=[scenario, out, tol_pack], help="work statistics of a Gibbs protocol"
+    )
     p_jz.add_argument("--beta", type=float, default=None, help="override the scenario beta")
     p_jz.set_defaults(func=cmd_jarzynski)
 
     p_holevo = sub.add_parser("holevo", help="classical-quantum channel analysis")
     hsub = p_holevo.add_subparsers(dest="subcommand", required=True)
 
-    p_an = hsub.add_parser("analyze", parents=[common], help="sharpened-bound report")
-    p_an.add_argument("scenario", type=Path)
+    p_an = hsub.add_parser(
+        "analyze", parents=[scenario, out, tol_pack, bits], help="sharpened-bound report"
+    )
     p_an.set_defaults(func=cmd_holevo_analyze)
 
-    p_rand = hsub.add_parser("random", parents=[common], help="randomized verification campaign")
+    p_rand = hsub.add_parser("random", parents=[tol_pack, seed], help="randomized verification campaign")
     p_rand.add_argument("--dim", type=int, required=True)
     p_rand.add_argument("--words", type=int, required=True)
     p_rand.add_argument("--outcomes", type=int, required=True)
@@ -310,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rand.add_argument("--state-kind", choices=STATE_KINDS, default="mix")
     p_rand.set_defaults(func=cmd_holevo_random)
 
-    p_opt = hsub.add_parser("optimize", parents=[common], help="search for a better measurement")
-    p_opt.add_argument("scenario", type=Path)
+    p_opt = hsub.add_parser(
+        "optimize", parents=[scenario, out, tol_pack, bits, seed], help="search for a better measurement"
+    )
     p_opt.add_argument("--outcomes", type=int, default=None)
     p_opt.set_defaults(func=cmd_holevo_optimize)
 
@@ -323,9 +276,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1

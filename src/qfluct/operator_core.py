@@ -26,6 +26,15 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _as_float(value, what: str) -> float:
+    """float(value) for a number, or a ValidationError naming the field
+    when it is an int beyond the double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} is outside the double range") from None
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical tolerance pack.
@@ -66,7 +75,9 @@ class Tolerances:
         if unknown:
             raise ValidationError(f"unknown tolerance fields: {sorted(unknown)}")
         # a value that is not a number reaches __post_init__ as it is
-        return cls(**{k: float(v) if _is_number(v) else v for k, v in overrides.items()})
+        return cls(
+            **{k: _as_float(v, f"tolerance {k}") if _is_number(v) else v for k, v in overrides.items()}
+        )
 
 
 DEFAULT_TOLS = Tolerances()

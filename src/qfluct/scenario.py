@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -21,8 +21,8 @@ from .channel import EvolutionProtocol, KrausChannel, unitary_from_protocol
 from .errors import ValidationError
 from .holevo import CqChannelInstance, Ensemble
 from .measurement import POVM, observable_from_hermitian
-from .operator_core import DEFAULT_TOLS, Tolerances, _is_number
-from .ttm import TwoTimeProtocol
+from .operator_core import DEFAULT_TOLS, Tolerances, _as_float, _is_number
+from .ttm import Check, TwoTimeProtocol
 
 SCHEMA_VERSION = 1
 SCENARIO_KINDS = ("two_time", "jarzynski", "holevo")
@@ -41,15 +41,10 @@ def matrix_from_json(data: Any, what: str) -> np.ndarray:
             raise ValidationError(f"{what}: row {r} does not make the matrix square")
         entries = []
         for c, cell in enumerate(row):
-            if (
-                not isinstance(cell, list)
-                or len(cell) != 2
-                or not all(_is_number(x) for x in cell)
-            ):
-                raise ValidationError(
-                    f"{what}: entry ({r},{c}) must be a two-element [re, im] array of numbers"
-                )
-            entries.append(complex(float(cell[0]), float(cell[1])))
+            where = f"{what}: entry ({r},{c})"
+            if not isinstance(cell, list) or len(cell) != 2 or not all(_is_number(x) for x in cell):
+                raise ValidationError(f"{where} must be a two-element [re, im] array of numbers")
+            entries.append(complex(_as_float(cell[0], where), _as_float(cell[1], where)))
         rows.append(entries)
     return np.array(rows, dtype=complex)
 
@@ -97,7 +92,7 @@ def _parse_protocol(data: Any, tol: Tolerances) -> EvolutionProtocol:
         duration = _require(step, "duration", f"protocol[{i}]")
         if not _is_number(duration):
             raise ValidationError(f"protocol[{i}].duration must be a number")
-        steps.append((h, float(duration)))
+        steps.append((h, _as_float(duration, f"protocol[{i}].duration")))
     return EvolutionProtocol.create(steps, tol)
 
 
@@ -149,7 +144,7 @@ def parse_scenario(document: dict, tol_override: Tolerances | None = None) -> Sc
             document=document,
             jarzynski_h0=h0,
             jarzynski_protocol=protocol,
-            jarzynski_beta=float(beta),
+            jarzynski_beta=_as_float(beta, "scenario: beta"),
         )
 
     ensemble_doc = _require(document, "ensemble", "scenario")
@@ -198,8 +193,8 @@ def report_document(
     input_sha256: str | None,
     tolerances: Tolerances,
     scalars: dict[str, float],
-    checks: list[dict],
-    atoms: list[tuple[float, float]] | None = None,
+    checks: tuple[Check, ...],
+    atoms: tuple[tuple[float, float], ...],
     extras: dict | None = None,
     seed: int | None = None,
 ) -> dict:
@@ -211,11 +206,10 @@ def report_document(
         "seed": seed,
         "tolerances": tolerances.to_dict(),
         "scalars": {k: float(v) for k, v in scalars.items()},
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
+        "checks": [asdict(c) for c in checks],
+        "passed": all(c.passed for c in checks),
+        "atoms": [[float(v), float(p)] for v, p in atoms],
     }
-    if atoms is not None:
-        doc["atoms"] = [[float(v), float(p)] for v, p in atoms]
     if extras:
         doc.update(extras)
     return doc

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -414,7 +415,8 @@ COMMANDS = {
 def test_report_checks_are_the_library_checks(command, name, tmp_path):
     path = SCENARIOS / f"{name}.json"
     out = tmp_path / "report.json"
-    code = cli.main(COMMANDS[command] + [str(path), "--seed", "1", "--out", str(out)])
+    seed = ["--seed", "1"] if command == "optimize" else []
+    code = cli.main(COMMANDS[command] + [str(path), *seed, "--out", str(out)])
     doc = json.loads(out.read_text())
     expected = _library_checks(command, path)
     assert doc["checks"] == [dataclasses.asdict(c) for c in expected]
@@ -468,6 +470,85 @@ def test_kind_mismatch_exit_2_names_both_kinds(argv, name, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+BIG = "1" + "0" * 400  # a JSON integer beyond the largest double
+
+
+@pytest.mark.parametrize(
+    "site, words",
+    [
+        ("beta", "scenario: beta"),
+        ("duration", "protocol[0].duration"),
+        ("entry", "h0: entry (0,0)"),
+        ("tolerance", "tolerance degeneracy_tol"),
+        ("tol-pack", "tolerance degeneracy_tol"),
+    ],
+)
+def test_jarzynski_integer_beyond_double_range_exit_2(tmp_path, capsys, site, words):
+    doc = jarzynski_doc()
+    flags = []
+    if site == "beta":
+        doc["beta"] = "BIG"
+    elif site == "duration":
+        doc["protocol"][0]["duration"] = "BIG"
+    elif site == "entry":
+        doc["h0"][0][0] = ["BIG", 0.0]
+    elif site == "tolerance":
+        doc["tolerances"] = {"degeneracy_tol": "BIG"}
+    else:
+        pack = tmp_path / "pack.json"
+        pack.write_text(f'{{"degeneracy_tol": {BIG}}}')
+        flags = ["--tol-pack", str(pack)]
+    path = tmp_path / "jz.json"
+    path.write_text(json.dumps(doc).replace('"BIG"', BIG))
+    assert cli.main(["jarzynski", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and words in err and "double range" in err
+
+
+def _subcommands(parser, prefix=()):
+    """Each leaf subcommand of the parser, with its parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommands(sub, (*prefix, name))
+            return
+    yield " ".join(prefix), parser
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    options = {
+        name: sorted(s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for name, parser in _subcommands(cli.build_parser())
+    }
+    assert options == {
+        "verify": ["--out", "--tol-pack"],
+        "jarzynski": ["--beta", "--out", "--tol-pack"],
+        "holevo analyze": ["--bits", "--out", "--tol-pack"],
+        "holevo random": ["--csv", "--dim", "--outcomes", "--seed", "--state-kind", "--tol-pack", "--trials",
+                          "--words"],
+        "holevo optimize": ["--bits", "--out", "--outcomes", "--seed", "--tol-pack"],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "s.json", "--seed", "1"],
+        ["verify", "s.json", "--bits"],
+        ["jarzynski", "s.json", "--seed", "1"],
+        ["jarzynski", "s.json", "--bits"],
+        ["holevo", "analyze", "s.json", "--seed", "1"],
+        ["holevo", "random", "--dim", "2", "--words", "2", "--outcomes", "2", "--trials", "1", "--out", "x"],
+        ["holevo", "random", "--dim", "2", "--words", "2", "--outcomes", "2", "--trials", "1", "--bits"],
+    ],
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_csv_header_is_the_readme_header():
