@@ -219,6 +219,14 @@ def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
     return parent
 
 
+def _command(group, name: str, func, parents: list, help: str) -> argparse.ArgumentParser:
+    """One subcommand running ``func``, with the flags of ``parents``."""
+    # no prefix matching, or `holevo random --out 5` would read as --outcomes 5
+    command = group.add_parser(name, parents=parents, help=help, allow_abbrev=False)
+    command.set_defaults(func=func)
+    return command
+
+
 def build_parser() -> argparse.ArgumentParser:
     scenario = _flag("scenario", type=Path)
     out = _flag("--out", type=Path, default=None, help="write the report to this path")
@@ -234,39 +242,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser(
-        "verify", parents=[scenario, out, tol_pack], help="verify the fluctuation identity"
-    )
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_jz = sub.add_parser(
-        "jarzynski", parents=[scenario, out, tol_pack], help="work statistics of a Gibbs protocol"
+    _command(sub, "verify", cmd_verify, [scenario, out, tol_pack], "verify the fluctuation identity")
+    p_jz = _command(
+        sub, "jarzynski", cmd_jarzynski, [scenario, out, tol_pack], "work statistics of a Gibbs protocol"
     )
     p_jz.add_argument("--beta", type=float, default=None, help="override the scenario beta")
-    p_jz.set_defaults(func=cmd_jarzynski)
 
     p_holevo = sub.add_parser("holevo", help="classical-quantum channel analysis")
     hsub = p_holevo.add_subparsers(dest="subcommand", required=True)
+    _command(hsub, "analyze", cmd_holevo_analyze, [scenario, out, tol_pack, bits], "sharpened-bound report")
 
-    p_an = hsub.add_parser(
-        "analyze", parents=[scenario, out, tol_pack, bits], help="sharpened-bound report"
+    p_rand = _command(
+        hsub, "random", cmd_holevo_random, [tol_pack, seed], "randomized verification campaign"
     )
-    p_an.set_defaults(func=cmd_holevo_analyze)
-
-    p_rand = hsub.add_parser("random", parents=[tol_pack, seed], help="randomized verification campaign")
     p_rand.add_argument("--dim", type=int, required=True)
     p_rand.add_argument("--words", type=int, required=True)
     p_rand.add_argument("--outcomes", type=int, required=True)
     p_rand.add_argument("--trials", type=int, required=True)
     p_rand.add_argument("--csv", type=Path, default=None, help="write rows to this CSV path")
     p_rand.add_argument("--state-kind", choices=STATE_KINDS, default="mix")
-    p_rand.set_defaults(func=cmd_holevo_random)
 
-    p_opt = hsub.add_parser(
-        "optimize", parents=[scenario, out, tol_pack, bits, seed], help="search for a better measurement"
+    p_opt = _command(
+        hsub, "optimize", cmd_holevo_optimize, [scenario, out, tol_pack, bits, seed],
+        "search for a better measurement",
     )
     p_opt.add_argument("--outcomes", type=int, default=None)
-    p_opt.set_defaults(func=cmd_holevo_optimize)
 
     return parser
 
