@@ -44,11 +44,6 @@ CSV_VERSION_LINE = "# qfluct-holevo-random-csv v1"
 LN2 = math.log(2.0)
 
 
-def _summary(lines: list[str]) -> None:
-    for line in lines:
-        print(line, file=sys.stderr)
-
-
 def _display(value: float, bits: bool) -> str:
     value += 0.0  # -0.0 + 0.0 is +0.0, so a zero never prints as "-0"
     return f"{value / LN2:.9g} bits" if bits else f"{value:.9g} nats"
@@ -76,7 +71,7 @@ def _finish(args, scenario, digest: str, summary: list[str], **fields) -> int:
     text = write_report(doc, args.out)
     if args.out is None:
         print(text)
-    _summary([*summary, "PASS" if doc["passed"] else "FAIL"])
+    print("\n".join([*summary, "PASS" if doc["passed"] else "FAIL"]), file=sys.stderr)
     return 0 if doc["passed"] else 1
 
 
@@ -181,7 +176,7 @@ def cmd_holevo_random(args) -> int:
         Path(args.csv).write_text(text)
     else:
         print(text, end="")
-    _summary([f"{args.trials} trials, {'all passed' if all_passed else 'FAILURES present'}"])
+    print(f"{args.trials} trials, {'all passed' if all_passed else 'FAILURES present'}", file=sys.stderr)
     return 0 if all_passed else 1
 
 
