@@ -56,7 +56,6 @@ from .ttm import (
     JarzynskiReport,
     JointDistribution,
     TwoTimeProtocol,
-    characteristic_function,
     delta_a_distribution,
     efficacy,
     jarzynski_scenario,

@@ -11,8 +11,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .operator_core import (
-    DEFAULT_TOLS,
-    Tolerances,
+    ALGEBRA_TOL,
     as_matrix,
     max_abs,
     require_hermitian,
@@ -62,9 +61,9 @@ class KrausChannel:
             flat = chunk.reshape(-1, dim)
             acc += flat.conj().T @ flat
         defect = max_abs(acc - np.eye(dim))
-        if defect > 1e-10:
+        if defect > ALGEBRA_TOL:
             raise ValidationError(
-                f"Kraus completeness defect {defect:.3e} exceeds 1e-10 (sum K†K != I)"
+                f"Kraus completeness defect {defect:.3e} exceeds {ALGEBRA_TOL:g} (sum K†K != I)"
             )
         return cls(kraus_ops=ops)
 
@@ -101,12 +100,11 @@ class EvolutionProtocol:
     steps: tuple[tuple[np.ndarray, float], ...]
 
     @classmethod
-    def create(
-        cls, steps: Iterable[tuple[np.ndarray, float]], tol: Tolerances = DEFAULT_TOLS
-    ) -> "EvolutionProtocol":
+    def create(cls, steps: Iterable[tuple[np.ndarray, float]]) -> "EvolutionProtocol":
+        """Hermitian steps of one dimension, finite non-negative durations."""
         validated = []
         for i, (h, duration) in enumerate(steps):
-            hm = require_hermitian(h, tol)
+            hm = require_hermitian(h)
             t = float(duration)
             if not math.isfinite(t):
                 raise ValidationError(f"step {i} duration {t} is not finite")
@@ -145,14 +143,12 @@ def _unitary(values: np.ndarray, vectors: np.ndarray, durations: Iterable[float]
     return u
 
 
-def unitary_from_protocol(
-    protocol: EvolutionProtocol, tol: Tolerances = DEFAULT_TOLS
-) -> KrausChannel:
+def unitary_from_protocol(protocol: EvolutionProtocol) -> KrausChannel:
     """Time-ordered unitary of the protocol as a single-Kraus channel, from
-    one eigh of the stacked steps.  Later steps multiply on the left:
-    U = exp(-i H_n t_n) ... exp(-i H_1 t_1)."""
+    one checked eigh of the stacked steps.  Later steps multiply on the
+    left: U = exp(-i H_n t_n) ... exp(-i H_1 t_1)."""
     hamiltonians, durations = zip(*protocol.steps)
-    values, vectors = _checked_eigh(np.stack(hamiltonians), tol, "step")
+    values, vectors = _checked_eigh(np.stack(hamiltonians), "step")
     return KrausChannel.create([_unitary(values, vectors, durations)])
 
 

@@ -25,6 +25,7 @@ from .channel import identity_channel
 from .errors import ConsistencyError, ValidationError
 from .measurement import POVM, _observables
 from .operator_core import (
+    ALGEBRA_TOL,
     DEFAULT_TOLS,
     SpectralDecomposition,
     Tolerances,
@@ -89,7 +90,7 @@ class Ensemble:
         p = p.astype(float)
         if not np.all(np.isfinite(p)):
             raise ValidationError(f"priors must be finite, got {p.tolist()!r}")
-        sts = [require_density_matrix(s, tol) for s in states]
+        sts = [require_density_matrix(s) for s in states]
         if len(sts) != p.shape[0]:
             raise ValidationError(f"got {p.shape[0]} priors for {len(sts)} states")
         if p.min() < -tol.prob_floor:
@@ -140,14 +141,14 @@ def conditional_probabilities(
     """Matrix of outcome probabilities given the word, rows indexed by word:
     tr(rho_j M_k) for all pairs from one stacked product.
 
-    Rows must sum to one within 1e-10.
+    Rows must sum to one within ALGEBRA_TOL.
     """
     states, elements = np.asarray(inst.ensemble.states), np.asarray(inst.povm.elements)
     cond = np.trace(states[:, None] @ elements, axis1=-2, axis2=-1).real
     lows = cond.min(axis=1)
     cond = np.clip(cond, 0.0, None)
     sums = cond.sum(axis=1)
-    failed = (lows < -tol.prob_floor) | (np.abs(sums - 1.0) > 1e-10)
+    failed = (lows < -tol.prob_floor) | (np.abs(sums - 1.0) > ALGEBRA_TOL)
     if failed.any():
         j = int(np.argmax(failed))
         if lows[j] < -tol.prob_floor:
@@ -192,16 +193,17 @@ def _decomposition_arrays(
     return float(_entropy(priors)), float(terms.sum())
 
 
-def holevo_chi(ensemble: Ensemble, tol: Tolerances = DEFAULT_TOLS) -> float:
+def holevo_chi(ensemble: Ensemble) -> float:
     """Entropy of the average state minus the average state entropy (nats).
 
-    One eigvalsh of the stack (rho_1 ... rho_J, rho_bar) with the state
-    checks batched; an error names the first failing state, and index J is
-    the average state.  The spectra are this function's own, not those of
-    prepare_instance, so analyze's mean_identity compares two computations.
+    One eigvalsh of the stack (rho_1 ... rho_J, rho_bar) with the checks
+    of require_density_matrix batched; an error names the first failing
+    state, and index J is the average state.  The spectra are this
+    function's own, not those of prepare_instance, so analyze's
+    mean_identity compares two computations.
     """
     stack = np.concatenate([np.asarray(ensemble.states, dtype=complex), ensemble.average_state()[None]])
-    entropies = _entropy(_density_spectrum(stack, tol)[1])
+    entropies = _entropy(_density_spectrum(stack)[1])
     return float(entropies[-1] - ensemble.priors @ entropies[:-1])
 
 
@@ -267,19 +269,19 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
         )
     info_terms = _information_terms(ensemble.priors, cond, tol.prob_floor)
 
-    values, vectors = _checked_eigh(states, tol, "state")
+    values, vectors = _checked_eigh(states, "state")
     support = _support_mask(values, tol, "code word state")
     # the words' support columns side by side, word by word
     span, singular, _ = np.linalg.svd(vectors.transpose(1, 0, 2)[:, support])
     rank = int(np.count_nonzero(singular > tol.rank_tol * singular[0]))
     outside = span[:, rank:]
     leaks = np.einsum("ai,jab,bi->j", outside.conj(), states, outside).real
-    leaking = leaks > tol.psd_tol
+    leaking = leaks > ALGEBRA_TOL
     if leaking.any():
         j = int(np.argmax(leaking))
         raise ValidationError(f"state {j} leaks {leaks[j]:.3e} outside the support of the average state")
     rho_bar = ensemble.average_state()
-    inner = spectral_decompose(span[:, :rank].conj().T @ rho_bar @ span[:, :rank], tol)
+    inner = spectral_decompose(span[:, :rank].conj().T @ rho_bar @ span[:, :rank])
     if inner.values[0] <= 0:
         raise ValidationError(f"the average state has eigenvalue {inner.values[0]:.3e} on its support")
     s_bar = span[:, :rank] @ inner.vectors
@@ -433,8 +435,9 @@ def analyze(
     pairs of all words merged into one set of atoms) and by the trace route
     (the prior-weighted sum), and every bound, chain and residual is
     evaluated.  The report's checks
-    hold the route, mean, bound and chain comparisons to CHECK_TOL and the
-    rest to their own fixed thresholds.  With strict=True any failed check
+    hold the route, mean, bound and chain comparisons to CHECK_TOL, the
+    decomposition identity to ALGEBRA_TOL and the rest to their own fixed
+    thresholds.  With strict=True any failed check
     raises ConsistencyError; otherwise failures are recorded in the
     report's checks.
     """
@@ -442,7 +445,7 @@ def analyze(
     priors = internals.ensemble.priors
     info = float(_mutual_information_arrays(priors, internals.cond, tol.prob_floor))
     shannon, conditional = _decomposition_arrays(priors, internals.cond, tol.prob_floor)
-    chi = holevo_chi(internals.ensemble, tol)
+    chi = holevo_chi(internals.ensemble)
 
     delta = _merge_atoms(_joint_blocks(internals.protocols, priors, tol), tol)
     gamma_dist = exponential_average(delta)
@@ -461,7 +464,7 @@ def analyze(
     checks = (
         Check.at_most("route_agreement", route_error, CHECK_TOL),
         Check.at_most("mean_identity", abs(mean - (chi - info)), CHECK_TOL),
-        Check.at_most("decomposition_identity", abs(shannon + conditional - info), 1e-10),
+        Check.at_most("decomposition_identity", abs(shannon + conditional - info), ALGEBRA_TOL),
         Check.at_least("bound_slack_nonneg", bound_slack, -CHECK_TOL),
         Check.at_least("neg_log_gamma_nonneg", neg_log_gamma, -CHECK_TOL),
         Check.at_most("gamma_le_one", gamma, 1.0 + 1e-9),
@@ -504,6 +507,13 @@ def analyze(
 STATE_KINDS = ("mixed", "pure", "rank_deficient", "mix")
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """default_rng(seed), whose seed must be a non-negative integer."""
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def random_instance(
     dim: int,
     n_words: int,
@@ -518,7 +528,7 @@ def random_instance(
         raise ValidationError("dim, n_words and n_outcomes must all be >= 1")
     if state_kind not in STATE_KINDS:
         raise ValidationError(f"unknown state kind {state_kind!r}; choose from {STATE_KINDS}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     priors = rng.dirichlet(np.ones(n_words))
     states = []
     for _ in range(n_words):
@@ -531,7 +541,7 @@ def random_instance(
             states.append(random_density_matrix(dim, rng, rank=int(rng.integers(1, dim))))
         else:
             states.append(random_density_matrix(dim, rng))
-    povm = random_povm(dim, n_outcomes, rng, tol)
+    povm = random_povm(dim, n_outcomes, rng)
     return CqChannelInstance.create(Ensemble.create(priors, states, tol), povm)
 
 
@@ -619,7 +629,7 @@ def optimize_measurement(
     if n_outcomes < 2:
         raise ValidationError("measurement optimization needs at least 2 outcomes")
     d, states = ensemble.dim, ensemble.states
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     starts = [
         np.array([complex_gaussian(rng, (d, d)) for _ in range(n_outcomes)])
         for _ in range(ASCENT_STARTS)
@@ -635,7 +645,7 @@ def optimize_measurement(
     best = int(np.argmax(infos))
     if infos[best] == -math.inf:
         raise ConsistencyError("every start of the measurement ascent has a singular normalizer")
-    povm = povm_from_blocks(ascended[best], tol)
+    povm = povm_from_blocks(ascended[best])
     achieved = mutual_information(
         CqChannelInstance.create(ensemble, povm), tol
     )

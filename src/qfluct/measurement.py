@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .operator_core import (
+    ALGEBRA_TOL,
     DEFAULT_TOLS,
     Tolerances,
     as_matrix,
@@ -80,7 +81,7 @@ class ExtendedObservable(BranchBlocks):
     ) -> "ExtendedObservable":
         """Validated construction from (value, projector) branches."""
         return cls.from_blocks(
-            ((value, _projector_columns(require_projector(p, tol))) for value, p in branches), tol
+            ((value, _projector_columns(require_projector(p))) for value, p in branches), tol
         )
 
     @classmethod
@@ -152,7 +153,7 @@ def _build(
     branch b, in row-major order, is observable rows[b]'s block from its
     column starts[b], with value values[b] (ascending within an observable,
     +infinity only last).  One check over the stack, finite values distinct
-    beyond degeneracy_tol and |V†V - I| <= proj_tol, certifies them all;
+    beyond degeneracy_tol and |V†V - I| <= ALGEBRA_TOL, certifies them all;
     an error names the failing observable by name(j)."""
     finite = np.isfinite(values)
     filled = np.where(finite, values, 0.0)
@@ -166,11 +167,11 @@ def _build(
         )
     n = vectors.shape[-1]
     defect = _max_abs_each(vectors.conj().swapaxes(-1, -2) @ vectors - np.eye(n))
-    if (defect > tol.proj_tol).any():
-        j = int(np.argmax(defect > tol.proj_tol))
+    if (defect > ALGEBRA_TOL).any():
+        j = int(np.argmax(defect > ALGEBRA_TOL))
         raise ValidationError(
             f"{name(j)}: branches overlap or are not orthonormal, "
-            f"|V†V - I| = {defect[j]:.3e} exceeds proj_tol"
+            f"|V†V - I| = {defect[j]:.3e} exceeds {ALGEBRA_TOL:g}"
         )
     values, starts = values.tolist(), starts.tolist()
     bounds = np.searchsorted(rows, np.arange(len(vectors) + 1)).tolist()
@@ -203,7 +204,7 @@ def observable_from_hermitian(h, tol: Tolerances = DEFAULT_TOLS) -> ExtendedObse
     """Wrap a Hermitian matrix as a finite extended observable, grouping
     eigenvalues closer than degeneracy_tol into joint eigenspaces whose
     eigenvector blocks become the branches: _observables on a stack of one."""
-    dec = spectral_decompose(h, tol)
+    dec = spectral_decompose(h)
     return _observables(dec.values[None], dec.vectors[None], tol, lambda j: "extended observable")[0]
 
 
@@ -232,12 +233,13 @@ class POVM:
     elements: tuple[np.ndarray, ...]
 
     @classmethod
-    def create(cls, elements: Iterable, tol: Tolerances = DEFAULT_TOLS) -> "POVM":
+    def create(cls, elements: Iterable) -> "POVM":
+        """PSD elements summing to the identity, both within ALGEBRA_TOL."""
         els = []
         for i, e in enumerate(elements):
-            m = require_hermitian(e, tol)
+            m = require_hermitian(e)
             lo = float(np.linalg.eigvalsh(m)[0])
-            if lo < -tol.psd_tol:
+            if lo < -ALGEBRA_TOL:
                 raise ValidationError(f"POVM element {i} has negative eigenvalue {lo:.3e}")
             els.append(m)
         if not els:
@@ -246,8 +248,8 @@ class POVM:
         if any(e.shape[0] != dim for e in els):
             raise ValidationError("POVM elements have mixed dimensions")
         defect = max_abs(sum(els) - np.eye(dim))
-        if defect > tol.proj_tol:
-            raise ValidationError(f"POVM completeness defect {defect:.3e} exceeds proj_tol")
+        if defect > ALGEBRA_TOL:
+            raise ValidationError(f"POVM completeness defect {defect:.3e} exceeds {ALGEBRA_TOL:g}")
         return cls(elements=tuple(els))
 
     @property
@@ -265,14 +267,14 @@ def povm_probabilities(rho, povm: POVM, tol: Tolerances = DEFAULT_TOLS) -> np.nd
     Small negative values (rounding noise within prob_floor) are clipped
     to zero; larger negativity is rejected.
     """
-    state = require_density_matrix(rho, tol)
+    state = require_density_matrix(rho)
     if state.shape[0] != povm.dim:
         raise ValidationError(f"dimension mismatch: state {state.shape[0]}, POVM {povm.dim}")
     probs = np.array([float(np.trace(state @ m).real) for m in povm.elements])
     if probs.min() < -tol.prob_floor:
         raise ValidationError(f"POVM probability {probs.min():.3e} below -prob_floor")
     probs = np.clip(probs, 0.0, None)
-    if abs(probs.sum() - 1.0) > 1e-10:
+    if abs(probs.sum() - 1.0) > ALGEBRA_TOL:
         raise ValidationError(f"POVM probabilities sum to {probs.sum()!r}, not 1")
     return probs
 
@@ -308,14 +310,15 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def naimark_dilate(povm: POVM, tol: Tolerances = DEFAULT_TOLS) -> NaimarkDilation:
+def naimark_dilate(povm: POVM) -> NaimarkDilation:
     """Canonical probe dilation of a POVM.
 
     Builds the square-root isometry |psi> -> sum_k (sqrt(M_k)|psi>) (x) |k>,
     completes its columns to a unitary U with the QR of the isometry, and
-    conjugates the probe projectors back.  The probe-block of projector k
-    reproduces M_k within 1e-10.  Every quantity of the composite
-    construction depends on the projectors only through these probe
+    conjugates the probe projectors back.  The isometry is checked at
+    10 * ALGEBRA_TOL, U's unitarity at ALGEBRA_TOL, and the probe-block of
+    projector k reproduces M_k within ALGEBRA_TOL.  Every quantity of the
+    composite construction depends on the projectors only through these probe
     blocks, so any other completion gives the same results to rounding.
     """
     d, kp = povm.dim, povm.n_outcomes
@@ -325,7 +328,7 @@ def naimark_dilate(povm: POVM, tol: Tolerances = DEFAULT_TOLS) -> NaimarkDilatio
     for k, element in enumerate(povm.elements):
         view[:, k, :] = _psd_sqrt(element)
     defect = max_abs(isometry.conj().T @ isometry - np.eye(d))
-    if defect > tol.proj_tol * 10:
+    if defect > ALGEBRA_TOL * 10:
         raise ValidationError(f"POVM isometry defect {defect:.3e}; completeness too loose")
     q, _ = np.linalg.qr(isometry, mode="complete")
     # Columns for |i> (x) |0> carry the isometry; the rest take the completion,
@@ -334,26 +337,25 @@ def naimark_dilate(povm: POVM, tol: Tolerances = DEFAULT_TOLS) -> NaimarkDilatio
     u[:, ::kp] = isometry
     u[:, np.arange(n) % kp != 0] = q[:, d:]
     unit_defect = max_abs(u.conj().T @ u - np.eye(n))
-    if unit_defect > 1e-10:
-        raise ValidationError(f"unitary completion defect {unit_defect:.3e} exceeds 1e-10")
+    if unit_defect > ALGEBRA_TOL:
+        raise ValidationError(f"unitary completion defect {unit_defect:.3e} exceeds {ALGEBRA_TOL:g}")
     # The range of Pi_k is spanned by the conjugated rows k, k+K, k+2K, ... of U.
     vectors = u.reshape(d, kp, n).transpose(1, 0, 2).reshape(n, n).conj().T
     dilation = NaimarkDilation(vectors=vectors, offsets=tuple(range(0, n + 1, d)), probe_dim=kp)
     for k in range(kp):
         defect = max_abs(dilation.povm_element(k) - povm.elements[k])
-        if defect > 1e-10:
+        if defect > ALGEBRA_TOL:
             raise ValidationError(
                 f"dilation contract violated for element {k}: probe-block defect {defect:.3e}"
             )
     return dilation
 
 
-def dilation_probabilities(
-    rho, dilation: NaimarkDilation, tol: Tolerances = DEFAULT_TOLS
-) -> np.ndarray:
+def dilation_probabilities(rho, dilation: NaimarkDilation) -> np.ndarray:
     """Outcome probabilities of the dilated orthogonal measurement on
-    rho (x) |0><0|; must match povm_probabilities on the original POVM."""
-    state = require_density_matrix(rho, tol)
+    rho (x) |0><0|, for a state checked by require_density_matrix; must
+    match povm_probabilities on the original POVM."""
+    state = require_density_matrix(rho)
     if state.shape[0] != dilation.encoding_dim:
         raise ValidationError(
             f"dimension mismatch: state {state.shape[0]}, dilation encoding {dilation.encoding_dim}"

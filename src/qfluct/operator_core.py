@@ -1,7 +1,8 @@
 """Hermitian linear algebra with an explicit tolerance policy.
 
 Everything in the package is built on dense complex numpy arrays.  This
-module owns the tolerance pack, the validated spectral primitives
+module owns the tolerance pack, the fixed threshold of every algebraic
+check (ALGEBRA_TOL), the validated spectral primitives
 (decomposition, eigenspace grouping into eigenvector blocks, support
 projectors), matrix functions restricted to operator supports, and the
 compressed exponential exp(F) on the complement of a suppressed subspace.
@@ -35,23 +36,22 @@ def _as_float(value, what: str) -> float:
         raise ValidationError(f"{what} is outside the double range") from None
 
 
+# The threshold of every check that accepts or rejects an input or a
+# decomposition.  Absolute at order-one norm; the Hermiticity and
+# reconstruction checks scale it by max(1, max-entry), the support rule's
+# PSD check by max(1, |lambda_max|).
+ALGEBRA_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerance pack.
+    """The three numerical choices that change results: which eigenvalues
+    form one branch (degeneracy_tol), which lie on a support (rank_tol) and
+    which probabilities count (prob_floor).  Every field must be strictly
+    positive.  Override selected fields with :meth:`replace`."""
 
-    Values are absolute for operators of order-one norm; checks on larger
-    operators scale by max(1, max-entry).  Every field must be strictly
-    positive.  Override selected fields with :meth:`replace`.
-    """
-
-    hermiticity_tol: float = 1e-10
-    psd_tol: float = 1e-10
-    trace_tol: float = 1e-10
     degeneracy_tol: float = 1e-9
     rank_tol: float = 1e-12
-    proj_tol: float = 1e-10
-    ortho_tol: float = 1e-10
-    recon_tol: float = 1e-10
     prob_floor: float = 1e-12
 
     def __post_init__(self):
@@ -125,56 +125,59 @@ def as_matrix(a) -> np.ndarray:
     return _as_matrices(m)
 
 
-def _hermitian(m: np.ndarray, tol: Tolerances, label: str = "matrix") -> np.ndarray:
+def _hermitian(m: np.ndarray, label: str = "matrix") -> np.ndarray:
     """require_hermitian for a complex matrix or a stack (J, n, n) of them;
     an error names the first failing matrix of a stack by its index."""
     adj = m.conj().swapaxes(-1, -2)
     asym = _max_abs_each(m - adj)
     scale = np.maximum(1.0, _max_abs_each(m))
-    if failure := _failure(asym > tol.hermiticity_tol * scale, label):
+    if failure := _failure(asym > ALGEBRA_TOL * scale, label):
         subject, i = failure
         raise ValidationError(
             f"{subject} is not Hermitian: max asymmetry {asym[i]:.3e} exceeds "
-            f"{tol.hermiticity_tol:.1e} * {scale[i]:.3e}"
+            f"{ALGEBRA_TOL:.1e} * {scale[i]:.3e}"
         )
     return (m + adj) / 2
 
 
-def require_hermitian(h, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Validate Hermiticity and return the exactly symmetrized matrix."""
-    return _hermitian(as_matrix(h), tol)
+def require_hermitian(h) -> np.ndarray:
+    """Validate Hermiticity (at ALGEBRA_TOL * max(1, max-entry)) and return
+    the exactly symmetrized matrix."""
+    return _hermitian(as_matrix(h))
 
 
-def _density_spectrum(m: np.ndarray, tol: Tolerances, label: str = "state") -> tuple[np.ndarray, np.ndarray]:
+def _density_spectrum(m: np.ndarray, label: str = "state") -> tuple[np.ndarray, np.ndarray]:
     """The validated state, or stack (J, n, n) of states, and its ascending
     eigenvalues (one eigvalsh); an error names the first failing state."""
-    m = _hermitian(m, tol, label)
+    m = _hermitian(m, label)
     values = np.linalg.eigvalsh(m)
     low = values[..., 0]
-    if failure := _failure(low < -tol.psd_tol, label):
+    if failure := _failure(low < -ALGEBRA_TOL, label):
         subject, i = failure
-        raise ValidationError(f"{subject} has negative eigenvalue {low[i]:.3e} beyond psd_tol")
+        raise ValidationError(f"{subject} has negative eigenvalue {low[i]:.3e} beyond {ALGEBRA_TOL:g}")
     tr = m.trace(axis1=-2, axis2=-1).real
-    if failure := _failure(np.abs(tr - 1.0) > tol.trace_tol, label):
+    if failure := _failure(np.abs(tr - 1.0) > ALGEBRA_TOL, label):
         subject, i = failure
-        raise ValidationError(f"{subject} trace {float(tr[i])!r} differs from 1 beyond trace_tol")
+        raise ValidationError(f"{subject} trace {float(tr[i])!r} differs from 1 beyond {ALGEBRA_TOL:g}")
     return m, values
 
 
-def require_density_matrix(rho, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Validate Hermiticity, positivity and unit trace of a state."""
-    return _density_spectrum(as_matrix(rho), tol)[0]
+def require_density_matrix(rho) -> np.ndarray:
+    """Validate Hermiticity, positivity and unit trace of a state, each at
+    ALGEBRA_TOL."""
+    return _density_spectrum(as_matrix(rho))[0]
 
 
-def require_projector(p, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """Validate that p is an orthogonal projector (P = P², P = P†)."""
+def require_projector(p) -> np.ndarray:
+    """Validate that p is an orthogonal projector (P = P², P = P†) within
+    ALGEBRA_TOL."""
     m = as_matrix(p)
     herm = max_abs(m - m.conj().T)
     idem = max_abs(m @ m - m)
-    if herm > tol.proj_tol or idem > tol.proj_tol:
+    if herm > ALGEBRA_TOL or idem > ALGEBRA_TOL:
         raise ValidationError(
             f"not an orthogonal projector: |P-P†|={herm:.3e}, |P²-P|={idem:.3e} "
-            f"(proj_tol={tol.proj_tol:.1e})"
+            f"(beyond {ALGEBRA_TOL:g})"
         )
     return (m + m.conj().T) / 2
 
@@ -191,21 +194,21 @@ class SpectralDecomposition:
         return self.values.shape[0]
 
 
-def _checked_eigh(m: np.ndarray, tol: Tolerances, label: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+def _checked_eigh(m: np.ndarray, label: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvectors of the Hermitian part of a
     complex matrix, or of each matrix of a stack (J, n, n) in one eigh,
     with the Hermiticity, reconstruction and orthonormality checks of
     spectral_decompose; an error names the first failing matrix."""
-    m = _hermitian(m, tol, label)
+    m = _hermitian(m, label)
     values, vectors = np.linalg.eigh(m)
     adj = vectors.conj().swapaxes(-1, -2)
     scale = np.maximum(1.0, _max_abs_each(m))
     recon = _max_abs_each(m - (vectors * values[..., None, :]) @ adj)
-    if failure := _failure(recon > tol.recon_tol * scale, label):
+    if failure := _failure(recon > ALGEBRA_TOL * scale, label):
         subject, i = failure
         raise ValidationError(f"eigendecomposition of {subject}: reconstruction error {recon[i]:.3e}")
     ortho = _max_abs_each(adj @ vectors - np.eye(m.shape[-1]))
-    if failure := _failure(ortho > tol.ortho_tol, label):
+    if failure := _failure(ortho > ALGEBRA_TOL, label):
         subject, i = failure
         raise ValidationError(
             f"eigendecomposition of {subject}: eigenvector orthonormality error {ortho[i]:.3e}"
@@ -213,14 +216,14 @@ def _checked_eigh(m: np.ndarray, tol: Tolerances, label: str = "matrix") -> tupl
     return values, vectors
 
 
-def spectral_decompose(h, tol: Tolerances = DEFAULT_TOLS) -> SpectralDecomposition:
+def spectral_decompose(h) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix, verifying the result.
 
     Raises ValidationError when the input is not Hermitian within
-    tolerance (reporting the max asymmetry) and ConsistencyError-level
-    ValidationError when the reconstruction or orthonormality check fails.
+    ALGEBRA_TOL (reporting the max asymmetry) and when the reconstruction
+    or orthonormality check fails at ALGEBRA_TOL.
     """
-    values, vectors = _checked_eigh(as_matrix(h), tol)
+    values, vectors = _checked_eigh(as_matrix(h))
     return SpectralDecomposition(values=values.astype(float), vectors=vectors)
 
 
@@ -265,12 +268,12 @@ def _support_mask(values: np.ndarray, tol: Tolerances, what: str) -> np.ndarray:
     """The support rule: ascending eigenvalues (..., n) of a PSD operator, or
     of each operator of a stack, above rank_tol * lambda_max, or above
     rank_tol when lambda_max is smaller.  Negativity beyond
-    psd_tol * max(1, |lambda_max|) raises, naming what (and, for a stack,
+    ALGEBRA_TOL * max(1, |lambda_max|) raises, naming what (and, for a stack,
     the operator's index)."""
     if not values.shape[-1]:
         return np.zeros(values.shape, dtype=bool)
     lam_max, low = values[..., -1], values[..., 0]
-    if failure := _failure(low < -tol.psd_tol * np.maximum(1.0, np.abs(lam_max)), what):
+    if failure := _failure(low < -ALGEBRA_TOL * np.maximum(1.0, np.abs(lam_max)), what):
         subject, i = failure
         raise ValidationError(f"{subject} requires a PSD operator; min eigenvalue {low[i]:.3e}")
     cut = np.where(lam_max > tol.rank_tol, tol.rank_tol * lam_max, tol.rank_tol)
@@ -301,7 +304,7 @@ def support_projector(a, tol: Tolerances = DEFAULT_TOLS) -> tuple[np.ndarray, in
     and its rank, under the support rule of _support_mask: a numerically
     zero operator yields the zero projector with rank 0.
     """
-    dec = spectral_decompose(a, tol)
+    dec = spectral_decompose(a)
     cols = dec.vectors[:, _support_mask(dec.values, tol, "support_projector")]
     return cols @ cols.conj().T, cols.shape[1]
 
@@ -318,7 +321,7 @@ def func_on_support(
     ``f``; eigenvalues on the kernel are assigned ``off_support_value``.
     Used with f = log for pseudo-logarithms.
     """
-    dec = spectral_decompose(a, tol)
+    dec = spectral_decompose(a)
     mask = _support_mask(dec.values, tol, "func_on_support")
     mapped = np.full(dec.dim, float(off_support_value))
     if mask.any():
@@ -340,8 +343,8 @@ def compressed_exp(f, n, tol: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     strength s goes to +infinity, and the canonical realization of
     exponentials of observables carrying a formally infinite branch.
     """
-    fm = require_hermitian(f, tol)
-    nm = require_projector(n, tol)
+    fm = require_hermitian(f)
+    nm = require_projector(n)
     if fm.shape != nm.shape:
         raise ValidationError(f"dimension mismatch: F is {fm.shape}, N is {nm.shape}")
     values, cols, _ = _compressed_eigh(fm, nm, tol)

@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .measurement import POVM
-from .operator_core import DEFAULT_TOLS, Tolerances
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
@@ -40,13 +39,11 @@ def random_density_matrix(
     return m / np.trace(m).real
 
 
-def random_povm(
-    dim: int, n_outcomes: int, rng: np.random.Generator, tol: Tolerances = DEFAULT_TOLS
-) -> POVM:
+def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> POVM:
     """POVM from Gaussian draws B_k via M_k = T^{-1/2} B_k† B_k T^{-1/2}
     with T = sum_k B_k† B_k."""
     blocks = [complex_gaussian(rng, (dim, dim)) for _ in range(n_outcomes)]
-    return povm_from_blocks(blocks, tol)
+    return povm_from_blocks(blocks)
 
 
 def normalized_blocks(blocks, floor: float) -> tuple[np.ndarray, np.ndarray]:
@@ -63,9 +60,10 @@ def normalized_blocks(blocks, floor: float) -> tuple[np.ndarray, np.ndarray]:
     return b @ inv_sqrt[..., None, :, :], regular
 
 
-def povm_from_blocks(blocks, tol: Tolerances = DEFAULT_TOLS) -> POVM:
-    """Normalize arbitrary matrices B_k into a POVM (the T^{-1/2} trick)."""
+def povm_from_blocks(blocks) -> POVM:
+    """Normalize arbitrary matrices B_k into a POVM (the T^{-1/2} trick),
+    checked by POVM.create."""
     normalized, regular = normalized_blocks(blocks, 0.0)
     if not regular:
         raise ValidationError("POVM normalizer is singular; draw different blocks")
-    return POVM.create([c.conj().T @ c for c in normalized], tol)
+    return POVM.create([c.conj().T @ c for c in normalized])

@@ -70,18 +70,18 @@ class Scenario:
     holevo_instance: CqChannelInstance | None = None
 
 
-def _parse_channel(data: Any, tol: Tolerances) -> KrausChannel:
+def _parse_channel(data: Any) -> KrausChannel:
     if not isinstance(data, dict):
         raise ValidationError("channel: expected an object with 'kraus' or 'protocol'")
+    if ("kraus" in data) == ("protocol" in data):
+        raise ValidationError("channel: needs exactly one of 'kraus' or 'protocol'")
     if "kraus" in data:
         ops = [matrix_from_json(m, f"channel.kraus[{i}]") for i, m in enumerate(data["kraus"])]
         return KrausChannel.create(ops)
-    if "protocol" in data:
-        return unitary_from_protocol(_parse_protocol(data["protocol"], tol), tol)
-    raise ValidationError("channel: needs exactly one of 'kraus' or 'protocol'")
+    return unitary_from_protocol(_parse_protocol(data["protocol"]))
 
 
-def _parse_protocol(data: Any, tol: Tolerances) -> EvolutionProtocol:
+def _parse_protocol(data: Any) -> EvolutionProtocol:
     if not isinstance(data, list) or not data:
         raise ValidationError("protocol: expected a non-empty list of steps")
     steps = []
@@ -93,7 +93,7 @@ def _parse_protocol(data: Any, tol: Tolerances) -> EvolutionProtocol:
         if not _is_number(duration):
             raise ValidationError(f"protocol[{i}].duration must be a number")
         steps.append((h, _as_float(duration, f"protocol[{i}].duration")))
-    return EvolutionProtocol.create(steps, tol)
+    return EvolutionProtocol.create(steps)
 
 
 def parse_scenario(document: dict, tol_override: Tolerances | None = None) -> Scenario:
@@ -121,19 +121,18 @@ def parse_scenario(document: dict, tol_override: Tolerances | None = None) -> Sc
         rho = matrix_from_json(_require(document, "initial_state", "scenario"), "initial_state")
         a_i = matrix_from_json(_require(document, "initial_observable", "scenario"), "initial_observable")
         a_f = matrix_from_json(_require(document, "final_observable", "scenario"), "final_observable")
-        channel = _parse_channel(_require(document, "channel", "scenario"), tol)
+        channel = _parse_channel(_require(document, "channel", "scenario"))
         protocol = TwoTimeProtocol.create(
             rho,
             observable_from_hermitian(a_i, tol),
             channel,
             observable_from_hermitian(a_f, tol),
-            tol,
         )
         return Scenario(kind=kind, seed=seed, tolerances=tol, document=document, two_time=protocol)
 
     if kind == "jarzynski":
         h0 = matrix_from_json(_require(document, "h0", "scenario"), "h0")
-        protocol = _parse_protocol(_require(document, "protocol", "scenario"), tol)
+        protocol = _parse_protocol(_require(document, "protocol", "scenario"))
         beta = _require(document, "beta", "scenario")
         if not _is_number(beta) or beta <= 0:
             raise ValidationError(f"scenario: beta must be a positive number, got {beta!r}")
@@ -157,8 +156,7 @@ def parse_scenario(document: dict, tol_override: Tolerances | None = None) -> Sc
     ]
     ensemble = Ensemble.create(priors, states, tol)
     povm = POVM.create(
-        [matrix_from_json(m, f"povm[{i}]") for i, m in enumerate(_require(document, "povm", "scenario"))],
-        tol,
+        [matrix_from_json(m, f"povm[{i}]") for i, m in enumerate(_require(document, "povm", "scenario"))]
     )
     instance = CqChannelInstance.create(ensemble, povm)
     return Scenario(

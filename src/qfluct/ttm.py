@@ -3,8 +3,8 @@
 Measure an initial observable, evolve through a channel, measure a final
 observable: the outcome difference is a random variable whose exponential
 average equals a trace formula (the efficacy).  This module computes the
-joint outcome statistics, the difference distribution and its
-characteristic function, the efficacy, and verifies the integral
+joint outcome statistics, the difference distribution, the efficacy,
+and verifies the integral
 fluctuation identity together with its Jensen consequence.  The Gibbs /
 work special case is provided as a scenario builder.
 """
@@ -33,6 +33,7 @@ from .measurement import (
     _observables,
 )
 from .operator_core import (
+    ALGEBRA_TOL,
     DEFAULT_TOLS,
     Tolerances,
     as_matrix,
@@ -59,9 +60,9 @@ class TwoTimeProtocol:
         initial_observable: ExtendedObservable,
         channel: KrausChannel,
         final_observable: ExtendedObservable,
-        tol: Tolerances = DEFAULT_TOLS,
     ) -> "TwoTimeProtocol":
-        rho = require_density_matrix(initial_state, tol)
+        """A checked state, one dimension throughout, finite A_i."""
+        rho = require_density_matrix(initial_state)
         dims = {rho.shape[0], initial_observable.dim, channel.dim, final_observable.dim}
         if len(dims) != 1:
             raise ValidationError(f"protocol dimensions disagree: {sorted(dims)}")
@@ -222,9 +223,10 @@ def _joint_blocks(
     tall product of the stacked operators, and so is T_k c.  The blocks are
     stacked on a leading axis, so c, each T_k and the marginal check run
     once for all of them; a single protocol has no block axis.  The
-    weighted blocks are checked as one protocol: entries >= -prob_floor, a
-    total of one within 1e-10, and at most prob_floor on the +infinity
-    final branches together."""
+    weighted blocks are checked as one protocol: row sums equal to the
+    initial marginals and a total of one, both within ALGEBRA_TOL, entries
+    >= -prob_floor, and at most prob_floor on the +infinity final branches
+    together."""
     channel = _shared_channel(protocols)
     v_i, labels, starts, _ = _columns([p.initial_observable for p in protocols])
     # V_f†, with an axis for the operators of a Kraus chunk
@@ -243,7 +245,7 @@ def _joint_blocks(
         shares += (tc.reshape(t.shape) * t.conj()).real.sum(axis=-3)
     marginals = np.add.reduceat(c.diagonal(axis1=-2, axis2=-1).real.ravel(), starts)
     rows = np.add.reduceat(shares.sum(axis=-2).ravel(), starts)
-    off = np.abs(rows - marginals) > 1e-10
+    off = np.abs(rows - marginals) > ALGEBRA_TOL
     if off.any():
         m = int(np.argmax(off))
         raise ConsistencyError(
@@ -261,7 +263,7 @@ def _joint_blocks(
     for joint in joints:
         np.clip(joint.probs, 0.0, None, out=joint.probs)
     total = sum(joint.total() for joint in joints)
-    if abs(total - 1.0) > 1e-10:
+    if abs(total - 1.0) > ALGEBRA_TOL:
         raise ConsistencyError(f"joint probabilities sum to {total!r}, not 1")
     leak = sum(float(joint.probs[:, -1].sum()) for joint in joints if math.isinf(joint.final_values[-1]))
     if leak > tol.prob_floor:
@@ -292,8 +294,15 @@ def _merge_atoms(
     """Atoms of delta_a over the outcome pairs of all joints in one
     clustering pass, so the sub-floor drop acts on the pooled mass; each
     joint contributes only its own (initial, final) pairs.  A sorted value v
-    within degeneracy_tol * max(1, |v|) of its predecessor joins its cluster."""
-    values, probs = _outcome_pairs(joints)
+    within degeneracy_tol * max(1, |v|) of its predecessor joins its cluster;
+    the kept atoms must hold a mass of one within ALGEBRA_TOL."""
+    values, probs = [], []
+    for joint in joints:
+        # only the last final branch can be +infinity
+        n = len(joint.final_values) - math.isinf(joint.final_values[-1])
+        values.append((joint.final_values[:n] - joint.initial_values[:, None]).ravel())
+        probs.append(joint.probs[:, :n].ravel())
+    values, probs = np.concatenate(values), np.concatenate(probs)
     order = np.argsort(values, kind="stable")
     values, probs = values[order], probs[order]
     cuts = np.diff(values) > tol.degeneracy_tol * np.maximum(1.0, np.abs(values[1:]))
@@ -302,33 +311,12 @@ def _merge_atoms(
     moments = np.add.reduceat(values * probs, starts)
     kept = totals > tol.prob_floor
     mass = float(totals[kept].sum())
-    if abs(mass - 1.0) > 1e-10:
+    if abs(mass - 1.0) > ALGEBRA_TOL:
         raise ConsistencyError(
             f"delta_a atoms sum to {mass!r} after dropping sub-floor atoms; "
             f"the instance carries pathological probability mass at the floor"
         )
     return DeltaDistribution(values=moments[kept] / totals[kept], probs=totals[kept])
-
-
-def characteristic_function(joint: JointDistribution, s: complex) -> complex:
-    """G(s) = sum p exp(i s delta_a); G(i) is the exponential average
-    <exp(-delta_a)>.  +infinity entries contribute zero (they carry
-    probability at most prob_floor, and vanish by continuity for
-    Im(s) > 0)."""
-    values, probs = _outcome_pairs([joint])
-    return complex(np.sum(probs * np.exp(1j * complex(s) * values)))
-
-
-def _outcome_pairs(joints: Sequence[JointDistribution]) -> tuple[np.ndarray, np.ndarray]:
-    """(delta_a, p) of every outcome pair with a finite final value, joint
-    by joint and row-major within each joint."""
-    values, probs = [], []
-    for joint in joints:
-        # only the last final branch can be +infinity
-        n = len(joint.final_values) - math.isinf(joint.final_values[-1])
-        values.append((joint.final_values[:n] - joint.initial_values[:, None]).ravel())
-        probs.append(joint.probs[:, :n].ravel())
-    return np.concatenate(values), np.concatenate(probs)
 
 
 def efficacy(protocol: TwoTimeProtocol) -> float:
@@ -365,7 +353,7 @@ def _efficacy_blocks(protocols: Sequence[TwoTimeProtocol], weights: Sequence[flo
     # tr(X Y) as an elementwise sum, without forming X Y
     traces = np.sum(exp_neg.swapaxes(-1, -2) * weighted, axis=(-2, -1))
     value = complex(np.sum(np.asarray(weights, dtype=float).reshape(traces.shape) * traces))
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
+    if abs(value.imag) > ALGEBRA_TOL * max(1.0, abs(value.real)):
         raise ConsistencyError(f"efficacy trace has imaginary residue {value.imag:.3e}")
     return float(value.real)
 
@@ -460,7 +448,7 @@ def jarzynski_scenario(
     if h0.shape[0] != protocol.dim:
         raise ValidationError(f"protocol dimensions disagree: {sorted({h0.shape[0], protocol.dim})}")
     hamiltonians, durations = zip(*protocol.steps)
-    values, vectors = _checked_eigh(np.stack([h0, *hamiltonians]), tolerances, "Hamiltonian")
+    values, vectors = _checked_eigh(np.stack([h0, *hamiltonians]), "Hamiltonian")
     ends, end_vectors = values[[0, -1]], vectors[[0, -1]]
     (lo0, _), (lo_tau, _) = bounds = ends[:, [0, -1]].tolist()
     for lo, hi in bounds:

@@ -191,7 +191,6 @@ def composite_reference(inst, internals):
         qf.observable_from_hermitian(a_i, tol),
         qf.identity_channel(rho0.shape[0]),
         qf.ExtendedObservable.from_blocks(branches, tol),
-        tol,
     )
     delta = qf.delta_a_distribution(qf.joint_distribution(protocol, tol), tol)
     return {

@@ -577,3 +577,58 @@ def test_holevo_random_rows_are_the_library_reports(capsys):
         assert row[:6] == [str(i), str(7 + i), "2", "2", "3", "mix"]
         assert row[6:15] == [repr(float(getattr(owners.get(name, report), name))) for name in scalars]
     assert len(lines) == 2 + 3
+
+
+@pytest.mark.parametrize("site", ["random flag", "optimize flag", "optimize scenario"])
+def test_a_negative_seed_exit_2_names_the_seed(site, tmp_path, capsys):
+    scenario = SCENARIOS / "zero_plus_holevo.json"
+    if site == "random flag":
+        argv = ["holevo", "random", "--dim", "2", "--words", "2", "--outcomes", "2", "--trials", "2",
+                "--seed", "-3"]
+        seed = -3
+    elif site == "optimize flag":
+        argv = ["holevo", "optimize", str(scenario), "--seed", "-1"]
+        seed = -1
+    else:
+        doc = json.loads(scenario.read_text())
+        doc["seed"] = -1
+        path = tmp_path / "negative_seed.json"
+        path.write_text(json.dumps(doc))
+        argv = ["holevo", "optimize", str(path)]
+        seed = -1
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: seed must be a non-negative integer, got {seed}\n"
+
+
+def test_a_channel_with_both_kraus_and_protocol_exit_2(bit_flip_scenario, tmp_path, capsys):
+    doc = json.loads(bit_flip_scenario.read_text())
+    doc["channel"]["protocol"] = [{"hamiltonian": cmat([[1, 0], [0, -1]]), "duration": 0.4}]
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(path)]) == 2
+    assert "channel: needs exactly one of 'kraus' or 'protocol'" in capsys.readouterr().err
+
+
+def test_a_report_lists_the_three_tolerances(bit_flip_scenario, tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", str(bit_flip_scenario), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tolerances"] == {
+        "degeneracy_tol": 1e-9, "rank_tol": 1e-12, "prob_floor": 1e-12,
+    }
+
+
+@pytest.mark.parametrize("site", ["scenario", "tol-pack"])
+def test_a_removed_tolerance_field_is_unknown_exit_2(site, bit_flip_scenario, tmp_path, capsys):
+    flags = []
+    if site == "scenario":
+        doc = json.loads(bit_flip_scenario.read_text())
+        doc["tolerances"] = {"psd_tol": 1e-10}
+        bit_flip_scenario.write_text(json.dumps(doc))
+    else:
+        pack = tmp_path / "pack.json"
+        pack.write_text('{"psd_tol": 1e-10}')
+        flags = ["--tol-pack", str(pack)]
+    assert cli.main(["verify", str(bit_flip_scenario), *flags]) == 2
+    assert "unknown tolerance fields: ['psd_tol']" in capsys.readouterr().err

@@ -414,6 +414,13 @@ def test_optimize_measurement_all_singular_starts_raise(monkeypatch):
         qf.optimize_measurement(ens, 2, seed=0)
 
 
+def test_a_negative_seed_is_a_validation_error_naming_the_seed():
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -3"):
+        qf.random_instance(2, 2, 2, seed=-3)
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
+        qf.optimize_measurement(zero_plus_instance().ensemble, 2, seed=-1)
+
+
 @st.composite
 def ascent_cases(draw):
     dim, n_outcomes = draw(st.integers(1, 3)), draw(st.integers(2, 4))
@@ -682,7 +689,7 @@ def test_holevo_chi_batched_state_checks_name_the_failing_word():
 def test_batched_observable_check_names_the_failing_word(monkeypatch):
     # The third eigh of analyze is the batched exponent of the words that
     # drop no outcome; tilting one column of word 1 by 1e-6 breaks the
-    # orthonormality of its A_f columns, which |V†V - I| <= proj_tol catches.
+    # orthonormality of its A_f columns, which |V†V - I| <= ALGEBRA_TOL catches.
     inst = qf.random_instance(2, 3, 3, seed=5, state_kind="mixed")
     assert qf.prepare_instance(inst).retained.all()
     original, calls = np.linalg.eigh, []

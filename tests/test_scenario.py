@@ -92,6 +92,16 @@ def test_parse_protocol_channel():
     assert np.abs(u - np.diag(np.exp(-1j * np.array([1.0, -1.0]) * 0.4))).max() < 1e-12
 
 
+def test_parse_rejects_a_channel_with_both_kraus_and_protocol():
+    doc = two_time_doc()
+    doc["channel"]["protocol"] = [{"hamiltonian": cmat([[1, 0], [0, -1]]), "duration": 0.4}]
+    with pytest.raises(ValidationError, match="channel: needs exactly one of 'kraus' or 'protocol'"):
+        parse_scenario(doc)
+    doc["channel"] = {}
+    with pytest.raises(ValidationError, match="channel: needs exactly one of 'kraus' or 'protocol'"):
+        parse_scenario(doc)
+
+
 def test_scenario_tolerance_overrides():
     doc = two_time_doc()
     doc["tolerances"] = {"degeneracy_tol": 1e-6}

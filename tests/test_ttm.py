@@ -201,30 +201,6 @@ def test_merge_atoms_matches_loop_reference(entries, n_joints):
     assert np.abs(delta.probs - reference[:, 1]).max() <= 1e-15
 
 
-def test_characteristic_function_contracts():
-    for seed in (1, 2, 3):
-        protocol = random_protocol(seed)
-        joint = qf.joint_distribution(protocol)
-        assert abs(qf.characteristic_function(joint, 0.0) - 1.0) < 1e-10
-        g_i = qf.characteristic_function(joint, 1j)
-        assert abs(g_i.imag) < 1e-12
-        assert abs(g_i.real - qf.efficacy(protocol)) < 1e-9
-
-
-def test_characteristic_function_single_atom():
-    rho = np.diag([0.75, 0.25]).astype(complex)
-    c = 1.3
-    protocol = qf.TwoTimeProtocol.create(
-        rho,
-        qf.observable_from_hermitian(PAULI_Z),
-        qf.identity_channel(2),
-        qf.observable_from_hermitian(PAULI_Z + c * np.eye(2)),
-    )
-    joint = qf.joint_distribution(protocol)
-    for s in (0.5, -1.2, 0.3 + 0.1j):
-        assert abs(qf.characteristic_function(joint, s) - np.exp(1j * s * c)) < 1e-10
-
-
 def test_efficacy_commuting_is_one():
     rng = np.random.default_rng(4)
     h = random_hermitian(3, rng)
