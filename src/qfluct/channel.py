@@ -4,7 +4,7 @@ channels from piecewise-constant protocols."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -31,10 +31,12 @@ _CHUNK_ENTRIES = 2047
 
 def _kraus_chunks(kraus_ops: tuple[np.ndarray, ...]) -> Iterator[np.ndarray]:
     """The Kraus operators in order, as stacks (c, d, d) of at most
-    max(1, _CHUNK_ENTRIES // d²) operators each.  A loop over the chunks
-    turns the per-operator products into tall GEMMs of bounded size and
-    never holds a stacked copy of the whole tuple; a chunk of one operator
-    is a view, not a copy."""
+    max(1, _CHUNK_ENTRIES // d²) operators each; none for an empty tuple.
+    A loop over the chunks turns the per-operator products into tall GEMMs
+    of bounded size and never holds a stacked copy of the whole tuple; a
+    chunk of one operator is a view, not a copy."""
+    if not kraus_ops:
+        return
     d = kraus_ops[0].shape[-1]
     size = max(1, _CHUNK_ENTRIES // (d * d))
     for start in range(0, len(kraus_ops), size):
@@ -44,28 +46,63 @@ def _kraus_chunks(kraus_ops: tuple[np.ndarray, ...]) -> Iterator[np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Square (dimension-preserving) channel in Kraus form."""
+    """Square (dimension-preserving) channel in Kraus form.
+
+    kraus_ops is the caller's tuple.  On construction the operators are
+    split once: a matrix unit alpha |a><b| (exactly one nonzero entry), a
+    quantum jump, adds |alpha|² to the real jump-rate matrix W[a, b]
+    (_jumps); an all-zero operator is dropped; every other operator joins
+    the dense remainder (_dense).  The Kraus loops run over the dense
+    remainder in chunks and take W in closed form, O(d³) whatever the
+    number of jumps: the completeness sum here, apply_channel (the trace
+    route's channel applied to an operator) and the transition pass of
+    ttm._joint_blocks (the enumeration route).  Both routes still share
+    only the channel.  With no matrix unit W is None and every loop runs
+    the dense remainder alone."""
 
     kraus_ops: tuple[np.ndarray, ...]
+    _dense: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _jumps: np.ndarray | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        dense, jumps = [], None
+        for k in self.kraus_ops:
+            count = np.count_nonzero(k)
+            if count > 1:
+                dense.append(k)
+            elif count == 1:
+                if jumps is None:
+                    jumps = np.zeros(k.shape)
+                a, b = divmod(int(np.flatnonzero(k)[0]), k.shape[-1])
+                jumps[a, b] += abs(k[a, b]) ** 2
+        object.__setattr__(self, "_dense", tuple(dense))
+        object.__setattr__(self, "_jumps", jumps)
 
     @classmethod
     def create(cls, kraus_ops: Iterable) -> "KrausChannel":
+        """A channel of square operators of one dimension with
+        sum K†K = I within ALGEBRA_TOL: the dense remainder's sum plus
+        diag of W's column sums."""
         ops = tuple(as_matrix(k) for k in kraus_ops)
         if not ops:
             raise ValidationError("a channel needs at least one Kraus operator")
         dim = ops[0].shape[0]
         if any(k.shape[0] != dim for k in ops):
             raise ValidationError("Kraus operators have mixed dimensions")
+        channel = cls(kraus_ops=ops)
         acc = np.zeros((dim, dim), dtype=complex)
-        for chunk in _kraus_chunks(ops):
+        for chunk in _kraus_chunks(channel._dense):
             flat = chunk.reshape(-1, dim)
             acc += flat.conj().T @ flat
+        if channel._jumps is not None:
+            # K†K = |alpha|² |b><b| for alpha |a><b|
+            acc += np.diag(channel._jumps.sum(axis=0))
         defect = max_abs(acc - np.eye(dim))
         if defect > ALGEBRA_TOL:
             raise ValidationError(
                 f"Kraus completeness defect {defect:.3e} exceeds {ALGEBRA_TOL:g} (sum K†K != I)"
             )
-        return cls(kraus_ops=ops)
+        return channel
 
     @property
     def dim(self) -> int:
@@ -74,9 +111,13 @@ class KrausChannel:
 
 def apply_channel(channel: KrausChannel, rho) -> np.ndarray:
     """Apply the channel: sum_k K_k rho K_k†, to one matrix or to each
-    matrix of a stack (..., d, d).  Per chunk of n operators (see
-    _kraus_chunks) this is two GEMMs: the stacked K_k rho, (n d, d), then
-    the row of blocks [K_1 rho ... K_n rho] times the column [K_1†; ...; K_n†]."""
+    matrix of a stack (..., d, d).  This is the trace route's channel
+    applied to an operator.  Per chunk of n dense operators (see
+    _kraus_chunks) it is two GEMMs: the stacked K_k rho, (n d, d), then the
+    row of blocks [K_1 rho ... K_n rho] times the column [K_1†; ...; K_n†].
+    The jumps add diag(W diag(rho)), since alpha |a><b| rho (alpha |a><b|)†
+    = |alpha|² rho_bb |a><a|.  The enumeration route reads W on its own
+    (ttm._joint_blocks); the two routes share only the channel."""
     state = _as_matrices(rho)
     d = channel.dim
     if state.shape[-1] != d:
@@ -84,12 +125,14 @@ def apply_channel(channel: KrausChannel, rho) -> np.ndarray:
             f"dimension mismatch: state {state.shape[-1]}, channel {d}"
         )
     lead = state.shape[:-2]
-    out = 0.0
-    for chunk in _kraus_chunks(channel.kraus_ops):
+    out = np.zeros(state.shape, dtype=complex)
+    for chunk in _kraus_chunks(channel._dense):
         n = len(chunk)
         stacked = (chunk.reshape(n * d, d) @ state).reshape(lead + (n, d, d))
         row = stacked.swapaxes(-3, -2).reshape(lead + (d, n * d))
         out += row @ chunk.conj().swapaxes(-1, -2).reshape(n * d, d)
+    if channel._jumps is not None:
+        out += (state.diagonal(axis1=-2, axis2=-1) @ channel._jumps.T)[..., None] * np.eye(d)
     return out
 
 

@@ -55,6 +55,13 @@ def _require(data: dict, key: str, what: str) -> Any:
     return data[key]
 
 
+def _matrices(data: Any, what: str) -> list[np.ndarray]:
+    """A JSON array of matrices, entry i named what[i] in errors."""
+    if not isinstance(data, list):
+        raise ValidationError(f"{what}: expected an array of matrices")
+    return [matrix_from_json(m, f"{what}[{i}]") for i, m in enumerate(data)]
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Parsed scenario: raw document plus validated domain objects."""
@@ -76,8 +83,7 @@ def _parse_channel(data: Any) -> KrausChannel:
     if ("kraus" in data) == ("protocol" in data):
         raise ValidationError("channel: needs exactly one of 'kraus' or 'protocol'")
     if "kraus" in data:
-        ops = [matrix_from_json(m, f"channel.kraus[{i}]") for i, m in enumerate(data["kraus"])]
-        return KrausChannel.create(ops)
+        return KrausChannel.create(_matrices(data["kraus"], "channel.kraus"))
     return unitary_from_protocol(_parse_protocol(data["protocol"]))
 
 
@@ -150,14 +156,9 @@ def parse_scenario(document: dict, tol_override: Tolerances | None = None) -> Sc
     if not isinstance(ensemble_doc, dict):
         raise ValidationError("scenario: ensemble must be an object")
     priors = _require(ensemble_doc, "priors", "ensemble")
-    states = [
-        matrix_from_json(s, f"ensemble.states[{i}]")
-        for i, s in enumerate(_require(ensemble_doc, "states", "ensemble"))
-    ]
+    states = _matrices(_require(ensemble_doc, "states", "ensemble"), "ensemble.states")
     ensemble = Ensemble.create(priors, states, tol)
-    povm = POVM.create(
-        [matrix_from_json(m, f"povm[{i}]") for i, m in enumerate(_require(document, "povm", "scenario"))]
-    )
+    povm = POVM.create(_matrices(_require(document, "povm", "scenario"), "povm"))
     instance = CqChannelInstance.create(ensemble, povm)
     return Scenario(
         kind=kind, seed=seed, tolerances=tol, document=document, holevo_instance=instance

@@ -218,9 +218,14 @@ def _joint_blocks(
     weight * V_i† rho V_i cut to its initial-branch diagonal blocks and
     T_k = V_f† K_k V_i, entry (j, a) of sum_k Re((T_k c) ∘ conj(T_k)) is
     initial column a's share of final column j: one pass over the Kraus
-    operators, summed per branch.  The pass takes the operators in bounded
-    chunks (see channel._kraus_chunks): per chunk, K_k V_i for all k is one
-    tall product of the stacked operators, and so is T_k c.  The blocks are
+    operators, summed per branch.  This is the enumeration route's
+    transition pass; it shares only the channel with the trace route.  The
+    pass takes the dense remainder in bounded chunks (see
+    channel._kraus_chunks): per chunk, K_k V_i for all k is one tall product
+    of the stacked operators, and so is T_k c.  The channel's jumps enter in
+    closed form: for K = alpha |a><b|, T_K[j, x] = alpha conj(V_f[a, j])
+    V_i[b, x], so all of them add |V_f|²ᵀ W g with
+    g[b, x] = Re((V_i c)[b, x] conj(V_i[b, x])).  The blocks are
     stacked on a leading axis, so c, each T_k and the marginal check run
     once for all of them; a single protocol has no block axis.  The
     weighted blocks are checked as one protocol: row sums equal to the
@@ -229,20 +234,23 @@ def _joint_blocks(
     together."""
     channel = _shared_channel(protocols)
     v_i, labels, starts, _ = _columns([p.initial_observable for p in protocols])
-    # V_f†, with an axis for the operators of a Kraus chunk
-    v_f_adj = _stack([p.final_observable.vectors for p in protocols]).conj().swapaxes(-1, -2)[..., None, :, :]
+    v_f_adj = _stack([p.final_observable.vectors for p in protocols]).conj().swapaxes(-1, -2)
     rho = _stack([p.initial_state for p in protocols])
     c = np.asarray(weights, dtype=float).reshape(labels.shape[:-1] + (1, 1)) * _dephased(
         v_i.conj().swapaxes(-1, -2) @ rho @ v_i, labels
     )
     d = channel.dim
     lead = c.shape[:-2]
-    shares = 0.0
-    for chunk in _kraus_chunks(channel.kraus_ops):
+    shares = np.zeros(c.shape)
+    for chunk in _kraus_chunks(channel._dense):
         n = len(chunk)
-        t = v_f_adj @ (chunk.reshape(n * d, d) @ v_i).reshape(lead + (n, d, d))
+        # V_f† gets an axis for the operators of the chunk
+        t = v_f_adj[..., None, :, :] @ (chunk.reshape(n * d, d) @ v_i).reshape(lead + (n, d, d))
         tc = t.reshape(lead + (n * d, d)) @ c
         shares += (tc.reshape(t.shape) * t.conj()).real.sum(axis=-3)
+    if channel._jumps is not None:
+        g = ((v_i @ c) * v_i.conj()).real
+        shares += (np.abs(v_f_adj) ** 2) @ channel._jumps @ g
     marginals = np.add.reduceat(c.diagonal(axis1=-2, axis2=-1).real.ravel(), starts)
     rows = np.add.reduceat(shares.sum(axis=-2).ravel(), starts)
     off = np.abs(rows - marginals) > ALGEBRA_TOL

@@ -1,5 +1,5 @@
-"""Seeded random test inputs: Hermitian matrices, Haar unitaries and
-observables with optionally degenerate spectra."""
+"""Seeded random test inputs: Hermitian matrices, Haar unitaries, Haar
+Kraus sets and observables with optionally degenerate spectra."""
 
 import numpy as np
 
@@ -19,6 +19,14 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return q * phases
+
+
+def haar_kraus(n_ops: int, dim: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """n_ops Kraus operators sliced from one Haar isometry (n_ops dim, dim),
+    so that sum K_k† K_k = W† W = I."""
+    q, r = np.linalg.qr(complex_gaussian(rng, (n_ops * dim, dim)))
+    w = q * (np.diag(r) / np.abs(np.diag(r)))
+    return [w[k * dim : (k + 1) * dim] for k in range(n_ops)]
 
 
 def random_observable(

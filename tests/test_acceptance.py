@@ -124,8 +124,33 @@ def test_criterion_6_golden_thompson_chain(holevo_batch):
     _line(6, "Golden-Thompson chain", ok)
 
 
+PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.diag([1.0, -1.0]).astype(complex),
+)
+# Bloch vectors: the qubit SIC (a tetrahedron with one vertex on +z) and the
+# trine (three vectors 120 degrees apart in the x-z plane)
+SIC = [(0.0, 0.0, 1.0)] + [
+    (math.sqrt(8) / 3 * math.cos(2 * math.pi * k / 3), math.sqrt(8) / 3 * math.sin(2 * math.pi * k / 3), -1 / 3)
+    for k in range(3)
+]
+TRINE = [(math.sin(2 * math.pi * k / 3), 0.0, math.cos(2 * math.pi * k / 3)) for k in range(3)]
+
+
+def _uniform_pure_qubit_instance(bloch, povm=None):
+    """Uniform priors on the pure qubit states of the Bloch vectors,
+    measured with povm or, by default, with M_i = (d/k) rho_i."""
+    states = [(np.eye(2) + sum(c * p for c, p in zip(n, PAULIS))) / 2 for n in bloch]
+    k = len(states)
+    return qf.CqChannelInstance.create(
+        qf.Ensemble.create([1 / k] * k, states), povm or qf.POVM.create([2 / k * rho for rho in states])
+    )
+
+
 def test_criterion_7_equality_conditions(holevo_batch):
-    # forward: constructed equality instances
+    # forward: constructed equality instances; the SIC and the trine
+    # saturate at gamma < 1, pinned to its closed form
     eye = np.eye(2, dtype=complex)
     z_povm = qf.POVM.create([np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)])
     orthogonal = qf.CqChannelInstance.create(
@@ -138,12 +163,21 @@ def test_criterion_7_equality_conditions(holevo_batch):
         qf.Ensemble.create([0.4, 0.6], [rho, rho.copy()]), random_povm(2, 3, rng)
     )
     ok = True
-    for inst in (orthogonal, identical):
+    for inst, gamma in (
+        (orthogonal, 1.0),
+        (identical, 1.0),
+        (_uniform_pure_qubit_instance(SIC), 3 ** -0.5),
+        (_uniform_pure_qubit_instance(TRINE), 2 ** (-2 / 3)),
+    ):
         rep = qf.analyze(inst, strict=False)
         ok = ok and rep.equality_residual <= 1e-8 and abs(rep.bound_slack) <= 1e-8
-    # backward: random instances far from equality have a visible residual
+        ok = ok and abs(rep.gamma - gamma) <= 1e-12
+    # backward: random instances far from equality have a visible residual,
+    # and so does the SIC measured in Z
     rows, _ = holevo_batch
+    sic_in_z = qf.analyze(_uniform_pure_qubit_instance(SIC, z_povm), strict=False)
     loose = [r for r in rows if r.bound_slack > 1e-4]
+    ok = ok and sic_in_z.bound_slack > 1e-4 and sic_in_z.equality_residual > 1e-6
     ok = ok and len(loose) > 20 and all(r.equality_residual > 1e-6 for r in loose)
     print(f"\n  {len(loose)} instances with slack > 1e-4; min residual "
           f"{min(r.equality_residual for r in loose):.2e}")

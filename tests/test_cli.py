@@ -611,6 +611,31 @@ def test_a_channel_with_both_kraus_and_protocol_exit_2(bit_flip_scenario, tmp_pa
     assert "channel: needs exactly one of 'kraus' or 'protocol'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [5, None, {"0": [[[1, 0]]]}])
+@pytest.mark.parametrize(
+    "field, argv",
+    [
+        ("channel.kraus", ["verify"]),
+        ("povm", ["holevo", "analyze"]),
+        ("ensemble.states", ["holevo", "analyze"]),
+    ],
+)
+def test_a_matrix_list_field_that_is_not_an_array_exit_2(field, argv, value, tmp_path, capsys):
+    scenario = "bit_flip_two_time.json" if field == "channel.kraus" else "orthogonal_holevo.json"
+    doc = json.loads((SCENARIOS / scenario).read_text())
+    *parents, key = field.split(".")
+    owner = doc
+    for name in parents:
+        owner = owner[name]
+    owner[key] = value
+    path = tmp_path / "not_an_array.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {field}: expected an array of matrices\n"
+
+
 def test_a_report_lists_the_three_tolerances(bit_flip_scenario, tmp_path):
     out = tmp_path / "report.json"
     assert cli.main(["verify", str(bit_flip_scenario), "--out", str(out)]) == 0

@@ -12,7 +12,7 @@ from qfluct.rand import random_density_matrix, random_pure_state
 from qfluct.ttm import Check
 
 from oracles import merge_atoms_reference, projectors
-from random_inputs import haar_unitary, random_hermitian, random_observable
+from random_inputs import haar_kraus, haar_unitary, random_hermitian, random_observable
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -107,10 +107,10 @@ def test_joint_distribution_rejects_trace_decreasing_channel():
         qf.joint_distribution(z_protocol(PLUS, channel))
 
 
-def test_verify_ft_does_not_copy_the_kraus_operators():
+def assert_verify_ft_does_not_copy_the_kraus_operators(protocol):
     # 257 Kraus operators of 16 x 16, 1 MiB together: both routes take a
-    # bounded chunk at a time, so the traced peak stays far below a stacked copy
-    protocol = random_protocol(1, dim=16)  # seed 1: depolarizing
+    # bounded chunk of the dense ones at a time, so the traced peak stays far
+    # below a stacked copy
     channel = protocol.channel
     kraus_bytes = sum(k.nbytes for k in channel.kraus_ops)
     assert len(channel.kraus_ops) == 257
@@ -121,6 +121,23 @@ def test_verify_ft_does_not_copy_the_kraus_operators():
     finally:
         tracemalloc.stop()
     assert peak < kraus_bytes / 4, (peak, kraus_bytes)
+
+
+def test_verify_ft_does_not_copy_the_kraus_operators():
+    # seed 1 is depolarizing: one dense operator and 256 matrix units
+    assert_verify_ft_does_not_copy_the_kraus_operators(random_protocol(1, dim=16))
+
+
+def test_verify_ft_does_not_copy_a_dense_kraus_set():
+    rng = np.random.default_rng(16)
+    assert_verify_ft_does_not_copy_the_kraus_operators(
+        qf.TwoTimeProtocol.create(
+            random_density_matrix(16, rng),
+            qf.observable_from_hermitian(random_observable(16, rng)),
+            qf.KrausChannel.create(haar_kraus(257, 16, rng)),
+            qf.observable_from_hermitian(random_observable(16, rng)),
+        )
+    )
 
 
 def test_delta_distribution_single_atom():
