@@ -58,7 +58,9 @@ class KrausChannel:
     route's channel applied to an operator) and the transition pass of
     ttm._joint_blocks (the enumeration route).  Both routes still share
     only the channel.  With no matrix unit W is None and every loop runs
-    the dense remainder alone."""
+    the dense remainder alone, with no array work added for W.  A channel
+    whose operators are all zero is the zero map: no dense remainder and
+    W = 0."""
 
     kraus_ops: tuple[np.ndarray, ...]
     _dense: tuple[np.ndarray, ...] = field(init=False, repr=False)
@@ -75,6 +77,9 @@ class KrausChannel:
                     jumps = np.zeros(k.shape)
                 a, b = divmod(int(np.flatnonzero(k)[0]), k.shape[-1])
                 jumps[a, b] += abs(k[a, b]) ** 2
+        if self.kraus_ops and not dense and jumps is None:
+            # every operator is zero: the zero map, W = 0
+            jumps = np.zeros(self.kraus_ops[0].shape)
         object.__setattr__(self, "_dense", tuple(dense))
         object.__setattr__(self, "_jumps", jumps)
 
@@ -125,7 +130,7 @@ def apply_channel(channel: KrausChannel, rho) -> np.ndarray:
             f"dimension mismatch: state {state.shape[-1]}, channel {d}"
         )
     lead = state.shape[:-2]
-    out = np.zeros(state.shape, dtype=complex)
+    out = 0.0
     for chunk in _kraus_chunks(channel._dense):
         n = len(chunk)
         stacked = (chunk.reshape(n * d, d) @ state).reshape(lead + (n, d, d))

@@ -241,7 +241,7 @@ def _joint_blocks(
     )
     d = channel.dim
     lead = c.shape[:-2]
-    shares = np.zeros(c.shape)
+    shares = 0.0
     for chunk in _kraus_chunks(channel._dense):
         n = len(chunk)
         # V_f† gets an axis for the operators of the chunk

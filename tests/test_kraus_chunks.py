@@ -259,11 +259,11 @@ def test_joint_distribution_rejects_trace_decreasing_matrix_units():
 
 
 def test_joint_distribution_rejects_an_all_zero_channel():
-    # every operator is dropped by the split, so both loops are empty
+    # every operator is dropped by the split: the zero map, W = 0
     channel = qf.KrausChannel(kraus_ops=(np.zeros((2, 2), dtype=complex),))
     obs = qf.observable_from_hermitian(np.diag([1.0, -1.0]))
     protocol = qf.TwoTimeProtocol.create(np.eye(2) / 2, obs, channel, obs)
-    assert channel._dense == () and channel._jumps is None
+    assert channel._dense == () and np.array_equal(channel._jumps, np.zeros((2, 2)))
     assert np.array_equal(qf.apply_channel(channel, np.eye(2)), np.zeros((2, 2)))
     with pytest.raises(ConsistencyError, match="joint marginal"):
         qf.joint_distribution(protocol)
