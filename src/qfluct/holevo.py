@@ -21,9 +21,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .channel import identity_channel
+from .channel import KrausChannel
 from .errors import ConsistencyError, ValidationError
-from .measurement import POVM, _observables
+from .measurement import POVM, _grouped
 from .operator_core import (
     ALGEBRA_TOL,
     DEFAULT_TOLS,
@@ -45,17 +45,7 @@ from .rand import (
     random_povm,
     random_pure_state,
 )
-from .ttm import (
-    CHECK_TOL,
-    Check,
-    TwoTimeProtocol,
-    _Checked,
-    _efficacy_blocks,
-    _joint_blocks,
-    _merge_atoms,
-    exponential_average,
-    mean_delta_a,
-)
+from .ttm import CHECK_TOL, Check, _Checked, _WordBlocks, _ft_report
 
 
 def _entropy(probs: np.ndarray) -> np.ndarray:
@@ -84,9 +74,7 @@ class Ensemble:
         except ValueError as exc:
             raise ValidationError(f"priors must be a flat list of real numbers: {exc}") from None
         if p.dtype.kind not in "iuf" or p.ndim != 1 or p.size == 0:
-            raise ValidationError(
-                f"priors must be a non-empty flat list of real numbers, got {p.tolist()!r}"
-            )
+            raise ValidationError(f"priors must be a non-empty flat list of real numbers, got {priors!r}")
         p = p.astype(float)
         if not np.all(np.isfinite(p)):
             raise ValidationError(f"priors must be finite, got {p.tolist()!r}")
@@ -116,7 +104,8 @@ class Ensemble:
         return len(self.states)
 
     def average_state(self) -> np.ndarray:
-        return np.tensordot(self.priors, np.asarray(self.states, dtype=complex), axes=1)
+        states = np.asarray(self.states, dtype=complex)
+        return (self.priors @ states.reshape(len(states), -1)).reshape(states.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,19 +191,23 @@ def holevo_chi(ensemble: Ensemble) -> float:
     function's own, not those of prepare_instance, so analyze's
     mean_identity compares two computations.
     """
-    stack = np.concatenate([np.asarray(ensemble.states, dtype=complex), ensemble.average_state()[None]])
-    entropies = _entropy(_density_spectrum(stack)[1])
-    return float(entropies[-1] - ensemble.priors @ entropies[:-1])
+    return _chi(ensemble.priors, np.asarray(ensemble.states, dtype=complex), ensemble.average_state())
+
+
+def _chi(priors: np.ndarray, states: np.ndarray, rho_bar: np.ndarray) -> float:
+    """holevo_chi of the stacked states (J, d, d) and their average."""
+    entropies = _entropy(_density_spectrum(np.concatenate([states, rho_bar[None]]))[1])
+    return float(entropies[-1] - priors @ entropies[:-1])
 
 
 @dataclass(frozen=True, eq=False)
 class HolevoInternals:
     """Everything the per-word composite construction produces, kept for
     the chain diagnostic and the equality residual, which reuse its spectra.
-    Each word's protocol acts on the encoding space: the composite's state
-    and observables vanish off probe |0>, where the dilated projectors
-    compress to the POVM elements.  Per-word arrays carry a leading word
-    axis of length J."""
+    Each word is one of the word blocks on the encoding space: the
+    composite's state and observables vanish off probe |0>, where the
+    dilated projectors compress to the POVM elements.  Per-word arrays
+    carry a leading word axis of length J."""
 
     ensemble: Ensemble
     elements: np.ndarray        # (K, d, d) POVM elements
@@ -229,33 +222,34 @@ class HolevoInternals:
     word_vectors: np.ndarray    # (J, d, d) their eigenvectors
     word_support: np.ndarray    # (J, d) bool, the support rule on word_values
     exp_traces: np.ndarray      # (J,) tr W_j, W_j = exp(-A_f) of word j
-    protocols: tuple[TwoTimeProtocol, ...]  # per word: rho_j, A_i, identity, A_f
+    blocks: _WordBlocks         # per word: rho_j, its prior, A_i and A_f; the identity channel
 
 
 def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) -> HolevoInternals:
-    """Assemble each word's protocol from d x d spectra, all words at once.
+    """Assemble the word blocks from d x d spectra, all words at once.
 
     The composite's state rho_j (x) |0><0| and both observables vanish off
     probe |0>, where the dilated projectors compress to the POVM elements
-    M_k, so each word runs on the encoding space.  The words are stacked on
-    a leading axis: the conditionals are one contraction, the states
-    (J, d, d) one eigh, and every check (Hermiticity, reconstruction,
-    orthonormality, PSD, support leak, |V†V - I| of each observable) runs
-    once over the stack and names the failing word.  supp rho_bar is the
-    span of the words' support columns (rank cut by an SVD at rank_tol
-    times the top singular value), where rho_bar has values
+    M_k, so each word runs on the encoding space.  With the states stacked
+    on a leading axis, rho_bar is one product, the states one eigh, and
+    every check (Hermiticity, reconstruction, orthonormality, PSD, support
+    leak, |V†V - I| of each observable) runs once over the stack and names
+    the failing word.  supp rho_bar is the span of the words' support
+    columns, its rank cut at rank_tol times the top singular value of a
+    thin SVD (full only while there are fewer columns than d, so the left
+    factor is a complete d x d basis); there rho_bar has values
     lambda_bar > 0 on columns s_bar.  The exponent
     F_c = diag(ln lambda_bar) + sum_k info_jk s_bar† M_k s_bar (retained k)
     of the words that drop no outcome is one batched eigh; a word that
     drops one is compressed to the kernel of its dropped s_bar† M_k s_bar
     on its own, since that kernel's size is its own.  A_f = -w on s_bar v
     where e^w is on the support of W_j = exp(-A_f), and +infinity
-    elsewhere; A_i is -ln(lambda) on rho_j's support, else 0.  Both
-    observables of every word are grouped into branches by one call.
+    elsewhere; A_i is -ln(lambda) on rho_j's support, else 0.  One call
+    groups both observables of all words into the blocks' branch arrays.
     """
     ensemble = inst.ensemble
     d, jw = ensemble.dim, ensemble.n_words
-    states = np.asarray(ensemble.states)
+    states = np.asarray(ensemble.states, dtype=complex)
     elements = np.asarray(inst.povm.elements)
     cond = conditional_probabilities(inst, tol)
     marginals = ensemble.priors @ cond
@@ -272,7 +266,8 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
     values, vectors = _checked_eigh(states, "state")
     support = _support_mask(values, tol, "code word state")
     # the words' support columns side by side, word by word
-    span, singular, _ = np.linalg.svd(vectors.transpose(1, 0, 2)[:, support])
+    columns = vectors.transpose(1, 0, 2)[:, support]
+    span, singular, _ = np.linalg.svd(columns, full_matrices=columns.shape[1] < d)
     rank = int(np.count_nonzero(singular > tol.rank_tol * singular[0]))
     outside = span[:, rank:]
     leaks = np.einsum("ai,jab,bi->j", outside.conj(), states, outside).real
@@ -280,7 +275,7 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
     if leaking.any():
         j = int(np.argmax(leaking))
         raise ValidationError(f"state {j} leaks {leaks[j]:.3e} outside the support of the average state")
-    rho_bar = ensemble.average_state()
+    rho_bar = (ensemble.priors @ states.reshape(jw, -1)).reshape(d, d)
     inner = spectral_decompose(span[:, :rank].conj().T @ rho_bar @ span[:, :rank])
     if inner.values[0] <= 0:
         raise ValidationError(f"the average state has eigenvalue {inner.values[0]:.3e} on its support")
@@ -309,19 +304,15 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
         encoding[j, :, w.size : rank] = s_bar @ suppressed
         place(j, w, cols)
     initial_values = np.where(support, -np.log(np.where(support, values, 1.0)), 0.0)
-    observables = _observables(
+    observables = _grouped(
         np.concatenate([initial_values, final_values]),
         np.concatenate([vectors, encoding]),
         tol,
         lambda i: f"{'A_i' if i < jw else 'A_f'} of word {i % jw}",
     )
-    channel = identity_channel(d)
-    # Built without TwoTimeProtocol.create, whose state check would repeat
-    # Ensemble.create's; every part is d-dimensional and A_i is finite.
-    protocols = tuple(
-        TwoTimeProtocol(rho, a_i, channel, a_f)
-        for rho, a_i, a_f in zip(ensemble.states, observables[:jw], observables[jw:])
-    )
+    # built without KrausChannel.create: it is complete by construction
+    channel = KrausChannel(kraus_ops=(np.eye(d, dtype=complex),))
+    blocks = _WordBlocks(states, ensemble.priors, channel, *observables.split(jw))
 
     return HolevoInternals(
         ensemble=ensemble,
@@ -337,7 +328,7 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
         word_vectors=vectors,
         word_support=support,
         exp_traces=exp_traces,
-        protocols=protocols,
+        blocks=blocks,
     )
 
 
@@ -445,14 +436,10 @@ def analyze(
     priors = internals.ensemble.priors
     info = float(_mutual_information_arrays(priors, internals.cond, tol.prob_floor))
     shannon, conditional = _decomposition_arrays(priors, internals.cond, tol.prob_floor)
-    chi = holevo_chi(internals.ensemble)
+    chi = _chi(priors, internals.blocks.states, internals.rho_bar)
 
-    delta = _merge_atoms(_joint_blocks(internals.protocols, priors, tol), tol)
-    gamma_dist = exponential_average(delta)
-    mean = mean_delta_a(delta)
-    gamma_trace = _efficacy_blocks(internals.protocols, priors)
-    if gamma_trace <= 0:
-        raise ConsistencyError(f"efficacy {gamma_trace!r} is not positive")
+    ft = _ft_report(internals.blocks, tol)
+    gamma_dist, gamma_trace, mean = ft.lhs, ft.gamma, ft.mean_delta_a
     gamma = gamma_trace
     neg_log_gamma = -math.log(gamma)
     bound_slack = (chi - info) - neg_log_gamma
@@ -490,7 +477,7 @@ def analyze(
         chain=chain,
         equality_residual=residual,
         route_error=route_error,
-        atoms=tuple(zip(delta.values.tolist(), delta.probs.tolist())),
+        atoms=ft.atoms,
         checks=checks,
     )
     if strict and not report.passed:

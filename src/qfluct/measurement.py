@@ -90,7 +90,7 @@ class ExtendedObservable(BranchBlocks):
     ) -> "ExtendedObservable":
         """Construction from (value, orthonormal column block) branches:
         finite branches sorted by value, all +infinity branches merged, in
-        their order, into one last branch, then checked and built by _build."""
+        their order, into one last branch, then checked by _branches."""
         branches = list(branches)
         if not branches:
             raise ValidationError("extended observable needs at least one branch")
@@ -116,11 +116,10 @@ class ExtendedObservable(BranchBlocks):
         order = np.argsort(values, kind="stable")
         values, ranks = values[order], ranks[order]
         first = np.append(True, np.isfinite(values[:-1]))
-        starts = (np.cumsum(ranks) - ranks)[first]
+        starts = np.zeros((1, dim), dtype=bool)
+        starts[0, (np.cumsum(ranks) - ranks)[first]] = True
         vectors = np.concatenate([blocks[b] for b in order], axis=1)[None]
-        return _build(
-            values[first], np.zeros_like(starts), starts, vectors, tol, lambda j: "extended observable"
-        )[0]
+        return _branches(values[first], starts, vectors, tol, lambda j: "extended observable").objects()[0]
 
     @property
     def has_infinite_branch(self) -> bool:
@@ -145,16 +144,57 @@ def _column_exp(values: np.ndarray, sign: float) -> np.ndarray:
     return np.exp(sign * values)
 
 
-def _build(
-    values: np.ndarray, rows: np.ndarray, starts: np.ndarray, vectors: np.ndarray,
-    tol: Tolerances, name: Callable[[int], str],
-) -> list[ExtendedObservable]:
-    """The observables of a stack (J, n, n) of columns in branch blocks:
-    branch b, in row-major order, is observable rows[b]'s block from its
-    column starts[b], with value values[b] (ascending within an observable,
+@dataclass(frozen=True, eq=False)
+class _Branches:
+    """A stack of observables in array form, one half of the word blocks.
+    Column a of observable j, vectors[j, :, a], lies in branch labels[j, a]
+    of value values[labels[j, a]].  The labels ascend along each row and
+    across the rows, so they are distinct across observables, and
+    labels[j, 0] is observable j's first branch; within an observable the
+    values ascend, +infinity only last."""
+
+    vectors: np.ndarray  # (J, n, n) unitary columns grouped by branch
+    labels: np.ndarray   # (J, n)
+    values: np.ndarray   # (B,)
+
+    def split(self, j: int) -> tuple["_Branches", "_Branches"]:
+        """The first j observables and the rest, each labelled from 0."""
+        cut = self.labels[j, 0]
+        return (
+            _Branches(self.vectors[:j], self.labels[:j], self.values[:cut]),
+            _Branches(self.vectors[j:], self.labels[j:] - cut, self.values[cut:]),
+        )
+
+    @classmethod
+    def of(cls, observable: ExtendedObservable) -> "_Branches":
+        """One observable as a stack of one."""
+        # a column's label counts the branch ends at or before it
+        labels = np.searchsorted(observable.offsets[1:], np.arange(observable.dim), side="right")
+        return cls(observable.vectors[None], labels[None], np.array(observable.values, dtype=float))
+
+    def objects(self) -> list[ExtendedObservable]:
+        """One ExtendedObservable per observable."""
+        n = self.vectors.shape[-1]
+        # each branch's first column, in the flattened labels, modulo n
+        cols = (np.searchsorted(self.labels.ravel(), np.arange(self.values.size)) % n).tolist()
+        first = [*self.labels[:, 0].tolist(), self.values.size]
+        values = self.values.tolist()
+        return [
+            ExtendedObservable(vectors=v, offsets=(*cols[a:b], n), values=tuple(values[a:b]))
+            for v, a, b in zip(self.vectors, first, first[1:])
+        ]
+
+
+def _branches(
+    values: np.ndarray, starts: np.ndarray, vectors: np.ndarray, tol: Tolerances, name: Callable[[int], str]
+) -> _Branches:
+    """The stack checks: columns vectors (J, n, n) in branch blocks, where
+    starts (J, n) flags the first column of each block and branch b, in
+    row-major order, has value values[b] (ascending within an observable,
     +infinity only last).  One check over the stack, finite values distinct
-    beyond degeneracy_tol and |V†V - I| <= ALGEBRA_TOL, certifies them all;
-    an error names the failing observable by name(j)."""
+    beyond degeneracy_tol and |V†V - I| <= ALGEBRA_TOL, certifies every
+    observable; an error names the failing observable by name(j)."""
+    rows = np.nonzero(starts)[0]
     finite = np.isfinite(values)
     filled = np.where(finite, values, 0.0)
     close = (rows[1:] == rows[:-1]) & finite[1:] & (filled[1:] - filled[:-1] <= tol.degeneracy_tol)
@@ -173,22 +213,18 @@ def _build(
             f"{name(j)}: branches overlap or are not orthonormal, "
             f"|V†V - I| = {defect[j]:.3e} exceeds {ALGEBRA_TOL:g}"
         )
-    values, starts = values.tolist(), starts.tolist()
-    bounds = np.searchsorted(rows, np.arange(len(vectors) + 1)).tolist()
-    return [
-        ExtendedObservable(vectors=v, offsets=(*starts[a:b], n), values=tuple(values[a:b]))
-        for v, a, b in zip(vectors, bounds, bounds[1:])
-    ]
+    return _Branches(vectors, starts.cumsum().reshape(starts.shape) - 1, values)
 
 
-def _observables(
+def _grouped(
     values: np.ndarray, vectors: np.ndarray, tol: Tolerances, name: Callable[[int], str]
-) -> list[ExtendedObservable]:
-    """Observable j has value values[j, a] (+infinity allowed) on the column
-    vectors[j, :, a], for a stack (J, n) of values and (J, n, n) of columns.
-    Each row is sorted stably (+infinity columns keep their order, last),
-    grouped by _branch_starts into branches valued by _cluster_means, and
-    checked and built by _build; an error names observable j by name(j)."""
+) -> _Branches:
+    """The grouping rule: observable j has value values[j, a] (+infinity
+    allowed) on the column vectors[j, :, a], for a stack (J, n) of values
+    and (J, n, n) of columns.  Each row is sorted stably (+infinity columns
+    keep their order, last), grouped by _branch_starts into branches valued
+    by _cluster_means, and checked by _branches; an error names observable
+    j by name(j)."""
     nan = np.isnan(values).any(axis=-1)
     if nan.any():
         raise ValidationError(f"{name(int(np.argmax(nan)))}: NaN branch value")
@@ -196,16 +232,15 @@ def _observables(
     values = np.take_along_axis(values, order, axis=-1)
     vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
     starts = _branch_starts(values, tol.degeneracy_tol)
-    rows, cols = np.nonzero(starts)
-    return _build(_cluster_means(values, starts), rows, cols, vectors, tol, name)
+    return _branches(_cluster_means(values, starts), starts, vectors, tol, name)
 
 
 def observable_from_hermitian(h, tol: Tolerances = DEFAULT_TOLS) -> ExtendedObservable:
     """Wrap a Hermitian matrix as a finite extended observable, grouping
     eigenvalues closer than degeneracy_tol into joint eigenspaces whose
-    eigenvector blocks become the branches: _observables on a stack of one."""
+    eigenvector blocks become the branches: _grouped on a stack of one."""
     dec = spectral_decompose(h)
-    return _observables(dec.values[None], dec.vectors[None], tol, lambda j: "extended observable")[0]
+    return _grouped(dec.values[None], dec.vectors[None], tol, lambda j: "extended observable").objects()[0]
 
 
 def measurement_channel(rho, m: BranchBlocks) -> np.ndarray:

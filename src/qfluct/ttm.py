@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -25,13 +25,7 @@ from .channel import (
     _unitary,
 )
 from .errors import ConsistencyError, IllPosedProtocolError, ValidationError
-from .measurement import (
-    _EXP_LIMIT,
-    ExtendedObservable,
-    _column_exp,
-    _dephased,
-    _observables,
-)
+from .measurement import _EXP_LIMIT, ExtendedObservable, _Branches, _column_exp, _dephased, _grouped
 from .operator_core import (
     ALGEBRA_TOL,
     DEFAULT_TOLS,
@@ -166,6 +160,46 @@ class FtReport(_Checked):
         return FT_IDENTITY_TOL
 
 
+@dataclass(frozen=True, eq=False)
+class _WordBlocks:
+    """A direct sum of two-time protocols that share one channel, in array
+    form: the word blocks.  Block j has state states[j], weight weights[j]
+    and the j-th observable of initial (finite) and final (+infinity
+    allowed).  prepare_instance builds one block per code word; of() makes
+    a stack of one from a TwoTimeProtocol, so one engine serves both."""
+
+    states: np.ndarray  # (J, d, d)
+    weights: np.ndarray  # (J,)
+    channel: KrausChannel
+    initial: _Branches
+    final: _Branches
+
+    @classmethod
+    def of(cls, protocol: TwoTimeProtocol) -> "_WordBlocks":
+        a_i, a_f = _Branches.of(protocol.initial_observable), _Branches.of(protocol.final_observable)
+        return cls(protocol.initial_state[None], np.ones(1), protocol.channel, a_i, a_f)
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """The outcome pair of each (final, initial) column entry, (J, d, d):
+        with m and n counted from the block's first branch, pair (m, n) of
+        block j is number m * N_j + n after the pairs of the blocks before."""
+        local_i = self.initial.labels - self.initial.labels[:, :1]
+        local_f = self.final.labels - self.final.labels[:, :1]
+        width = local_f[:, -1:, None] + 1
+        sizes = (local_i[:, -1] + 1) * width[:, 0, 0]
+        return (np.cumsum(sizes) - sizes)[:, None, None] + local_i[:, None, :] * width + local_f[:, :, None]
+
+    @cached_property
+    def deltas(self) -> np.ndarray:
+        """delta_a = a_n - a_m of every outcome pair, +infinity on a
+        +infinity final branch, in the order of pairs."""
+        a_i, a_f = self.initial, self.final
+        deltas = np.empty(self.pairs[-1, -1, -1] + 1)
+        deltas[self.pairs] = a_f.values[a_f.labels][..., :, None] - a_i.values[a_i.labels][..., None, :]
+        return deltas
+
+
 def joint_distribution(
     protocol: TwoTimeProtocol, tol: Tolerances = DEFAULT_TOLS
 ) -> JointDistribution:
@@ -175,70 +209,30 @@ def joint_distribution(
     Raises IllPosedProtocolError when a final +infinity branch receives
     probability above prob_floor.
     """
-    return _joint_blocks([protocol], [1.0], tol)[0]
+    blocks = _WordBlocks.of(protocol)
+    a_i, a_f = blocks.initial.values, blocks.final.values
+    return JointDistribution(_joint_blocks(blocks, tol).reshape(a_i.size, a_f.size), a_i, a_f)
 
 
-def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """One array as it is, or several stacked on a leading block axis: a
-    single protocol keeps 2-D arrays, with no block axis."""
-    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _columns(
-    observables: Sequence[ExtendedObservable],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The columns V of one observable, (d, d), or of several stacked on a
-    leading block axis; the branch label of each column, (d,) or (J, d),
-    distinct across the blocks; the first column of each branch in the
-    flattened labels; and the branch values, indexed by label."""
-    d = observables[0].dim
-    starts = np.array([j * d + a for j, obs in enumerate(observables) for a in obs.offsets[:-1]])
-    vectors = _stack([obs.vectors for obs in observables])
-    # a column's label counts the branch starts before or at it, less one
-    labels = np.searchsorted(starts, np.arange(len(observables) * d), side="right") - 1
-    values = np.array([v for obs in observables for v in obs.values])
-    return vectors, labels.reshape(vectors.shape[:-1]), starts, values
-
-
-def _shared_channel(protocols: Sequence[TwoTimeProtocol]) -> KrausChannel:
-    """The channel of every block of a direct sum: the same Kraus operators."""
-    ops = protocols[0].channel.kraus_ops
-    for p in protocols[1:]:
-        other = p.channel.kraus_ops
-        if other is not ops and (len(other) != len(ops) or not all(map(np.array_equal, other, ops))):
-            raise ValidationError("the blocks of a direct sum must share one channel")
-    return protocols[0].channel
-
-
-def _joint_blocks(
-    protocols: Sequence[TwoTimeProtocol], weights: Sequence[float], tol: Tolerances
-) -> list[JointDistribution]:
-    """Joint distributions of a direct sum of protocols that share one
-    channel, block j weighted by weights[j].  With c the dephased state
-    weight * V_i† rho V_i cut to its initial-branch diagonal blocks and
-    T_k = V_f† K_k V_i, entry (j, a) of sum_k Re((T_k c) ∘ conj(T_k)) is
-    initial column a's share of final column j: one pass over the Kraus
-    operators, summed per branch.  This is the enumeration route's
-    transition pass; it shares only the channel with the trace route.  The
-    pass takes the dense remainder in bounded chunks (see
-    channel._kraus_chunks): per chunk, K_k V_i for all k is one tall product
-    of the stacked operators, and so is T_k c.  The channel's jumps enter in
-    closed form: for K = alpha |a><b|, T_K[j, x] = alpha conj(V_f[a, j])
-    V_i[b, x], so all of them add |V_f|²ᵀ W g with
-    g[b, x] = Re((V_i c)[b, x] conj(V_i[b, x])).  The blocks are
-    stacked on a leading axis, so c, each T_k and the marginal check run
-    once for all of them; a single protocol has no block axis.  The
-    weighted blocks are checked as one protocol: row sums equal to the
-    initial marginals and a total of one, both within ALGEBRA_TOL, entries
-    >= -prob_floor, and at most prob_floor on the +infinity final branches
-    together."""
-    channel = _shared_channel(protocols)
-    v_i, labels, starts, _ = _columns([p.initial_observable for p in protocols])
-    v_f_adj = _stack([p.final_observable.vectors for p in protocols]).conj().swapaxes(-1, -2)
-    rho = _stack([p.initial_state for p in protocols])
-    c = np.asarray(weights, dtype=float).reshape(labels.shape[:-1] + (1, 1)) * _dephased(
-        v_i.conj().swapaxes(-1, -2) @ rho @ v_i, labels
-    )
+def _joint_blocks(blocks: _WordBlocks, tol: Tolerances) -> np.ndarray:
+    """Weighted branch-pair probabilities of the word blocks, in the order
+    of blocks.pairs: the enumeration route's transition pass, which shares
+    only the channel with the trace route.  With c the dephased state
+    weight * V_i† rho V_i and T_k = V_f† K_k V_i, entry (y, x) of
+    sum_k Re((T_k c) ∘ conj(T_k)) is initial column x's share of final
+    column y; one bincount sums the shares of all blocks per branch pair.
+    The dense remainder runs in bounded chunks (see channel._kraus_chunks),
+    each K_k V_i and T_k c one tall product of the chunk; the jumps
+    alpha |a><b| add |V_f|²ᵀ W g with g = Re((V_i c) ∘ conj(V_i)) in closed
+    form.  The weighted blocks are checked as one protocol: row sums equal
+    to the initial marginals and a total of one, both within ALGEBRA_TOL,
+    entries >= -prob_floor, and at most prob_floor on the +infinity final
+    branches together."""
+    channel, initial, final = blocks.channel, blocks.initial, blocks.final
+    v_i = initial.vectors
+    v_f_adj = final.vectors.conj().swapaxes(-1, -2)
+    c = _dephased(v_i.conj().swapaxes(-1, -2) @ blocks.states @ v_i, initial.labels)
+    c *= blocks.weights[:, None, None]
     d = channel.dim
     lead = c.shape[:-2]
     shares = 0.0
@@ -251,8 +245,9 @@ def _joint_blocks(
     if channel._jumps is not None:
         g = ((v_i @ c) * v_i.conj()).real
         shares += (np.abs(v_f_adj) ** 2) @ channel._jumps @ g
-    marginals = np.add.reduceat(c.diagonal(axis1=-2, axis2=-1).real.ravel(), starts)
-    rows = np.add.reduceat(shares.sum(axis=-2).ravel(), starts)
+    labels = initial.labels.ravel()
+    marginals = np.bincount(labels, c.diagonal(axis1=-2, axis2=-1).real.ravel())
+    rows = np.bincount(labels, shares.sum(axis=-2).ravel())
     off = np.abs(rows - marginals) > ALGEBRA_TOL
     if off.any():
         m = int(np.argmax(off))
@@ -260,26 +255,21 @@ def _joint_blocks(
             f"joint marginal over final outcomes {float(rows[m])!r} differs from "
             f"initial probability {float(marginals[m])!r}"
         )
-    joints = []
-    for block, protocol in zip(shares.reshape((-1,) + c.shape[-2:]), protocols):
-        a_i, a_f = protocol.initial_observable, protocol.final_observable
-        probs = np.add.reduceat(np.add.reduceat(block, a_i.offsets[:-1], axis=1), a_f.offsets[:-1], axis=0).T
-        joints.append(JointDistribution(probs, np.array(a_i.values, dtype=float), np.array(a_f.values, dtype=float)))
-    low = min(float(joint.probs.min()) for joint in joints)
+    probs = np.bincount(blocks.pairs.ravel(), shares.ravel(), blocks.deltas.size)
+    low = float(probs.min())
     if low < -tol.prob_floor:
         raise ConsistencyError(f"joint probability {low:.3e} below -prob_floor")
-    for joint in joints:
-        np.clip(joint.probs, 0.0, None, out=joint.probs)
-    total = sum(joint.total() for joint in joints)
+    np.clip(probs, 0.0, None, out=probs)
+    total = float(probs.sum())
     if abs(total - 1.0) > ALGEBRA_TOL:
         raise ConsistencyError(f"joint probabilities sum to {total!r}, not 1")
-    leak = sum(float(joint.probs[:, -1].sum()) for joint in joints if math.isinf(joint.final_values[-1]))
+    leak = float(probs[np.isinf(blocks.deltas)].sum())
     if leak > tol.prob_floor:
         raise IllPosedProtocolError(
             f"the +infinity branch of the final observable has probability "
             f"{leak:.3e} > prob_floor; the protocol is ill-posed"
         )
-    return joints
+    return probs
 
 
 def delta_a_distribution(
@@ -293,24 +283,19 @@ def delta_a_distribution(
     +infinity entries and structurally forbidden transitions, whose
     rounding noise would otherwise be amplified by exp(-delta_a)).
     """
-    return _merge_atoms([joint], tol)
+    deltas = joint.final_values - joint.initial_values[:, None]
+    return _merge_atoms(deltas.ravel(), joint.probs.ravel(), tol)
 
 
-def _merge_atoms(
-    joints: Sequence[JointDistribution], tol: Tolerances
-) -> DeltaDistribution:
-    """Atoms of delta_a over the outcome pairs of all joints in one
-    clustering pass, so the sub-floor drop acts on the pooled mass; each
-    joint contributes only its own (initial, final) pairs.  A sorted value v
-    within degeneracy_tol * max(1, |v|) of its predecessor joins its cluster;
-    the kept atoms must hold a mass of one within ALGEBRA_TOL."""
-    values, probs = [], []
-    for joint in joints:
-        # only the last final branch can be +infinity
-        n = len(joint.final_values) - math.isinf(joint.final_values[-1])
-        values.append((joint.final_values[:n] - joint.initial_values[:, None]).ravel())
-        probs.append(joint.probs[:, :n].ravel())
-    values, probs = np.concatenate(values), np.concatenate(probs)
+def _merge_atoms(deltas: np.ndarray, probs: np.ndarray, tol: Tolerances) -> DeltaDistribution:
+    """Atoms of delta_a over outcome pairs with values deltas and
+    probabilities probs, the pairs of all word blocks in one clustering
+    pass, so the sub-floor drop acts on the pooled mass; pairs at +infinity
+    are left out.  A sorted value v within degeneracy_tol * max(1, |v|) of
+    its predecessor joins its cluster; the kept atoms must hold a mass of
+    one within ALGEBRA_TOL."""
+    finite = np.isfinite(deltas)
+    values, probs = deltas[finite], probs[finite]
     order = np.argsort(values, kind="stable")
     values, probs = values[order], probs[order]
     cuts = np.diff(values) > tol.degeneracy_tol * np.maximum(1.0, np.abs(values[1:]))
@@ -334,45 +319,32 @@ def efficacy(protocol: TwoTimeProtocol) -> float:
     branch of A_f is the kernel of exp(-A_f).  The trace must be real up
     to rounding; the residual imaginary part is asserted then discarded.
     """
-    return _efficacy_blocks([protocol], [1.0])
+    return _efficacy_blocks(_WordBlocks.of(protocol))
 
 
-def _efficacy_blocks(protocols: Sequence[TwoTimeProtocol], weights: Sequence[float]) -> float:
-    """Efficacy of a direct sum of protocols that share one channel: the
-    weights[j]-weighted sum of the block traces
+def _efficacy_blocks(blocks: _WordBlocks) -> float:
+    """Efficacy of the word blocks: the weighted sum of the block traces
     tr(exp(-A_f) E(M_i(rho) exp(A_i))), whose imaginary residue is checked
-    once.  The blocks are stacked on a leading axis, so the dephasing, both
-    exponentials, the channel and the traces run once for all of them; a
-    single protocol keeps 2-D arrays.  The channel is apply_channel: two
-    tall products per chunk of Kraus operators.  Both exponentials are
-    spectral over the columns, with the +infinity branch of A_f mapped to
-    the kernel of exp(-A_f); A_i must be finite and neither may overflow."""
-    channel = _shared_channel(protocols)
-    v_i, labels_i, _, a_i = _columns([p.initial_observable for p in protocols])
-    v_f, labels_f, _, a_f = _columns([p.final_observable for p in protocols])
+    once.  The dephasing, both exponentials, the channel (apply_channel)
+    and the traces run once on the stack.  Both exponentials are spectral
+    over the columns, exp(-A_f) zero on the +infinity branch; A_i must be
+    finite and neither may overflow."""
+    initial, final = blocks.initial, blocks.final
+    v_i, v_f = initial.vectors, final.vectors
     v_i_adj = v_i.conj().swapaxes(-1, -2)
-    rho = _stack([p.initial_state for p in protocols])
     # M_i(rho) exp(A_i) = V_i (c e^{a}) V_i†, with c = V_i† rho V_i dephased
     # and its columns scaled by e^{a}: the two exponentially spread factors
     # are never multiplied in the computational basis.
-    c = _dephased(v_i_adj @ rho @ v_i, labels_i) * _column_exp(a_i, 1.0)[labels_i][..., None, :]
-    weighted = apply_channel(channel, v_i @ c @ v_i_adj)
-    exp_neg = (v_f * _column_exp(a_f, -1.0)[labels_f][..., None, :]) @ v_f.conj().swapaxes(-1, -2)
+    c = _dephased(v_i_adj @ blocks.states @ v_i, initial.labels)
+    c = c * _column_exp(initial.values, 1.0)[initial.labels][..., None, :]
+    weighted = apply_channel(blocks.channel, v_i @ c @ v_i_adj)
+    exp_neg = (v_f * _column_exp(final.values, -1.0)[final.labels][:, None, :]) @ v_f.conj().swapaxes(-1, -2)
     # tr(X Y) as an elementwise sum, without forming X Y
     traces = np.sum(exp_neg.swapaxes(-1, -2) * weighted, axis=(-2, -1))
-    value = complex(np.sum(np.asarray(weights, dtype=float).reshape(traces.shape) * traces))
+    value = complex(np.sum(blocks.weights * traces))
     if abs(value.imag) > ALGEBRA_TOL * max(1.0, abs(value.real)):
         raise ConsistencyError(f"efficacy trace has imaginary residue {value.imag:.3e}")
     return float(value.real)
-
-
-def exponential_average(delta: DeltaDistribution) -> float:
-    """<exp(-delta_a)> computed by exact enumeration over the atoms."""
-    return float(np.sum(delta.probs * np.exp(-delta.values)))
-
-
-def mean_delta_a(delta: DeltaDistribution) -> float:
-    return float(np.sum(delta.probs * delta.values))
 
 
 def verify_ft(protocol: TwoTimeProtocol, tolerances: Tolerances = DEFAULT_TOLS) -> FtReport:
@@ -383,13 +355,19 @@ def verify_ft(protocol: TwoTimeProtocol, tolerances: Tolerances = DEFAULT_TOLS) 
     distribution, the right side from the trace formula; the two code
     paths share no intermediate results.
     """
-    joint = joint_distribution(protocol, tolerances)
-    delta = delta_a_distribution(joint, tolerances)
-    lhs = exponential_average(delta)
-    gamma = efficacy(protocol)
+    return _ft_report(_WordBlocks.of(protocol), tolerances)
+
+
+def _ft_report(blocks: _WordBlocks, tol: Tolerances) -> FtReport:
+    """verify_ft on word blocks: the enumeration route's merged atoms, with
+    <exp(-delta_a)> and <delta_a> by exact enumeration over them, and the
+    trace route's efficacy, which must be positive."""
+    delta = _merge_atoms(blocks.deltas, _joint_blocks(blocks, tol), tol)
+    lhs = float(np.sum(delta.probs * np.exp(-delta.values)))
+    gamma = _efficacy_blocks(blocks)
     if gamma <= 0:
         raise ConsistencyError(f"efficacy {gamma!r} is not positive")
-    mean = mean_delta_a(delta)
+    mean = float(np.sum(delta.probs * delta.values))
     identity_error = abs(lhs - gamma) / gamma
     jensen_slack = mean + math.log(gamma)
     return FtReport(
@@ -474,14 +452,14 @@ def jarzynski_scenario(
     log_ratio = math.log(s_tau / s0) - beta * (lo_tau - lo0)
     z_ratio = _finite_exp(log_ratio, "Z_tau/Z_0")
     delta_f = -log_ratio / beta
-    a_i, a_f = _observables(beta * ends, end_vectors, tolerances, lambda j: ("A_i", "A_f")[j])
+    observables = _grouped(beta * ends, end_vectors, tolerances, lambda j: ("A_i", "A_f")[j])
+    a_i, a_f = observables.objects()
     rho0 = (end_vectors[0] * (weights[0] / s0)) @ end_vectors[0].conj().T
+    channel = KrausChannel.create([_unitary(values[1:], vectors[1:], durations)])
     # Built without TwoTimeProtocol.create: rho0 is PSD with unit trace by
     # construction, every part is d-dimensional and A_i is finite.
-    two_time = TwoTimeProtocol(
-        rho0, a_i, KrausChannel.create([_unitary(values[1:], vectors[1:], durations)]), a_f
-    )
-    ft = verify_ft(two_time, tolerances=tolerances)
+    two_time = TwoTimeProtocol(rho0, a_i, channel, a_f)
+    ft = _ft_report(_WordBlocks(rho0[None], np.ones(1), channel, *observables.split(1)), tolerances)
     mean_work = ft.mean_delta_a / beta
     identity_error = abs(ft.lhs - z_ratio) / z_ratio
     max_work_slack = beta * mean_work - beta * delta_f

@@ -287,6 +287,17 @@ def test_holevo_analyze_malformed_priors_exit_2(tmp_path, capsys, priors):
     assert capsys.readouterr().err.startswith("error: priors")
 
 
+def test_holevo_analyze_priors_of_mixed_types_exit_2(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "orthogonal_holevo.json").read_text())
+    doc["ensemble"]["priors"] = [0.5, "x"]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["holevo", "analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: priors must be a non-empty flat list of real numbers, got [0.5, 'x']\n"
+
+
 def test_holevo_random_deterministic_csv(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["holevo", "random", "--dim", "2", "--words", "2", "--outcomes", "3",

@@ -77,6 +77,13 @@ def test_ensemble_rejects_bad_priors():
         qf.Ensemble.create([1.0, math.nan], [P0, PPLUS])
 
 
+def test_ensemble_error_quotes_the_priors_as_given():
+    # numpy coerces [0.5, "x"] to strings; the message quotes the input
+    with pytest.raises(ValidationError) as info:
+        qf.Ensemble.create([0.5, "x"], [P0, PPLUS])
+    assert str(info.value) == "priors must be a non-empty flat list of real numbers, got [0.5, 'x']"
+
+
 def test_conditional_probabilities_patterns():
     assert np.abs(
         qf.conditional_probabilities(orthogonal_instance()) - np.eye(2)
@@ -193,22 +200,29 @@ def test_build_observables_perfect_discrimination_single_atom():
     assert abs(values[0]) < 1e-10
 
 
-def finite_part(obs):
-    """Sum of value * projector over the finite branches."""
-    return sum(v * p for v, p in zip(obs.values, projectors(obs)) if math.isfinite(v))
+def column_values(branches, j):
+    """The branch value of each column of observable j of a stack."""
+    return branches.values[branches.labels[j]]
+
+
+def finite_part(branches, j):
+    """Sum of value * projector over the finite branches of observable j."""
+    values = column_values(branches, j)
+    finite = np.isfinite(values)
+    cols = branches.vectors[j][:, finite]
+    return (cols * values[finite]) @ cols.conj().T
 
 
 def test_mean_identity_on_random_instances():
     for seed in range(10):
         inst = qf.random_instance(2 + seed % 2, 1 + seed % 3, 2 + seed % 3, seed=seed)
-        internals = qf.prepare_instance(inst)
-        # sum_j p_j tr(rho0^j (A_f^j - A_i^j)) over the per-word protocols
+        blocks = qf.prepare_instance(inst).blocks
+        # sum_j p_j tr(rho0^j (A_f^j - A_i^j)) over the word blocks
         mean_direct = sum(
             p * float(np.trace(
-                word.initial_state
-                @ (finite_part(word.final_observable) - finite_part(word.initial_observable))
+                rho @ (finite_part(blocks.final, j) - finite_part(blocks.initial, j))
             ).real)
-            for p, word in zip(inst.ensemble.priors, internals.protocols)
+            for j, (p, rho) in enumerate(zip(inst.ensemble.priors, blocks.states))
         )
         chi = qf.holevo_chi(inst.ensemble)
         info = qf.mutual_information(inst)
@@ -220,10 +234,11 @@ def test_infinite_branch_unreachable():
     # word's A_f has a +infinity branch outside it
     for seed in (0, 5):
         inst = qf.random_instance(3, 2, 3, seed, "pure")
-        internals = qf.prepare_instance(inst)
-        for word in internals.protocols:
-            assert word.final_observable.has_infinite_branch
-            leak = float(np.trace(word.initial_state @ projectors(word.final_observable)[-1]).real)
+        blocks = qf.prepare_instance(inst).blocks
+        for j, rho in enumerate(blocks.states):
+            assert blocks.final.values[blocks.final.labels[j, -1]] == math.inf
+            cols = blocks.final.vectors[j][:, column_values(blocks.final, j) == math.inf]
+            leak = float(np.trace(rho @ cols @ cols.conj().T).real)
             assert abs(leak) <= 1e-12
 
 
@@ -605,11 +620,13 @@ def test_final_branch_values_are_the_compressed_exponent_spectrum():
     marginals = inst.ensemble.priors @ cond
     w, v = np.linalg.eigh(inst.ensemble.average_state())
     log_bar = (v * np.log(w)) @ v.conj().T
-    for j, word in enumerate(internals.protocols):
+    final = internals.blocks.final
+    for j in range(len(states)):
         exponent = log_bar + sum(math.log(c / mk) * m for c, mk, m in zip(cond[j], marginals, elements))
         expected = np.sort(-np.linalg.eigvalsh(exponent))
         assert expected[-1] > 25
-        values = np.array([x for x in word.final_observable.values if math.isfinite(x)])
+        values = final.values[final.labels[j, 0] : final.labels[j, -1] + 1]
+        values = values[np.isfinite(values)]
         assert values.shape == expected.shape
         assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
@@ -633,6 +650,9 @@ def test_analyze_decomposes_nothing_larger_than_d(make, monkeypatch):
     # exponents of the words that drop no outcome take three eigh calls
     # whatever J is, each word that drops an outcome two more (its
     # suppressor and its compressed exponent), and holevo_chi one eigvalsh.
+    # The one svd, of the d x n support columns, is thin once n > d: no
+    # factor has a side longer than max(d, n), and there is no n x n right
+    # factor.
     inst = make()
     d, n_words = inst.ensemble.dim, inst.ensemble.n_words
     dropping = int((~qf.prepare_instance(inst).retained).any(axis=1).sum())
@@ -643,7 +663,20 @@ def test_analyze_decomposes_nothing_larger_than_d(make, monkeypatch):
             return _original(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, wrapped)
+    factors = []
+
+    def svd(m, *args, _original=np.linalg.svd, **kwargs):
+        result = _original(m, *args, **kwargs)
+        factors.append((np.shape(m), [np.shape(f) for f in result]))
+        return result
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
     assert qf.analyze(inst).passed
+    assert len(factors) == 1
+    (rows, n), sides = factors[0]
+    assert rows == d
+    assert all(max(shape) <= max(d, n) for shape in sides)
+    assert n <= d or (n, n) not in sides
     assert all(len(shape) >= 2 and max(shape[-2:]) <= d for seen in shapes.values() for shape in seen)
     matrices = {name: sum(math.prod(shape[:-2]) for shape in seen) for name, seen in shapes.items()}
     assert matrices["eigh"] <= 2 * n_words + 1 + dropping
@@ -719,11 +752,10 @@ def check_exponent_paths(inst):
     for name in ("gamma_distribution", "gamma_trace", "mean_delta_a"):
         assert abs(getattr(rep, name) - ref[name]) <= 1e-8, name
     tol = internals.tolerances
-    for (w, _), word in zip(compressed_exponents(inst, internals), internals.protocols):
+    for j, (w, _) in enumerate(compressed_exponents(inst, internals)):
         expected = np.sort(-w[np.exp(w) > relative_cutoff(np.exp(w), tol.rank_tol)])
-        a_f = word.final_observable
-        n = len(a_f.values) - a_f.has_infinite_branch
-        values = np.repeat(a_f.values[:n], np.diff(a_f.offsets[: n + 1]))
+        values = column_values(internals.blocks.final, j)
+        values = values[np.isfinite(values)]
         assert values.shape == expected.shape
         assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
     return dropping
@@ -765,3 +797,12 @@ def test_analyze_passes_on_every_small_shape(seed):
         for d, n_words, n_outcomes in itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3, 4)):
             inst = qf.random_instance(d, n_words, n_outcomes, seed=100 * seed + d + 3 * n_words, state_kind="mix")
             assert qf.analyze(inst).passed, (d, n_words, n_outcomes)
+
+
+def test_many_words_and_more_support_columns_than_d():
+    # 512 words at d = 4, and pure words with J > d², so the support
+    # columns outnumber d and the span's svd is thin
+    rep = qf.analyze(qf.random_instance(4, 512, 4, 7, "mix"), strict=True)
+    assert rep.route_error <= 1e-11
+    rep = qf.analyze(qf.random_instance(2, 6, 3, 8, "pure"), strict=True)
+    assert rep.route_error <= 1e-11

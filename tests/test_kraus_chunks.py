@@ -14,6 +14,7 @@ from qfluct.rand import random_density_matrix
 
 from oracles import apply_kraus, efficacy_reference, joint_probabilities_reference, projectors
 from random_inputs import haar_kraus, random_hermitian, random_observable
+from word_blocks import direct_sum, per_word
 
 TOL = 1e-13
 
@@ -206,14 +207,15 @@ def test_batched_blocks_with_matrix_units_match_each_block():
         for _ in range(3)
     ]
     weights = [0.2, 0.3, 0.5]
-    joints = _joint_blocks(protocols, weights, qf.DEFAULT_TOLS)
-    gamma = _efficacy_blocks(protocols, weights)
+    blocks = direct_sum(protocols, weights)
+    joints = per_word(blocks, _joint_blocks(blocks, qf.DEFAULT_TOLS))
+    gamma = _efficacy_blocks(blocks)
     want = 0.0
     for joint, protocol, weight in zip(joints, protocols, weights):
         proj_i, proj_f = projectors(protocol.initial_observable), projectors(protocol.final_observable)
         rho = protocol.initial_state
         expected = weight * joint_probabilities_reference(rho, proj_i, kraus, proj_f)
-        assert np.abs(joint.probs - np.clip(expected, 0.0, None)).max() <= TOL
+        assert np.abs(joint - np.clip(expected, 0.0, None)).max() <= TOL
         a_i, a_f = protocol.initial_observable, protocol.final_observable
         want += weight * efficacy_reference(rho, a_i.values, proj_i, kraus, a_f.values, proj_f)
     assert abs(gamma - want) <= TOL

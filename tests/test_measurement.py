@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import qfluct as qf
 from qfluct.errors import ValidationError
-from qfluct.measurement import _observables
+from qfluct.measurement import _grouped
 from qfluct.rand import random_density_matrix, random_povm
 
 from oracles import naimark_dilate_randomized, projectors
@@ -136,9 +136,9 @@ def test_one_cluster_mean_for_every_builder(matrices):
     # of prepare_instance share one grouping rule and one cluster mean, so
     # their branch values agree exactly
     decs = [qf.spectral_decompose(h) for h in matrices]
-    batched = _observables(
+    batched = _grouped(
         np.stack([d.values for d in decs]), np.stack([d.vectors for d in decs]), qf.DEFAULT_TOLS, str
-    )
+    ).objects()
     for h, dec, obs in zip(matrices, decs, batched):
         grouped = tuple(value for value, _ in qf.group_eigenspaces(dec, qf.DEFAULT_TOLS.degeneracy_tol))
         assert qf.observable_from_hermitian(h).values == grouped

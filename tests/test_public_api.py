@@ -80,8 +80,8 @@ CLASS_ATTRIBUTES = {
         "lhs", "max_violation", "mean_delta_a", "passed",
     ],
     "HolevoInternals": [
-        "average_support", "cond", "elements", "ensemble", "exp_traces", "info_terms", "marginals",
-        "protocols", "retained", "rho_bar", "tolerances", "word_support", "word_values",
+        "average_support", "blocks", "cond", "elements", "ensemble", "exp_traces", "info_terms",
+        "marginals", "retained", "rho_bar", "tolerances", "word_support", "word_values",
         "word_vectors",
     ],
     "HolevoReport": [

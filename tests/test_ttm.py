@@ -13,6 +13,7 @@ from qfluct.ttm import Check
 
 from oracles import merge_atoms_reference, projectors
 from random_inputs import haar_kraus, haar_unitary, random_hermitian, random_observable
+from word_blocks import direct_sum, per_word
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -211,7 +212,8 @@ def test_merge_atoms_matches_loop_reference(entries, n_joints):
     joints = [
         joint_with_final_values(values, weights / (weights.sum() * n_joints)) for _ in range(n_joints)
     ]
-    delta = qf.ttm._merge_atoms(joints, tol)
+    deltas = np.concatenate([(joint.final_values - joint.initial_values[:, None]).ravel() for joint in joints])
+    delta = qf.ttm._merge_atoms(deltas, np.concatenate([joint.probs.ravel() for joint in joints]), tol)
     reference = np.array(merge_atoms_reference(joints, tol))
     assert delta.values.shape == (len(reference),)
     assert np.abs(delta.values - reference[:, 0]).max() <= 1e-15 * max(1.0, np.abs(reference[:, 0]).max())
@@ -446,10 +448,12 @@ def test_joint_blocks_judge_the_leak_on_the_weighted_sum():
         np.eye(2, dtype=complex) / 2, qf.observable_from_hermitian(PAULI_Z), qf.identity_channel(2), a_f
     )
     clean = z_protocol(np.diag([1.0, 0.0]).astype(complex), qf.identity_channel(2))
-    joints = qf.ttm._joint_blocks([clean, leaky], [1 - 1e-12, 1e-12], qf.DEFAULT_TOLS)
-    assert abs(joints[1].probs[:, -1].sum() - 5e-13) <= 1e-25
+    blocks = direct_sum([clean, leaky], [1 - 1e-12, 1e-12])
+    joints = per_word(blocks, qf.ttm._joint_blocks(blocks, qf.DEFAULT_TOLS))
+    assert abs(joints[1][:, -1].sum() - 5e-13) <= 1e-25
+    blocks = direct_sum([clean, leaky, leaky], [1 - 3e-12, 1.5e-12, 1.5e-12])
     with pytest.raises(IllPosedProtocolError, match="ill-posed"):
-        qf.ttm._joint_blocks([clean, leaky, leaky], [1 - 3e-12, 1.5e-12, 1.5e-12], qf.DEFAULT_TOLS)
+        qf.ttm._joint_blocks(blocks, qf.DEFAULT_TOLS)
 
 
 def test_jarzynski_rejects_mismatched_h0_dimension():
