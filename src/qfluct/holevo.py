@@ -153,18 +153,19 @@ def _information_terms(priors: np.ndarray, cond: np.ndarray, prob_floor: float) 
     return np.log(ratio)
 
 
-def _mutual_information_arrays(priors: np.ndarray, cond: np.ndarray, prob_floor: float) -> np.ndarray:
+def _information(priors: np.ndarray, cond: np.ndarray, prob_floor: float) -> tuple[np.ndarray, np.ndarray]:
     """I in nats for conditionals cond of shape (..., J, K), with the
-    leading shape; only entries with cond and p_j cond above prob_floor count."""
+    leading shape, and the log-ratio terms of _information_terms it sums;
+    only entries with cond and p_j cond above prob_floor count."""
+    terms = _information_terms(priors, cond, prob_floor)
     joint = priors[:, None] * cond
-    terms = np.where(joint > prob_floor, joint * _information_terms(priors, cond, prob_floor), 0.0)
-    return np.sum(terms, axis=(-2, -1))
+    return np.sum(np.where(joint > prob_floor, joint * terms, 0.0), axis=(-2, -1)), terms
 
 
 def mutual_information(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) -> float:
     """Classical mutual information (nats) between word and outcome."""
     cond = conditional_probabilities(inst, tol)
-    return float(_mutual_information_arrays(inst.ensemble.priors, cond, tol.prob_floor))
+    return float(_information(inst.ensemble.priors, cond, tol.prob_floor)[0])
 
 
 def _decomposition_arrays(
@@ -434,7 +435,7 @@ def analyze(
     """
     internals = prepare_instance(inst, tol)
     priors = internals.ensemble.priors
-    info = float(_mutual_information_arrays(priors, internals.cond, tol.prob_floor))
+    info = float(_information(priors, internals.cond, tol.prob_floor)[0])
     shannon, conditional = _decomposition_arrays(priors, internals.cond, tol.prob_floor)
     chi = _chi(priors, internals.blocks.states, internals.rho_bar)
 
@@ -532,12 +533,21 @@ def random_instance(
     return CqChannelInstance.create(Ensemble.create(priors, states, tol), povm)
 
 
-# The ascent's step rule and stopping rule: each start's step size begins
-# at 1, doubles after a step that raises I and halves after one that does
-# not; a start has converged once its step size falls below
-# ASCENT_MIN_STEP, and every start is cut after ASCENT_MAX_STEPS steps.
-# ASCENT_STARTS Gaussian block sets are ascended, so one poor start does
-# not decide the result.
+# The ascent's step rule and stopping rule.  Each start's step size eps
+# begins at 1.  Every iteration tries the steps c * eps for c in
+# ASCENT_STEP_FACTORS and takes the first best one when it raises I; the
+# next eps is ASCENT_GROW times the step taken.  When no candidate raises
+# I, eps is multiplied by ASCENT_SHRINK, so the next candidates are the
+# three powers of two just below those tried.  A start has converged once
+# eps falls below ASCENT_MIN_STEP, and every start is cut after
+# ASCENT_MAX_STEPS iterations.  With the next eps set to the step taken
+# rather than twice it, the trine's starts stop at the rounding floor
+# before they are stationary, with |Lambda - Lambda†| near 1e-7 in Holevo's
+# condition.  ASCENT_STARTS Gaussian block sets are ascended, so one poor
+# start does not decide the result.
+ASCENT_STEP_FACTORS = (0.5, 1.0, 2.0)
+ASCENT_GROW = 2.0
+ASCENT_SHRINK = 0.125
 ASCENT_MIN_STEP = 1e-12
 ASCENT_MAX_STEPS = 500
 ASCENT_STARTS = 4
@@ -554,46 +564,55 @@ def _ascend(
     A step is B_k <- B_k (I + eps R_k), renormalized, where
     R_k = sum_j p_j ln(p(k|j)/p(k)) rho_j over the retained entries is the
     gradient of I in M_k (Rehacek, Englert and Kaszlikowski, PRA 71,
-    054303, 2005).  A step that does not raise I, or whose normalizer is
-    singular, is rejected, so I never decreases and the step size shrinks
-    below ASCENT_MIN_STEP only where no step raises I.  The starts advance
-    in lockstep, one batched iteration for all live starts, but each keeps
-    its own step size, accept rule and exit, so it follows the path it
-    would follow alone.  A start whose first normalizer is singular gets
-    I = -inf and takes no steps.
+    054303, 2005).  Each iteration forms the candidates of the L live
+    starts, one per factor of ASCENT_STEP_FACTORS, as one
+    (L * len(ASCENT_STEP_FACTORS), K, d, d) array, normalizes and evaluates
+    them once, and reuses the log-ratio terms of a taken candidate for its
+    gradient.  A candidate whose normalizer is singular counts as I = -inf.
+    A start takes its first best candidate only when that raises I, so I
+    never decreases and the step size shrinks below ASCENT_MIN_STEP only
+    where no step raises I.  Each start keeps its own step size, accept
+    rule and exit, so it follows the path it would follow alone.  A start
+    whose first normalizer is singular gets I = -inf and takes no steps.
     """
     states = np.asarray(ensemble.states)
     priors = ensemble.priors
     floor = ensemble.dim * 1e-14
+    factors = np.array(ASCENT_STEP_FACTORS)
 
-    def conditionals(b: np.ndarray) -> np.ndarray:
+    def evaluate(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """I and the log-ratio terms of normalized block sets."""
         grams = b.conj().swapaxes(-1, -2) @ b
-        return np.clip(np.einsum("jab,skba->sjk", states, grams).real, 0.0, None)
+        cond = np.clip(np.einsum("jab,skba->sjk", states, grams).real, 0.0, None)
+        return _information(priors, cond, prob_floor)
 
-    def gradients(cond: np.ndarray) -> np.ndarray:
-        return np.einsum("j,sjk,jab->skab", priors, _information_terms(priors, cond, prob_floor), states)
+    def gradients(terms: np.ndarray) -> np.ndarray:
+        return np.einsum("j,sjk,jab->skab", priors, terms, states)
 
     current, regular = normalized_blocks(starts, floor)
     info = np.full(len(current), -math.inf)
     grads = np.zeros_like(current)
-    cond = conditionals(current[regular])
-    info[regular] = _mutual_information_arrays(priors, cond, prob_floor)
-    grads[regular] = gradients(cond)
+    info[regular], terms = evaluate(current[regular])
+    grads[regular] = gradients(terms)
     step = np.where(regular, 1.0, 0.0)
     for _ in range(ASCENT_MAX_STEPS):
         live = np.flatnonzero(step >= ASCENT_MIN_STEP)
         if live.size == 0:
             break
         b = current[live]
-        proposal, regular = normalized_blocks(b + step[live, None, None, None] * b @ grads[live], floor)
-        cond = conditionals(proposal[regular])
-        value = np.full(live.size, -math.inf)
-        value[regular] = _mutual_information_arrays(priors, cond, prob_floor)
+        tried = step[live, None] * factors
+        moves = (b @ grads[live])[:, None]
+        candidates = (b[:, None] + tried[..., None, None, None] * moves).reshape(-1, *b.shape[1:])
+        proposal, regular = normalized_blocks(candidates, floor)
+        value, terms = evaluate(proposal)
+        value = np.where(regular, value, -math.inf).reshape(tried.shape)
+        best = value.argmax(axis=1) + factors.size * np.arange(live.size)
+        value, tried = value.ravel()[best], tried.ravel()[best]
         accept = value > info[live]
-        moved = live[accept]
-        current[moved], info[moved] = proposal[accept], value[accept]
-        grads[moved] = gradients(cond[accept[regular]])
-        step[live] *= np.where(accept, 2.0, 0.5)
+        moved, taken = live[accept], best[accept]
+        current[moved], info[moved] = proposal[taken], value[accept]
+        grads[moved] = gradients(terms[taken])
+        step[live] = np.where(accept, ASCENT_GROW * tried, ASCENT_SHRINK * step[live])
     return info, current
 
 
@@ -609,9 +628,9 @@ def optimize_measurement(
     block sets drawn from default_rng(seed) and, when n_outcomes >= dim,
     also from the eigenbasis of the leading state difference (a projective
     guess).  The starts are ascended in lockstep by one _ascend call, each
-    with its own step rule; the first best result is kept.  Returns the
-    POVM and its achieved mutual information; no global optimality is
-    claimed.
+    with its own step rule (three candidate steps per iteration); the first
+    best result is kept.  Returns the POVM and its achieved mutual
+    information; no global optimality is claimed.
     """
     if n_outcomes < 2:
         raise ValidationError("measurement optimization needs at least 2 outcomes")

@@ -369,3 +369,74 @@ def merge_atoms_reference(joints, tol):
         if total > tol.prob_floor:
             atoms.append((sum(v * p for v, p in cluster) / total, total))
     return atoms
+
+
+def _reference_information(priors, states, blocks, prob_floor):
+    """I of normalized block sets (S, K, d, d) and the log-ratio terms
+    ln(p(k|j)/p(k)) (0 where p(k|j) <= prob_floor), from direct arithmetic."""
+    grams = blocks.conj().swapaxes(-1, -2) @ blocks
+    cond = np.clip(np.einsum("jab,skba->sjk", states, grams).real, 0.0, None)
+    ratio = np.divide(cond, (priors @ cond)[..., None, :], out=np.ones_like(cond), where=cond > prob_floor)
+    terms = np.log(ratio)
+    joint = priors[:, None] * cond
+    info = np.sum(np.where(joint > prob_floor, joint * terms, 0.0), axis=(-2, -1))
+    return info, terms
+
+
+def reference_ascent(starts, ensemble, prob_floor, min_step=1e-12, max_steps=500):
+    """The one-proposal accessible-information ascent: from each start, one
+    step B_k <- B_k (I + eps R_k), renormalized, per iteration; eps starts
+    at 1, doubles after a step that raises I and halves after one that does
+    not or whose normalizer is singular.  Returns each start's I, its blocks
+    and whether it was cut at max_steps with eps still >= min_step."""
+    from qfluct.rand import normalized_blocks
+
+    states = np.asarray(ensemble.states)
+    priors = ensemble.priors
+    floor = ensemble.dim * 1e-14
+
+    def gradients(terms):
+        return np.einsum("j,sjk,jab->skab", priors, terms, states)
+
+    current, regular = normalized_blocks(starts, floor)
+    info = np.full(len(current), -np.inf)
+    grads = np.zeros_like(current)
+    info[regular], terms = _reference_information(priors, states, current[regular], prob_floor)
+    grads[regular] = gradients(terms)
+    step = np.where(regular, 1.0, 0.0)
+    for _ in range(max_steps):
+        live = np.flatnonzero(step >= min_step)
+        if live.size == 0:
+            break
+        b = current[live]
+        proposal, regular = normalized_blocks(b + step[live, None, None, None] * b @ grads[live], floor)
+        value = np.full(live.size, -np.inf)
+        value[regular], terms = _reference_information(priors, states, proposal[regular], prob_floor)
+        accept = value > info[live]
+        moved = live[accept]
+        current[moved], info[moved] = proposal[accept], value[accept]
+        grads[moved] = gradients(terms[accept[regular]])
+        step[live] *= np.where(accept, 2.0, 0.5)
+    return info, current, step >= min_step
+
+
+def stationarity_defects(ensemble, povm_elements, prob_floor):
+    """Holevo's condition for a POVM that maximizes I: with
+    R_k = sum_j p_j ln(p(k|j)/p(k)) rho_j over the entries p(k|j) > prob_floor,
+    Lambda = sum_k R_k M_k is Hermitian and Lambda - R_l >= 0 for every l.
+    Returns max |Lambda - Lambda†| and the smallest eigenvalue of any
+    Lambda - R_l."""
+    states = np.asarray(ensemble.states)
+    elements = np.asarray(povm_elements)
+    priors = ensemble.priors
+    cond = np.array([[np.trace(rho @ m).real for m in elements] for rho in states])
+    marginal = priors @ cond
+    logs = np.zeros_like(cond)
+    kept = cond > prob_floor
+    logs[kept] = np.log(cond[kept] / np.broadcast_to(marginal, cond.shape)[kept])
+    grads = np.einsum("j,jk,jab->kab", priors, logs, states)
+    lam = sum(r @ m for r, m in zip(grads, elements))
+    asymmetry = float(np.max(np.abs(lam - lam.conj().T)))
+    hermitian = (lam + lam.conj().T) / 2
+    lowest = min(float(np.linalg.eigvalsh(hermitian - r)[0]) for r in grads)
+    return asymmetry, lowest

@@ -343,6 +343,15 @@ def test_holevo_optimize_cli(holevo_scenario, tmp_path):
     assert np.abs(total - np.eye(2)).max() < 1e-10
 
 
+def test_holevo_optimize_is_byte_deterministic(tmp_path):
+    # the batched ascent and its first-best choice add no run-to-run variation
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        argv = ["holevo", "optimize", str(SCENARIOS / "zero_plus_holevo.json"), "--seed", "7", "--out", str(out)]
+        assert cli.main(argv) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_holevo_optimize_zero_outcomes_exit_2(holevo_scenario, capsys):
     # --outcomes 0 is an explicit request, not a fallback to the scenario's K
     assert cli.main(["holevo", "optimize", str(holevo_scenario), "--outcomes", "0"]) == 2

@@ -22,7 +22,9 @@ from oracles import (
     partial_trace,
     proj,
     projectors,
+    reference_ascent,
     relative_cutoff,
+    stationarity_defects,
 )
 
 KET0 = np.array([1, 0], dtype=complex)
@@ -374,20 +376,87 @@ def test_optimize_measurement_beats_z_basis():
     assert abs(achieved - (math.log(2) - CHI_CLOSED)) <= 1e-10
 
 
-def test_optimize_measurement_trine_climbs_past_projective():
-    # Three qubit states 120 degrees apart on the Bloch circle, equal
-    # priors: the accessible information ln(3/2) needs a three-outcome POVM
-    # (the anti-trine); a two-outcome projective measurement reaches at
-    # most about 0.318 nats, so only the ascent can get close.
+def trine_ensemble():
+    """Three qubit states 120 degrees apart on the Bloch circle, equal priors."""
     states = []
     for k in range(3):
         half_angle = math.pi * k / 3
         v = np.array([math.cos(half_angle), math.sin(half_angle)], dtype=complex)
         states.append(np.outer(v, v.conj()))
-    ens = qf.Ensemble.create([1 / 3] * 3, states)
+    return qf.Ensemble.create([1 / 3] * 3, states)
+
+
+def test_optimize_measurement_trine_climbs_past_projective():
+    # The trine's accessible information ln(3/2) needs a three-outcome POVM
+    # (the anti-trine); a two-outcome projective measurement reaches at
+    # most about 0.318 nats, so only the ascent can get close.
+    ens = trine_ensemble()
     for seed in range(5):
         _, achieved = qf.optimize_measurement(ens, 3, seed=seed)
         assert abs(achieved - math.log(1.5)) <= 1e-9, seed
+
+
+@pytest.mark.parametrize(
+    "make, n_outcomes", [(lambda: zero_plus_instance().ensemble, 2), (trine_ensemble, 3)], ids=["zero_plus", "trine"]
+)
+def test_optimized_povm_meets_holevos_stationarity_condition(make, n_outcomes):
+    # at a maximum of I, Lambda = sum_k R_k M_k is Hermitian and
+    # Lambda - R_l >= 0 for every outcome l (Holevo's condition)
+    ens = make()
+    for seed in range(5):
+        povm, _ = qf.optimize_measurement(ens, n_outcomes, seed=seed)
+        asymmetry, lowest = stationarity_defects(ens, povm.elements, qf.DEFAULT_TOLS.prob_floor)
+        assert asymmetry <= 1e-8, seed
+        assert lowest >= -1e-8, seed
+
+
+def test_zero_plus_ascent_needs_at_most_100_batched_iterations():
+    # every start converges well before the step cap; the one-proposal
+    # doubling/halving rule needs about 190 iterations here
+    calls = []
+
+    def normalize(blocks, floor):
+        calls.append(len(blocks))
+        return normalized_blocks(blocks, floor)
+
+    ens = zero_plus_instance().ensemble
+    for seed in range(5):
+        calls.clear()
+        with mock.patch.object(holevo, "normalized_blocks", normalize):
+            qf.optimize_measurement(ens, 2, seed=seed)
+        assert len(calls) - 1 <= 100, seed  # the first call normalizes the starts
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(2, 4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(STATE_KINDS),
+    st.integers(0, 2**32 - 1),
+)
+# every start reaches the step cap under both ascents, I still rising
+@example(3, 3, 3, 92, "pure", 0)
+def test_ascent_ends_no_lower_than_the_one_proposal_reference(dim, n_words, n_outcomes, seed, kind, opt_seed):
+    ens = qf.random_instance(dim, n_words, n_outcomes, seed=seed, state_kind=kind).ensemble
+    seen = {}
+
+    def spy(starts, ensemble, prob_floor):
+        seen["starts"] = starts
+        seen["infos"], blocks = _ascend(starts, ensemble, prob_floor)
+        return seen["infos"], blocks
+
+    with mock.patch.object(holevo, "_ascend", spy):
+        povm, achieved = qf.optimize_measurement(ens, n_outcomes, seed=opt_seed)
+    qf.POVM.create(povm.elements)
+    assert achieved <= qf.holevo_chi(ens) + 1e-8
+    # the same starts under the one-proposal loop: where its best start
+    # converges before the cap, the batched ascent ends no lower
+    ref_infos, _, capped = reference_ascent(seen["starts"], ens, qf.DEFAULT_TOLS.prob_floor)
+    best = int(np.argmax(ref_infos))
+    if not capped[best]:
+        assert seen["infos"].max() >= ref_infos[best] - 1e-9
 
 
 def contrast_eigenbasis_povm(ensemble, n_outcomes):
