@@ -15,8 +15,10 @@ from .operator_core import (
     as_matrix,
     max_abs,
     require_hermitian,
+    _as_float,
     _as_matrices,
     _checked_eigh,
+    _integer,
 )
 
 
@@ -153,7 +155,7 @@ class EvolutionProtocol:
         validated = []
         for i, (h, duration) in enumerate(steps):
             hm = require_hermitian(h)
-            t = float(duration)
+            t = _as_float(duration, f"step {i} duration")
             if not math.isfinite(t):
                 raise ValidationError(f"step {i} duration {t} is not finite")
             if t < 0:
@@ -201,19 +203,19 @@ def unitary_from_protocol(protocol: EvolutionProtocol) -> KrausChannel:
 
 
 def _check_strength(q: float) -> float:
-    q = float(q)
+    q = _as_float(q, "channel strength")
     if not 0.0 <= q <= 1.0:
         raise ValidationError(f"channel strength {q} outside [0, 1]")
     return q
 
 
 def identity_channel(dim: int = 2) -> KrausChannel:
-    return KrausChannel.create([np.eye(dim, dtype=complex)])
+    return KrausChannel.create([np.eye(_integer(dim, "dim", 1), dtype=complex)])
 
 
 def depolarizing_channel(q: float, dim: int = 2) -> KrausChannel:
     """rho -> (1-q) rho + q I/dim."""
-    q = _check_strength(q)
+    q, dim = _check_strength(q), _integer(dim, "dim", 1)
     ops = [np.sqrt(1.0 - q) * np.eye(dim, dtype=complex)]
     if q > 0:
         for i in range(dim):
@@ -226,7 +228,7 @@ def depolarizing_channel(q: float, dim: int = 2) -> KrausChannel:
 
 def dephasing_channel(q: float, dim: int = 2) -> KrausChannel:
     """rho -> (1-q) rho + q diag(rho); q=1 removes all coherences."""
-    q = _check_strength(q)
+    q, dim = _check_strength(q), _integer(dim, "dim", 1)
     ops = [np.sqrt(1.0 - q) * np.eye(dim, dtype=complex)]
     if q > 0:
         for i in range(dim):
@@ -238,7 +240,7 @@ def dephasing_channel(q: float, dim: int = 2) -> KrausChannel:
 
 def bit_flip_channel(q: float, dim: int = 2) -> KrausChannel:
     """Flip via the cyclic shift with probability q (Pauli X at dim 2)."""
-    q = _check_strength(q)
+    q, dim = _check_strength(q), _integer(dim, "dim", 1)
     shift = np.zeros((dim, dim), dtype=complex)
     for i in range(dim):
         shift[(i + 1) % dim, i] = 1.0
@@ -249,7 +251,7 @@ def bit_flip_channel(q: float, dim: int = 2) -> KrausChannel:
 
 def amplitude_damping_channel(q: float, dim: int = 2) -> KrausChannel:
     """Decay of every excited level to the ground state with probability q."""
-    q = _check_strength(q)
+    q, dim = _check_strength(q), _integer(dim, "dim", 1)
     k0 = np.eye(dim, dtype=complex)
     for i in range(1, dim):
         k0[i, i] = np.sqrt(1.0 - q)

@@ -207,28 +207,26 @@ def cmd_holevo_optimize(args) -> int:
     )
 
 
-def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
-    """A parent parser holding one argument, so each command lists the flags it reads."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(*names, **kwargs)
-    return parent
+# Each flag as (names, add_argument keyword arguments); a command adds the flags it reads.
+_SCENARIO = ("scenario",), {"type": Path}
+_OUT = ("--out",), {"type": Path, "default": None, "help": "write the report to this path"}
+_TOL_PACK = ("--tol-pack",), {"type": Path, "default": None, "help": "JSON tolerance overrides"}
+_SEED = ("--seed",), {
+    "type": int, "default": None, "help": "random seed (default: the scenario seed, else 0)"
+}
+_BITS = ("--bits",), {"action": "store_true", "help": "display information values in bits"}
 
 
-def _command(group, name: str, func, parents: list, help: str) -> argparse.ArgumentParser:
-    """One subcommand running ``func``, with the flags of ``parents``."""
+def _command(group, name: str, func, help: str, *flags) -> None:
+    """One subcommand running ``func``, with ``flags`` in order."""
     # no prefix matching, or `holevo random --out 5` would read as --outcomes 5
-    command = group.add_parser(name, parents=parents, help=help, allow_abbrev=False)
+    command = group.add_parser(name, help=help, allow_abbrev=False)
+    for names, kwargs in flags:
+        command.add_argument(*names, **kwargs)
     command.set_defaults(func=func)
-    return command
 
 
 def build_parser() -> argparse.ArgumentParser:
-    scenario = _flag("scenario", type=Path)
-    out = _flag("--out", type=Path, default=None, help="write the report to this path")
-    tol_pack = _flag("--tol-pack", type=Path, default=None, help="JSON tolerance overrides")
-    seed = _flag("--seed", type=int, default=None, help="random seed (default: the scenario seed, else 0)")
-    bits = _flag("--bits", action="store_true", help="display information values in bits")
-
     parser = argparse.ArgumentParser(
         prog="qfluct",
         description="Two-time fluctuation theorems and the sharpened Holevo bound "
@@ -236,39 +234,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _command(sub, "verify", cmd_verify, [scenario, out, tol_pack], "verify the fluctuation identity")
-    p_jz = _command(
-        sub, "jarzynski", cmd_jarzynski, [scenario, out, tol_pack], "work statistics of a Gibbs protocol"
+    _command(sub, "verify", cmd_verify, "verify the fluctuation identity", _SCENARIO, _OUT, _TOL_PACK)
+    _command(
+        sub, "jarzynski", cmd_jarzynski, "work statistics of a Gibbs protocol", _SCENARIO, _OUT, _TOL_PACK,
+        (("--beta",), {"type": float, "default": None, "help": "override the scenario beta"}),
     )
-    p_jz.add_argument("--beta", type=float, default=None, help="override the scenario beta")
 
-    p_holevo = sub.add_parser("holevo", help="classical-quantum channel analysis")
-    hsub = p_holevo.add_subparsers(dest="subcommand", required=True)
-    _command(hsub, "analyze", cmd_holevo_analyze, [scenario, out, tol_pack, bits], "sharpened-bound report")
-
-    p_rand = _command(
-        hsub, "random", cmd_holevo_random, [tol_pack, seed], "randomized verification campaign"
+    holevo = sub.add_parser("holevo", help="classical-quantum channel analysis")
+    hsub = holevo.add_subparsers(dest="subcommand", required=True)
+    _command(
+        hsub, "analyze", cmd_holevo_analyze, "sharpened-bound report", _SCENARIO, _OUT, _TOL_PACK, _BITS
     )
-    p_rand.add_argument("--dim", type=int, required=True)
-    p_rand.add_argument("--words", type=int, required=True)
-    p_rand.add_argument("--outcomes", type=int, required=True)
-    p_rand.add_argument("--trials", type=int, required=True)
-    p_rand.add_argument("--csv", type=Path, default=None, help="write rows to this CSV path")
-    p_rand.add_argument("--state-kind", choices=STATE_KINDS, default="mix")
-
-    p_opt = _command(
-        hsub, "optimize", cmd_holevo_optimize, [scenario, out, tol_pack, bits, seed],
-        "search for a better measurement",
+    sizes = [((f"--{n}",), {"type": int, "required": True}) for n in ("dim", "words", "outcomes", "trials")]
+    _command(
+        hsub, "random", cmd_holevo_random, "randomized verification campaign", _TOL_PACK, _SEED, *sizes,
+        (("--csv",), {"type": Path, "default": None, "help": "write rows to this CSV path"}),
+        (("--state-kind",), {"choices": STATE_KINDS, "default": "mix"}),
     )
-    p_opt.add_argument("--outcomes", type=int, default=None)
-
+    _command(
+        hsub, "optimize", cmd_holevo_optimize, "search for a better measurement",
+        _SCENARIO, _OUT, _TOL_PACK, _BITS, _SEED, (("--outcomes",), {"type": int, "default": None}),
+    )
     return parser
 
 
+# built once; the handlers look up the library functions when they run
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ConsistencyError as exc:

@@ -34,6 +34,7 @@ from .operator_core import (
     _checked_eigh,
     _compressed_eigh,
     _density_spectrum,
+    _integer,
     _max_abs_each,
     _support_mask,
 )
@@ -208,20 +209,20 @@ class HolevoInternals:
     Each word is one of the word blocks on the encoding space: the
     composite's state and observables vanish off probe |0>, where the
     dilated projectors compress to the POVM elements.  Per-word arrays
-    carry a leading word axis of length J."""
+    carry a leading word axis of length J.
+
+    log_weights[j] holds ell = ln(lambda) of rho_j on the columns V of
+    blocks.initial.vectors[j], -infinity on ker rho_j, so that
+    rho_j = V diag(e^ell) V† and A_i = -ell on supp rho_j, 0 off it."""
 
     ensemble: Ensemble
     elements: np.ndarray        # (K, d, d) POVM elements
-    tolerances: Tolerances
     cond: np.ndarray            # (J, K) conditional probabilities
-    marginals: np.ndarray       # (K,)
     info_terms: np.ndarray      # (J, K) ln(cond/marginal), 0 where dropped
     retained: np.ndarray        # (J, K) bool, cond > prob_floor
     rho_bar: np.ndarray
     average_support: SpectralDecomposition  # rho_bar on supp rho_bar: r > 0 values, d x r columns
-    word_values: np.ndarray     # (J, d) ascending eigenvalues of each rho_j
-    word_vectors: np.ndarray    # (J, d, d) their eigenvectors
-    word_support: np.ndarray    # (J, d) bool, the support rule on word_values
+    log_weights: np.ndarray     # (J, d) ln lambda of rho_j on blocks.initial's columns, -inf off supp
     exp_traces: np.ndarray      # (J,) tr W_j, W_j = exp(-A_f) of word j
     blocks: _WordBlocks         # per word: rho_j, its prior, A_i and A_f; the identity channel
 
@@ -245,8 +246,10 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
     drops one is compressed to the kernel of its dropped s_bar† M_k s_bar
     on its own, since that kernel's size is its own.  A_f = -w on s_bar v
     where e^w is on the support of W_j = exp(-A_f), and +infinity
-    elsewhere; A_i is -ln(lambda) on rho_j's support, else 0.  One call
-    groups both observables of all words into the blocks' branch arrays.
+    elsewhere; A_i is -ln(lambda) on rho_j's support, else 0.  Each word's
+    eigenvectors and log-weights are put in the stable A_i order first,
+    so the one call that groups both observables of all words into the
+    blocks' branch arrays leaves the initial columns where they are.
     """
     ensemble = inst.ensemble
     d, jw = ensemble.dim, ensemble.n_words
@@ -304,7 +307,12 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
         w, cols, suppressed = _compressed_eigh(exponents[j], compressed[~retained[j]].sum(axis=0), tol)
         encoding[j, :, w.size : rank] = s_bar @ suppressed
         place(j, w, cols)
-    initial_values = np.where(support, -np.log(np.where(support, values, 1.0)), 0.0)
+    logs = np.where(support, np.log(np.where(support, values, 1.0)), -math.inf)
+    initial_values = np.where(support, -logs, 0.0)
+    # each word's stable A_i order, as flat indices of its row
+    order = np.argsort(initial_values, axis=-1, kind="stable") + d * np.arange(jw)[:, None]
+    log_weights, initial_values = logs.ravel()[order], initial_values.ravel()[order]
+    vectors = vectors.swapaxes(1, 2).reshape(-1, d)[order].swapaxes(1, 2)
     observables = _grouped(
         np.concatenate([initial_values, final_values]),
         np.concatenate([vectors, encoding]),
@@ -318,16 +326,12 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
     return HolevoInternals(
         ensemble=ensemble,
         elements=elements,
-        tolerances=tol,
         cond=cond,
-        marginals=marginals,
         info_terms=info_terms,
         retained=retained,
         rho_bar=rho_bar,
         average_support=SpectralDecomposition(values=inner.values, vectors=s_bar),
-        word_values=values,
-        word_vectors=vectors,
-        word_support=support,
+        log_weights=log_weights,
         exp_traces=exp_traces,
         blocks=blocks,
     )
@@ -335,9 +339,8 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
 
 @dataclass(frozen=True)
 class ChainValues:
-    """The trace-inequality chain gamma <= g1 <= g2 with g2 = 1."""
+    """g1 and g2 of the trace-inequality chain gamma <= g1 <= g2 = 1."""
 
-    gamma: float
     g1: float
     g2: float
 
@@ -363,24 +366,24 @@ class HolevoReport(_Checked):
     checks: tuple[Check, ...]
 
 
-def gt_chain(internals: HolevoInternals, gamma: float) -> ChainValues:
-    """Evaluate the inequality chain gamma <= g1 <= g2 and g2 = 1.
+def gt_chain(internals: HolevoInternals) -> ChainValues:
+    """Evaluate g1 and g2 of the inequality chain gamma <= g1 <= g2 = 1.
 
-    g1 is the per-word trace of the compressed exponential of the combined
-    exponent; g2 contracts the exponentials separately, which telescopes
-    to exactly one.  The values are returned, not judged: analyze's checks
-    chain_gamma_le_g1, chain_g1_le_g2 and chain_g2_is_one judge them, and a
-    violation there flags a construction or numerics bug.
+    g1 = sum_j p_j tr W_j; g2 contracts the exponentials separately, which
+    telescopes to exactly one.  g1 - gamma = sum_j p_j tr W_j P~_j(ker rho_j),
+    with P~_j(ker rho_j) the probability that the backward process, started
+    in W_j / tr W_j, lands in ker rho_j; so gamma = g1 for full-rank words.
+    The values are returned, not judged: analyze's checks chain_gamma_le_g1,
+    chain_g1_le_g2 and chain_g2_is_one judge them, and a violation there
+    flags a construction or numerics bug.
     """
-    priors = internals.ensemble.priors
+    priors, cond = internals.ensemble.priors, internals.cond
     g1 = float(priors @ internals.exp_traces)
     # tr((rho_bar (x) |0><0|) Pi_k) = tr(rho_bar M_k), all outcomes at once
     overlaps = np.einsum("ab,kba->k", internals.rho_bar, internals.elements).real
-    ratios = np.divide(
-        internals.cond, internals.marginals, out=np.zeros_like(internals.cond), where=internals.retained
-    )
+    ratios = np.divide(cond, priors @ cond, out=np.zeros_like(cond), where=internals.retained)
     g2 = float(priors @ ratios @ overlaps)
-    return ChainValues(gamma=gamma, g1=g1, g2=g2)
+    return ChainValues(g1=g1, g2=g2)
 
 
 def equality_residual(internals: HolevoInternals, gamma: float) -> tuple[float, float]:
@@ -390,19 +393,24 @@ def equality_residual(internals: HolevoInternals, gamma: float) -> tuple[float, 
     For each word the log of the state on its support, the log of the
     average state on its support, the information-weighted POVM elements
     and ln(gamma) must cancel on the state's support; the max-norm of the
-    remainder is the defect, evaluated for all words at once.  Both logs
-    come from the spectra that prepare_instance keeps.  Near-zero certifies saturation of the
-    sharpened bound.  An overlap above 1e-8 means prob_floor is too large
-    for the instance, and the defect misses that outcome's term.
+    remainder is the defect, evaluated for all words at once.  The word's
+    log is V diag(ell) V† over blocks.initial's columns V and the
+    log-weights ell, its support projector the same sum over the finite
+    ell; the average state's log comes from average_support.  Near-zero
+    certifies saturation of the sharpened bound.  The bound's slack,
+    bound_slack = <delta_a> + ln(gamma), is a Jensen gap: it is zero
+    exactly when delta_a is constant on the atoms of positive
+    probability.  An overlap above 1e-8 means prob_floor is too large for
+    the instance, and the defect misses that outcome's term.
     """
     bar = internals.average_support
     log_bar = (bar.vectors * np.log(bar.values)) @ bar.vectors.conj().T
-    vectors, support = internals.word_vectors, internals.word_support
+    vectors, ell = internals.blocks.initial.vectors, internals.log_weights
+    support = np.isfinite(ell)
     adj = vectors.conj().swapaxes(-1, -2)
     p = (vectors * support[:, None, :]) @ adj
-    logs = np.log(internals.word_values, out=np.zeros_like(internals.word_values), where=support)
     inner = (
-        (vectors * logs[:, None, :]) @ adj
+        (vectors * np.where(support, ell, 0.0)[:, None, :]) @ adj
         - log_bar
         + math.log(gamma) * np.eye(len(log_bar))
         - np.einsum("jk,kab->jab", internals.info_terms, internals.elements)
@@ -446,7 +454,7 @@ def analyze(
     bound_slack = (chi - info) - neg_log_gamma
     route_error = abs(gamma_dist - gamma_trace)
 
-    chain = gt_chain(internals, gamma)
+    chain = gt_chain(internals)
     residual, dropped_overlap = equality_residual(internals, gamma)
 
     checks = (
@@ -495,13 +503,6 @@ def analyze(
 STATE_KINDS = ("mixed", "pure", "rank_deficient", "mix")
 
 
-def _rng(seed: int) -> np.random.Generator:
-    """default_rng(seed), whose seed must be a non-negative integer."""
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    return np.random.default_rng(seed)
-
-
 def random_instance(
     dim: int,
     n_words: int,
@@ -512,11 +513,13 @@ def random_instance(
 ) -> CqChannelInstance:
     """Deterministic random instance: Dirichlet priors, Wishart-style
     states (optionally pure or rank-deficient), Gaussian-block POVM."""
-    if dim < 1 or n_words < 1 or n_outcomes < 1:
-        raise ValidationError("dim, n_words and n_outcomes must all be >= 1")
+    dim, n_words, n_outcomes = (
+        _integer(value, name, 1)
+        for value, name in ((dim, "dim"), (n_words, "n_words"), (n_outcomes, "n_outcomes"))
+    )
     if state_kind not in STATE_KINDS:
         raise ValidationError(f"unknown state kind {state_kind!r}; choose from {STATE_KINDS}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     priors = rng.dirichlet(np.ones(n_words))
     states = []
     for _ in range(n_words):
@@ -635,7 +638,7 @@ def optimize_measurement(
     if n_outcomes < 2:
         raise ValidationError("measurement optimization needs at least 2 outcomes")
     d, states = ensemble.dim, ensemble.states
-    rng = _rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     starts = [
         np.array([complex_gaussian(rng, (d, d)) for _ in range(n_outcomes)])
         for _ in range(ASCENT_STARTS)

@@ -28,12 +28,22 @@ def _is_number(value) -> bool:
 
 
 def _as_float(value, what: str) -> float:
-    """float(value) for a number, or a ValidationError naming the field
-    when it is an int beyond the double range."""
+    """float(value), or a ValidationError naming the field when value is
+    not a real number or is an int beyond the double range."""
     try:
         return float(value)
     except OverflowError:
         raise ValidationError(f"{what} is outside the double range") from None
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a real number, got {value!r}") from None
+
+
+def _integer(value, what: str, low: int) -> int:
+    """int(value) for a Python or numpy integer (not a bool) of at least
+    low, which is 0 or 1, or a ValidationError naming the field."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low:
+        return int(value)
+    raise ValidationError(f"{what} must be a {('non-negative', 'positive')[low]} integer, got {value!r}")
 
 
 # The threshold of every check that accepts or rejects an input or a
@@ -61,9 +71,6 @@ class Tolerances:
                 raise ValidationError(
                     f"tolerance {field.name} must be a strictly positive finite number, got {value!r}"
                 )
-
-    def replace(self, **overrides) -> "Tolerances":
-        return dataclasses.replace(self, **overrides)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -108,10 +115,10 @@ def _failure(failed: np.ndarray, label: str) -> tuple[str, int | tuple] | None:
 
 def _as_matrices(a) -> np.ndarray:
     """Coerce to a square complex matrix, or a stack (..., n, n) of them,
-    with finite entries."""
+    with n >= 1 and finite entries."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise ValidationError(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValidationError("matrix has non-finite entries")
     return m

@@ -64,12 +64,11 @@ def _matrices(data: Any, what: str) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Parsed scenario: raw document plus validated domain objects."""
+    """Parsed scenario: the validated domain objects of its kind."""
 
     kind: str
     seed: int | None
     tolerances: Tolerances
-    document: dict
     two_time: TwoTimeProtocol | None = None
     jarzynski_h0: np.ndarray | None = None
     jarzynski_protocol: EvolutionProtocol | None = None
@@ -134,7 +133,7 @@ def parse_scenario(document: dict, tol_override: Tolerances | None = None) -> Sc
             channel,
             observable_from_hermitian(a_f, tol),
         )
-        return Scenario(kind=kind, seed=seed, tolerances=tol, document=document, two_time=protocol)
+        return Scenario(kind=kind, seed=seed, tolerances=tol, two_time=protocol)
 
     if kind == "jarzynski":
         h0 = matrix_from_json(_require(document, "h0", "scenario"), "h0")
@@ -143,12 +142,7 @@ def parse_scenario(document: dict, tol_override: Tolerances | None = None) -> Sc
         if not _is_number(beta) or beta <= 0:
             raise ValidationError(f"scenario: beta must be a positive number, got {beta!r}")
         return Scenario(
-            kind=kind,
-            seed=seed,
-            tolerances=tol,
-            document=document,
-            jarzynski_h0=h0,
-            jarzynski_protocol=protocol,
+            kind=kind, seed=seed, tolerances=tol, jarzynski_h0=h0, jarzynski_protocol=protocol,
             jarzynski_beta=_as_float(beta, "scenario: beta"),
         )
 
@@ -160,9 +154,7 @@ def parse_scenario(document: dict, tol_override: Tolerances | None = None) -> Sc
     ensemble = Ensemble.create(priors, states, tol)
     povm = POVM.create(_matrices(_require(document, "povm", "scenario"), "povm"))
     instance = CqChannelInstance.create(ensemble, povm)
-    return Scenario(
-        kind=kind, seed=seed, tolerances=tol, document=document, holevo_instance=instance
-    )
+    return Scenario(kind=kind, seed=seed, tolerances=tol, holevo_instance=instance)
 
 
 def load_scenario(path: str | Path, tol_override: Tolerances | None = None) -> tuple[Scenario, str]:

@@ -32,6 +32,7 @@ from .operator_core import (
     Tolerances,
     as_matrix,
     require_density_matrix,
+    _as_float,
     _checked_eigh,
 )
 
@@ -83,9 +84,6 @@ class JointDistribution:
     probs: np.ndarray            # (M, N) real
     initial_values: np.ndarray   # (M,)
     final_values: np.ndarray     # (N,) possibly +inf
-
-    def total(self) -> float:
-        return float(self.probs.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,7 +425,7 @@ def jarzynski_scenario(
     inequality beta <W> >= beta dF, both at CHECK_TOL, then the checks of
     verify_ft.
     """
-    beta = float(beta)
+    beta = _as_float(beta, "inverse temperature beta")
     if not 0 < beta < math.inf:
         raise ValidationError(f"inverse temperature beta must be positive and finite, got {beta}")
     h0 = as_matrix(h0)

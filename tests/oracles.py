@@ -112,7 +112,38 @@ def relative_cutoff(values, rank_tol):
     return rank_tol * values[-1] if values.size and values[-1] > rank_tol else rank_tol
 
 
-def compressed_exponents(inst, internals):
+def equality_residual_reference(inst, gamma, tol=qf.DEFAULT_TOLS):
+    """The saturation defect of analyze's equality_residual: the largest
+    |P_j (ln rho_j - ln rho_bar + ln(gamma) I - sum_k ln(p(k|j)/p(k)) M_k) P_j|
+    entry over the words, built here from np.linalg.eigh of each rho_j and
+    of rho_bar = sum_j p_j rho_j.  A log on a support sums ln(lambda)
+    |v><v| over the eigenvalues above relative_cutoff, P_j is rho_j's
+    support projector, and only the outcomes with p(k|j) above prob_floor
+    add their term.
+    """
+    ensemble, elements = inst.ensemble, inst.povm.elements
+
+    def log_on_support(m):
+        lam, vec = np.linalg.eigh(m)
+        keep = lam > relative_cutoff(lam, tol.rank_tol)
+        v = vec[:, keep]
+        return (v * np.log(lam[keep])) @ v.conj().T, v @ v.conj().T
+
+    log_bar, _ = log_on_support(sum(p * rho for p, rho in zip(ensemble.priors, ensemble.states)))
+    cond = np.array([[np.trace(rho @ m).real for m in elements] for rho in ensemble.states])
+    marginals = ensemble.priors @ cond
+    worst = 0.0
+    for rho, row in zip(ensemble.states, cond):
+        log_rho, p = log_on_support(rho)
+        inner = log_rho - log_bar + np.log(gamma) * np.eye(len(rho))
+        for c, mk, m in zip(row, marginals, elements):
+            if c > tol.prob_floor:
+                inner = inner - np.log(c / mk) * m
+        worst = max(worst, float(np.abs(p @ inner @ p).max()))
+    return worst
+
+
+def compressed_exponents(inst, internals, tol=qf.DEFAULT_TOLS):
     """Each word's compressed exponent, built here with np.linalg.eigh.
 
     supp rho_bar is the span of the words' support columns, its rank cut
@@ -122,8 +153,9 @@ def compressed_exponents(inst, internals):
     sum of its dropped M_k annihilates.  Returns, per word, the ascending
     eigenvalues w of the compression and their eigenvectors on the
     encoding space; W_j = exp(-A_f^j) is sum e^w |v><v| (x) |0><0|.
+    tol is the one prepare_instance ran with.
     """
-    ensemble, tol = inst.ensemble, internals.tolerances
+    ensemble = inst.ensemble
     supports = []
     for rho in ensemble.states:
         lam, vec = np.linalg.eigh(rho)
@@ -154,7 +186,7 @@ def compressed_exponents(inst, internals):
     return out
 
 
-def composite_reference(inst, internals):
+def composite_reference(inst, internals, tol=qf.DEFAULT_TOLS):
     """The one-block construction: the two-time engine run once on the
     dense n x n composite, n = d*K*J, with the identity channel.
 
@@ -166,7 +198,7 @@ def composite_reference(inst, internals):
     columns is the +infinity branch.  Returns gamma by both routes, the
     mean outcome difference and the merged atoms.
     """
-    ensemble, tol = inst.ensemble, internals.tolerances
+    ensemble = inst.ensemble
     j_dim = ensemble.n_words
     probe = proj(inst.povm.n_outcomes, 0)
     rho0 = build_joint_state(ensemble, inst.povm)
@@ -174,7 +206,7 @@ def composite_reference(inst, internals):
         kron_all(-qf.func_on_support(rho, np.log, tol=tol), probe, proj(j_dim, j))
         for j, rho in enumerate(ensemble.states)
     )
-    pairs = compressed_exponents(inst, internals)
+    pairs = compressed_exponents(inst, internals, tol)
     values = np.concatenate([w for w, _ in pairs])
     vectors = np.concatenate(
         [kron_all(v, probe[:, [0]], proj(j_dim, j)[:, [j]]) for j, (_, v) in enumerate(pairs)], axis=1

@@ -139,6 +139,36 @@ def test_protocol_rejects_non_finite_duration(duration):
         qf.EvolutionProtocol.create([(PAULI_Z, 0.5), (PAULI_Z, duration)])
 
 
+@pytest.mark.parametrize("duration", ["soon", None, 1j])
+def test_protocol_rejects_a_non_numeric_duration(duration):
+    with pytest.raises(ValidationError, match="step 1 duration must be a real number"):
+        qf.EvolutionProtocol.create([(PAULI_Z, 0.5), (PAULI_Z, duration)])
+
+
+@pytest.mark.parametrize(
+    "build", [qf.identity_channel, lambda dim: qf.depolarizing_channel(0.3, dim)], ids=["identity", "depolarizing"]
+)
+@pytest.mark.parametrize("dim", [0, -1, 2.0, True])
+def test_standard_channels_reject_a_dimension_that_is_not_a_positive_integer(build, dim):
+    with pytest.raises(ValidationError, match=f"dim must be a positive integer, got {dim!r}"):
+        build(dim)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m: qf.KrausChannel.create([m]),
+        lambda m: qf.Ensemble.create([1.0], [m]),
+        lambda m: qf.POVM.create([m]),
+        qf.observable_from_hermitian,
+    ],
+    ids=["kraus", "ensemble", "povm", "observable"],
+)
+def test_a_zero_by_zero_matrix_is_a_validation_error(build):
+    with pytest.raises(ValidationError, match=r"expected a non-empty square matrix, got shape \(0, 0\)"):
+        build(np.zeros((0, 0)))
+
+
 def test_step_phase_must_be_a_finite_double():
     # E t = 2e308 overflows; 1e308 is a finite phase, and exp(-i E t) is exact
     protocol = qf.EvolutionProtocol.create([(2 * PAULI_Z, 1e308)])

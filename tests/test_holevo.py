@@ -11,13 +11,14 @@ import qfluct as qf
 import qfluct.holevo as holevo
 from qfluct.errors import ConsistencyError, ValidationError
 from qfluct.holevo import STATE_KINDS, _ascend
-from qfluct.rand import complex_gaussian, normalized_blocks, random_density_matrix, random_povm
+from qfluct.rand import complex_gaussian, normalized_blocks, random_density_matrix, random_povm, random_pure_state
 
 from oracles import (
     build_joint_state,
     composite_reference,
     compressed_exponents,
     enumeration_oracle,
+    equality_residual_reference,
     naimark_dilate_randomized,
     partial_trace,
     proj,
@@ -53,6 +54,47 @@ def identical_states_instance(seed=0):
     rho = random_density_matrix(2, rng)
     ens = qf.Ensemble.create([0.3, 0.7], [rho, rho.copy()])
     return qf.CqChannelInstance.create(ens, random_povm(2, 3, rng))
+
+
+@st.composite
+def word_kind_cases(draw):
+    """d = 1..4 and one to four words, each pure, rank-deficient or mixed
+    (full rank), with Dirichlet priors and a Gaussian-block POVM."""
+    d = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(("pure", "rank_deficient", "mixed")), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = [
+        random_density_matrix(d, rng, rank=int(rng.integers(1, d)))
+        if kind == "rank_deficient" and d > 1
+        else random_pure_state(d, rng) if kind == "pure" else random_density_matrix(d, rng)
+        for kind in kinds
+    ]
+    ens = qf.Ensemble.create(rng.dirichlet(np.ones(len(kinds))), states)
+    return qf.CqChannelInstance.create(ens, random_povm(d, draw(st.integers(1, 4)), rng))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(word_kind_cases())
+@example(orthogonal_instance())
+@example(identical_states_instance())
+def test_equality_residual_matches_the_per_word_eigh_reference(inst):
+    rep = qf.analyze(inst, strict=False)
+    assert abs(rep.equality_residual - equality_residual_reference(inst, rep.gamma)) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(word_kind_cases())
+def test_log_weights_rebuild_each_word_on_the_initial_columns(inst):
+    # rho_j = V diag(e^ell) V† with V = blocks.initial.vectors[j], and the
+    # initial branch value of each column is -ell on supp rho_j, 0 off it
+    internals = qf.prepare_instance(inst)
+    initial, ell = internals.blocks.initial, internals.log_weights
+    assert ell.shape == (inst.ensemble.n_words, inst.ensemble.dim)
+    for j, rho in enumerate(inst.ensemble.states):
+        v = initial.vectors[j]
+        assert np.abs((v * np.exp(ell[j])) @ v.conj().T - rho).max() <= 1e-12
+        a_i = np.where(np.isfinite(ell[j]), -ell[j], 0.0)
+        assert np.abs(initial.values[initial.labels[j]] - a_i).max() <= qf.DEFAULT_TOLS.degeneracy_tol
 
 
 def test_ensemble_strips_zero_priors():
@@ -505,6 +547,18 @@ def test_a_negative_seed_is_a_validation_error_naming_the_seed():
         qf.optimize_measurement(zero_plus_instance().ensemble, 2, seed=-1)
 
 
+def test_a_seed_or_size_that_is_not_an_integer_is_a_validation_error_naming_it():
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer, got 1.5"):
+        qf.random_instance(2, 2, 2, seed=1.5)
+    for i, name in enumerate(("dim", "n_words", "n_outcomes")):
+        sizes = [2, 2, 2]
+        sizes[i] = 2.0
+        with pytest.raises(ValidationError, match=f"{name} must be a positive integer, got 2.0"):
+            qf.random_instance(*sizes, seed=1)
+    # numpy integers are integers
+    assert qf.random_instance(np.int64(2), 2, 2, seed=np.int64(1)).ensemble.dim == 2
+
+
 @st.composite
 def ascent_cases(draw):
     dim, n_outcomes = draw(st.integers(1, 3)), draw(st.integers(2, 4))
@@ -820,7 +874,7 @@ def check_exponent_paths(inst):
     ref = composite_reference(inst, internals)
     for name in ("gamma_distribution", "gamma_trace", "mean_delta_a"):
         assert abs(getattr(rep, name) - ref[name]) <= 1e-8, name
-    tol = internals.tolerances
+    tol = qf.DEFAULT_TOLS
     for j, (w, _) in enumerate(compressed_exponents(inst, internals)):
         expected = np.sort(-w[np.exp(w) > relative_cutoff(np.exp(w), tol.rank_tol)])
         values = column_values(internals.blocks.final, j)

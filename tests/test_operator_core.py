@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -232,6 +234,6 @@ def test_tolerances_validation_and_overrides():
         with pytest.raises(ValidationError, match="tolerance rank_tol must be a strictly positive"):
             qf.Tolerances(rank_tol=value)
     assert qf.Tolerances.from_dict({"rank_tol": 1}).rank_tol == 1.0
-    t = qf.DEFAULT_TOLS.replace(degeneracy_tol=1e-6)
+    t = dataclasses.replace(qf.DEFAULT_TOLS, degeneracy_tol=1e-6)
     assert t.degeneracy_tol == 1e-6
     assert qf.DEFAULT_TOLS.degeneracy_tol == 1e-9

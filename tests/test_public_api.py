@@ -65,7 +65,7 @@ PUBLIC_NAMES = [
 ]
 
 CLASS_ATTRIBUTES = {
-    "ChainValues": ["g1", "g2", "gamma"],
+    "ChainValues": ["g1", "g2"],
     "ConsistencyError": [],
     "CqChannelInstance": ["create", "ensemble", "povm"],
     "DeltaDistribution": ["probs", "values"],
@@ -81,8 +81,7 @@ CLASS_ATTRIBUTES = {
     ],
     "HolevoInternals": [
         "average_support", "blocks", "cond", "elements", "ensemble", "exp_traces", "info_terms",
-        "marginals", "retained", "rho_bar", "tolerances", "word_support", "word_values",
-        "word_vectors",
+        "log_weights", "retained", "rho_bar",
     ],
     "HolevoReport": [
         "atoms", "bound_slack", "chain", "checks", "chi", "conditional_term", "equality_residual",
@@ -94,7 +93,7 @@ CLASS_ATTRIBUTES = {
         "beta", "checks", "delta_f", "exp_neg_beta_work", "failures", "ft", "gamma",
         "identity_error", "max_work_slack", "mean_work", "passed", "z0", "z_ratio", "z_tau",
     ],
-    "JointDistribution": ["final_values", "initial_values", "probs", "total"],
+    "JointDistribution": ["final_values", "initial_values", "probs"],
     "KrausChannel": ["create", "dim", "kraus_ops"],
     "NaimarkDilation": [
         "blocks", "dim", "encoding_dim", "offsets", "povm_element", "probe_dim", "vectors",
@@ -102,7 +101,7 @@ CLASS_ATTRIBUTES = {
     "POVM": ["create", "dim", "elements", "n_outcomes"],
     "QfluctError": [],
     "SpectralDecomposition": ["dim", "values", "vectors"],
-    "Tolerances": ["degeneracy_tol", "from_dict", "prob_floor", "rank_tol", "replace", "to_dict"],
+    "Tolerances": ["degeneracy_tol", "from_dict", "prob_floor", "rank_tol", "to_dict"],
     "TwoTimeProtocol": [
         "channel", "create", "dim", "final_observable", "initial_observable", "initial_state",
     ],
@@ -111,7 +110,7 @@ CLASS_ATTRIBUTES = {
 
 PARAMETERS = {
     "analyze": ["inst", "tol", "strict"],
-    "gt_chain": ["internals", "gamma"],
+    "gt_chain": ["internals"],
     "jarzynski_scenario": ["h0", "protocol", "beta", "tolerances"],
     "optimize_measurement": ["ensemble", "n_outcomes", "seed", "tol"],
     "verify_ft": ["protocol", "tolerances"],

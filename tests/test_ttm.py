@@ -84,7 +84,7 @@ def test_joint_distribution_marginal_property():
             for p in projectors(protocol.initial_observable)
         ]
         assert np.abs(marginals - direct).max() < 1e-10
-        assert abs(joint.total() - 1.0) < 1e-10
+        assert abs(joint.probs.sum() - 1.0) < 1e-10
 
 
 def test_joint_distribution_rejects_reachable_infinite_branch():
@@ -366,6 +366,12 @@ def test_jarzynski_rejects_non_finite_beta(beta):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="beta must be positive and finite"):
             qf.jarzynski_scenario(PAULI_Z, qf.EvolutionProtocol.create([(PAULI_Z, 1.0)]), beta=beta)
+
+
+@pytest.mark.parametrize("beta", ["hot", None])
+def test_jarzynski_rejects_a_non_numeric_beta(beta):
+    with pytest.raises(ValidationError, match="inverse temperature beta must be a real number"):
+        qf.jarzynski_scenario(PAULI_Z, qf.EvolutionProtocol.create([(PAULI_Z, 1.0)]), beta=beta)
 
 
 def test_gibbs_state_rejects_overflowing_beta_energy_products():
