@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -14,11 +15,12 @@ from .operator_core import (
     ALGEBRA_TOL,
     as_matrix,
     max_abs,
-    require_hermitian,
     _as_float,
     _as_matrices,
     _checked_eigh,
+    _hermitian,
     _integer,
+    _verified_eigh,
 )
 
 
@@ -145,28 +147,45 @@ def apply_channel(channel: KrausChannel, rho) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EvolutionProtocol:
-    """Piecewise-constant Hamiltonian protocol (H_1, t_1), ..., (H_n, t_n)."""
+    """Piecewise-constant Hamiltonian protocol (H_1, t_1), ..., (H_n, t_n).
+
+    The steps' eigendecomposition belongs to the protocol and is derived
+    once, as KrausChannel splits its operators once: _spectra holds the
+    eigenpairs (n, d) and (n, d, d) of the stacked steps, and _channel the
+    unitary built from them on first use.  create checks every step's
+    Hermiticity once, on the stack, and keeps the symmetrized steps as
+    read-only rows of that stack, its own copies; a protocol from the raw
+    constructor is checked in full on the first use of _spectra.
+    jarzynski_scenario and unitary_from_protocol read both, so a protocol
+    evaluated at many temperatures or initial Hamiltonians decomposes its
+    steps once.  Neither is cached while it raises, so an error comes
+    again from every later use."""
 
     steps: tuple[tuple[np.ndarray, float], ...]
 
     @classmethod
     def create(cls, steps: Iterable[tuple[np.ndarray, float]]) -> "EvolutionProtocol":
         """Hermitian steps of one dimension, finite non-negative durations."""
-        validated = []
+        matrices, durations = [], []
         for i, (h, duration) in enumerate(steps):
-            hm = require_hermitian(h)
+            matrices.append(as_matrix(h))
             t = _as_float(duration, f"step {i} duration")
             if not math.isfinite(t):
                 raise ValidationError(f"step {i} duration {t} is not finite")
             if t < 0:
                 raise ValidationError(f"step {i} duration {t} is negative")
-            validated.append((hm, t))
-        if not validated:
+            durations.append(t)
+        if not matrices:
             raise ValidationError("protocol needs at least one step")
-        dim = validated[0][0].shape[0]
-        if any(h.shape[0] != dim for h, _ in validated):
+        dim = matrices[0].shape[0]
+        if any(h.shape[0] != dim for h in matrices):
             raise ValidationError("protocol Hamiltonians have mixed dimensions")
-        return cls(steps=tuple(validated))
+        stack = _hermitian(np.stack(matrices), "step")
+        stack.setflags(write=False)
+        protocol = cls(steps=tuple(zip(stack, durations)))
+        # the cached property's slot, filled without a second Hermiticity pass
+        protocol.__dict__["_spectra"] = _verified_eigh(stack, "step")
+        return protocol
 
     @property
     def dim(self) -> int:
@@ -175,6 +194,21 @@ class EvolutionProtocol:
     @property
     def final_hamiltonian(self) -> np.ndarray:
         return self.steps[-1][0]
+
+    @cached_property
+    def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """The steps' eigenpairs from one checked eigh of their stack; an
+        error names the step ("step i")."""
+        return _checked_eigh(np.stack([h for h, _ in self.steps]), "step")
+
+    @cached_property
+    def _channel(self) -> KrausChannel:
+        """The time-ordered unitary of _spectra as a read-only single-Kraus
+        channel."""
+        values, vectors = self._spectra
+        channel = KrausChannel.create([_unitary(values, vectors, [t for _, t in self.steps])])
+        channel.kraus_ops[0].setflags(write=False)
+        return channel
 
 
 def _unitary(values: np.ndarray, vectors: np.ndarray, durations: Iterable[float]) -> np.ndarray:
@@ -194,12 +228,11 @@ def _unitary(values: np.ndarray, vectors: np.ndarray, durations: Iterable[float]
 
 
 def unitary_from_protocol(protocol: EvolutionProtocol) -> KrausChannel:
-    """Time-ordered unitary of the protocol as a single-Kraus channel, from
-    one checked eigh of the stacked steps.  Later steps multiply on the
-    left: U = exp(-i H_n t_n) ... exp(-i H_1 t_1)."""
-    hamiltonians, durations = zip(*protocol.steps)
-    values, vectors = _checked_eigh(np.stack(hamiltonians), "step")
-    return KrausChannel.create([_unitary(values, vectors, durations)])
+    """Time-ordered unitary of the protocol as a single-Kraus channel.
+    Later steps multiply on the left: U = exp(-i H_n t_n) ... exp(-i H_1 t_1).
+    It is the protocol's own channel, built once from the protocol's step
+    spectra; its operator is read-only.  No eigh runs here."""
+    return protocol._channel
 
 
 def _check_strength(q: float) -> float:

@@ -29,7 +29,7 @@ from .operator_core import (
     DEFAULT_TOLS,
     SpectralDecomposition,
     Tolerances,
-    require_density_matrix,
+    as_matrix,
     spectral_decompose,
     _checked_eigh,
     _compressed_eigh,
@@ -62,7 +62,9 @@ class Ensemble:
     """Code words: strictly positive priors and their encoded states.
 
     Zero-prior words are stripped at construction; the retained priors
-    must sum to one within 1e-12.
+    must sum to one within 1e-12.  Every state, zero-prior ones included,
+    must share one dimension and is checked in one pass over their stack;
+    an error names the state by its input index.
     """
 
     priors: np.ndarray
@@ -79,22 +81,22 @@ class Ensemble:
         p = p.astype(float)
         if not np.all(np.isfinite(p)):
             raise ValidationError(f"priors must be finite, got {p.tolist()!r}")
-        sts = [require_density_matrix(s) for s in states]
+        sts = [as_matrix(s) for s in states]
         if len(sts) != p.shape[0]:
             raise ValidationError(f"got {p.shape[0]} priors for {len(sts)} states")
+        dim = sts[0].shape[0]
+        if any(s.shape[0] != dim for s in sts):
+            raise ValidationError("ensemble states have mixed dimensions")
+        # one Hermiticity, PSD and trace pass over the stack names the state
+        stack, _ = _density_spectrum(np.stack(sts), "state")
         if p.min() < -tol.prob_floor:
             raise ValidationError(f"negative prior {p.min()!r}")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValidationError(f"priors sum to {p.sum()!r}, not 1 within 1e-12")
         keep = p > tol.prob_floor
-        p = p[keep]
-        sts = [s for s, k in zip(sts, keep) if k]
-        if not sts:
+        if not keep.any():
             raise ValidationError("all priors are zero")
-        dim = sts[0].shape[0]
-        if any(s.shape[0] != dim for s in sts):
-            raise ValidationError("ensemble states have mixed dimensions")
-        return cls(priors=p, states=tuple(sts))
+        return cls(priors=p[keep], states=tuple(stack[keep]))
 
     @property
     def dim(self) -> int:
@@ -246,10 +248,10 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
     drops one is compressed to the kernel of its dropped s_bar† M_k s_bar
     on its own, since that kernel's size is its own.  A_f = -w on s_bar v
     where e^w is on the support of W_j = exp(-A_f), and +infinity
-    elsewhere; A_i is -ln(lambda) on rho_j's support, else 0.  Each word's
-    eigenvectors and log-weights are put in the stable A_i order first,
-    so the one call that groups both observables of all words into the
-    blocks' branch arrays leaves the initial columns where they are.
+    elsewhere; A_i is -ln(lambda) on rho_j's support, else 0.  One call
+    groups both observables of all words into the blocks' branch arrays,
+    sorting each row once, stably; the log-weights take the initial rows'
+    order from it.
     """
     ensemble = inst.ensemble
     d, jw = ensemble.dim, ensemble.n_words
@@ -308,17 +310,14 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
         encoding[j, :, w.size : rank] = s_bar @ suppressed
         place(j, w, cols)
     logs = np.where(support, np.log(np.where(support, values, 1.0)), -math.inf)
-    initial_values = np.where(support, -logs, 0.0)
-    # each word's stable A_i order, as flat indices of its row
-    order = np.argsort(initial_values, axis=-1, kind="stable") + d * np.arange(jw)[:, None]
-    log_weights, initial_values = logs.ravel()[order], initial_values.ravel()[order]
-    vectors = vectors.swapaxes(1, 2).reshape(-1, d)[order].swapaxes(1, 2)
-    observables = _grouped(
-        np.concatenate([initial_values, final_values]),
+    observables, order = _grouped(
+        np.concatenate([np.where(support, -logs, 0.0), final_values]),
         np.concatenate([vectors, encoding]),
         tol,
         lambda i: f"{'A_i' if i < jw else 'A_f'} of word {i % jw}",
     )
+    # ell on the initial columns, in the one stable A_i order of each word
+    log_weights = np.take_along_axis(logs, order[:jw], axis=-1)
     # built without KrausChannel.create: it is complete by construction
     channel = KrausChannel(kraus_ops=(np.eye(d, dtype=complex),))
     blocks = _WordBlocks(states, ensemble.priors, channel, *observables.split(jw))

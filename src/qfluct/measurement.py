@@ -27,11 +27,12 @@ from .operator_core import (
     kron,
     max_abs,
     require_density_matrix,
-    require_hermitian,
     require_projector,
     spectral_decompose,
     _branch_starts,
     _cluster_means,
+    _failure,
+    _hermitian,
     _max_abs_each,
 )
 
@@ -218,13 +219,14 @@ def _branches(
 
 def _grouped(
     values: np.ndarray, vectors: np.ndarray, tol: Tolerances, name: Callable[[int], str]
-) -> _Branches:
+) -> tuple[_Branches, np.ndarray]:
     """The grouping rule: observable j has value values[j, a] (+infinity
     allowed) on the column vectors[j, :, a], for a stack (J, n) of values
     and (J, n, n) of columns.  Each row is sorted stably (+infinity columns
     keep their order, last), grouped by _branch_starts into branches valued
     by _cluster_means, and checked by _branches; an error names observable
-    j by name(j)."""
+    j by name(j).  Returns the branches and the stable order (J, n), so a
+    caller can put data on the same columns without sorting again."""
     nan = np.isnan(values).any(axis=-1)
     if nan.any():
         raise ValidationError(f"{name(int(np.argmax(nan)))}: NaN branch value")
@@ -232,7 +234,7 @@ def _grouped(
     values = np.take_along_axis(values, order, axis=-1)
     vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
     starts = _branch_starts(values, tol.degeneracy_tol)
-    return _branches(_cluster_means(values, starts), starts, vectors, tol, name)
+    return _branches(_cluster_means(values, starts), starts, vectors, tol, name), order
 
 
 def observable_from_hermitian(h, tol: Tolerances = DEFAULT_TOLS) -> ExtendedObservable:
@@ -240,7 +242,8 @@ def observable_from_hermitian(h, tol: Tolerances = DEFAULT_TOLS) -> ExtendedObse
     eigenvalues closer than degeneracy_tol into joint eigenspaces whose
     eigenvector blocks become the branches: _grouped on a stack of one."""
     dec = spectral_decompose(h)
-    return _grouped(dec.values[None], dec.vectors[None], tol, lambda j: "extended observable").objects()[0]
+    branches, _ = _grouped(dec.values[None], dec.vectors[None], tol, lambda j: "extended observable")
+    return branches.objects()[0]
 
 
 def measurement_channel(rho, m: BranchBlocks) -> np.ndarray:
@@ -269,23 +272,24 @@ class POVM:
 
     @classmethod
     def create(cls, elements: Iterable) -> "POVM":
-        """PSD elements summing to the identity, both within ALGEBRA_TOL."""
-        els = []
-        for i, e in enumerate(elements):
-            m = require_hermitian(e)
-            lo = float(np.linalg.eigvalsh(m)[0])
-            if lo < -ALGEBRA_TOL:
-                raise ValidationError(f"POVM element {i} has negative eigenvalue {lo:.3e}")
-            els.append(m)
+        """PSD elements summing to the identity, both within ALGEBRA_TOL,
+        checked in one pass over their stack; an error names the first
+        failing element ("POVM element i")."""
+        els = [as_matrix(e) for e in elements]
         if not els:
             raise ValidationError("a POVM needs at least one element")
         dim = els[0].shape[0]
         if any(e.shape[0] != dim for e in els):
             raise ValidationError("POVM elements have mixed dimensions")
-        defect = max_abs(sum(els) - np.eye(dim))
+        stack = _hermitian(np.stack(els), "POVM element")
+        low = np.linalg.eigvalsh(stack)[:, 0]
+        if failure := _failure(low < -ALGEBRA_TOL, "POVM element"):
+            subject, i = failure
+            raise ValidationError(f"{subject} has negative eigenvalue {low[i]:.3e}")
+        defect = max_abs(stack.sum(axis=0) - np.eye(dim))
         if defect > ALGEBRA_TOL:
             raise ValidationError(f"POVM completeness defect {defect:.3e} exceeds {ALGEBRA_TOL:g}")
-        return cls(elements=tuple(els))
+        return cls(elements=tuple(stack))
 
     @property
     def dim(self) -> int:

@@ -206,7 +206,13 @@ def _checked_eigh(m: np.ndarray, label: str = "matrix") -> tuple[np.ndarray, np.
     complex matrix, or of each matrix of a stack (J, n, n) in one eigh,
     with the Hermiticity, reconstruction and orthonormality checks of
     spectral_decompose; an error names the first failing matrix."""
-    m = _hermitian(m, label)
+    return _verified_eigh(_hermitian(m, label), label)
+
+
+def _verified_eigh(m: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """_checked_eigh of a matrix or stack that _hermitian has already
+    checked and symmetrized: the eigh with its reconstruction and
+    orthonormality checks, and no second Hermiticity pass."""
     values, vectors = np.linalg.eigh(m)
     adj = vectors.conj().swapaxes(-1, -2)
     scale = np.maximum(1.0, _max_abs_each(m))

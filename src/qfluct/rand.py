@@ -66,4 +66,4 @@ def povm_from_blocks(blocks) -> POVM:
     normalized, regular = normalized_blocks(blocks, 0.0)
     if not regular:
         raise ValidationError("POVM normalizer is singular; draw different blocks")
-    return POVM.create([c.conj().T @ c for c in normalized])
+    return POVM.create(normalized.conj().swapaxes(-1, -2) @ normalized)

@@ -22,7 +22,6 @@ from .channel import (
     KrausChannel,
     apply_channel,
     _kraus_chunks,
-    _unitary,
 )
 from .errors import ConsistencyError, IllPosedProtocolError, ValidationError
 from .measurement import _EXP_LIMIT, ExtendedObservable, _Branches, _column_exp, _dephased, _grouped
@@ -418,8 +417,12 @@ def jarzynski_scenario(
     """Build the work-statistics special case and verify its identities.
 
     Initial Gibbs state of h0, energy observables scaled by beta at both
-    ends, unitary evolution from the protocol, all from one eigh of h0 and
-    the step Hamiltonians.  At each end w = exp(-beta (E - E_min)) lies in
+    ends and unitary evolution from the protocol.  The only eigh here is
+    the checked one of h0 ("Hamiltonian 0" names it in an error); h_tau's
+    eigenpairs are the last row of the protocol's step spectra and the
+    unitary is the protocol's channel, both derived once per protocol (see
+    EvolutionProtocol), so a sweep over beta or h0 decomposes the steps
+    once.  At each end w = exp(-beta (E - E_min)) lies in
     (0, 1], rho = V (w / s) V† with s = sum w, and ln Z = ln s - beta E_min.
     The report checks <exp(-beta W)> = Z_tau/Z_0 and the maximum work
     inequality beta <W> >= beta dF, both at CHECK_TOL, then the checks of
@@ -431,9 +434,10 @@ def jarzynski_scenario(
     h0 = as_matrix(h0)
     if h0.shape[0] != protocol.dim:
         raise ValidationError(f"protocol dimensions disagree: {sorted({h0.shape[0], protocol.dim})}")
-    hamiltonians, durations = zip(*protocol.steps)
-    values, vectors = _checked_eigh(np.stack([h0, *hamiltonians]), "Hamiltonian")
-    ends, end_vectors = values[[0, -1]], vectors[[0, -1]]
+    values, vectors = _checked_eigh(h0[None], "Hamiltonian")
+    step_values, step_vectors = protocol._spectra
+    ends = np.concatenate((values, step_values[-1:]))
+    end_vectors = np.concatenate((vectors, step_vectors[-1:]))
     (lo0, _), (lo_tau, _) = bounds = ends[:, [0, -1]].tolist()
     for lo, hi in bounds:
         # Python float products, which overflow to inf without a warning
@@ -450,10 +454,10 @@ def jarzynski_scenario(
     log_ratio = math.log(s_tau / s0) - beta * (lo_tau - lo0)
     z_ratio = _finite_exp(log_ratio, "Z_tau/Z_0")
     delta_f = -log_ratio / beta
-    observables = _grouped(beta * ends, end_vectors, tolerances, lambda j: ("A_i", "A_f")[j])
+    observables, _ = _grouped(beta * ends, end_vectors, tolerances, lambda j: ("A_i", "A_f")[j])
     a_i, a_f = observables.objects()
     rho0 = (end_vectors[0] * (weights[0] / s0)) @ end_vectors[0].conj().T
-    channel = KrausChannel.create([_unitary(values[1:], vectors[1:], durations)])
+    channel = protocol._channel
     # Built without TwoTimeProtocol.create: rho0 is PSD with unit trace by
     # construction, every part is d-dimensional and A_i is finite.
     two_time = TwoTimeProtocol(rho0, a_i, channel, a_f)

@@ -121,6 +121,23 @@ def test_ensemble_rejects_bad_priors():
         qf.Ensemble.create([1.0, math.nan], [P0, PPLUS])
 
 
+def test_ensemble_state_checks_name_the_failing_state():
+    # one Hermiticity, PSD and trace pass over the stacked states, zero-prior
+    # words included; an error names the state by its index in the input
+    for state, match in (
+        ([[0.5, 0.1], [0.3, 0.5]], "state 1 is not Hermitian"),
+        ([[0.5, 0.6], [0.6, 0.5]], "state 1 has negative eigenvalue"),
+        (np.diag([0.7, 0.2]), "state 1 trace 0.8999"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            qf.Ensemble.create([0.5, 0.0, 0.5], [P0, np.asarray(state, dtype=complex), PPLUS])
+    # the states are stacked before zero-prior words are dropped, so a
+    # zero-prior state of another dimension is malformed input too
+    for priors in ([0.5, 0.5], [1.0, 0.0]):
+        with pytest.raises(ValidationError, match="ensemble states have mixed dimensions"):
+            qf.Ensemble.create(priors, [P0, np.eye(3, dtype=complex) / 3])
+
+
 def test_ensemble_error_quotes_the_priors_as_given():
     # numpy coerces [0.5, "x"] to strings; the message quotes the input
     with pytest.raises(ValidationError) as info:

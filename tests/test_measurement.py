@@ -136,9 +136,10 @@ def test_one_cluster_mean_for_every_builder(matrices):
     # of prepare_instance share one grouping rule and one cluster mean, so
     # their branch values agree exactly
     decs = [qf.spectral_decompose(h) for h in matrices]
-    batched = _grouped(
+    batched, _ = _grouped(
         np.stack([d.values for d in decs]), np.stack([d.vectors for d in decs]), qf.DEFAULT_TOLS, str
-    ).objects()
+    )
+    batched = batched.objects()
     for h, dec, obs in zip(matrices, decs, batched):
         grouped = tuple(value for value, _ in qf.group_eigenspaces(dec, qf.DEFAULT_TOLS.degeneracy_tol))
         assert qf.observable_from_hermitian(h).values == grouped
@@ -214,6 +215,20 @@ def test_povm_validation():
         qf.POVM.create([np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 0.5]).astype(complex)])
     with pytest.raises(ValidationError, match="negative eigenvalue"):
         qf.POVM.create([np.diag([1.5, 1.0]).astype(complex), np.diag([-0.5, 0.0]).astype(complex)])
+
+
+def test_povm_checks_name_the_failing_element():
+    # one pass over the stacked elements; an error names the element
+    z0, z1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    skew = np.array([[0.0, 0.1], [0.3, 1.0]], dtype=complex)
+    with pytest.raises(ValidationError, match="POVM element 1 is not Hermitian"):
+        qf.POVM.create([z0, skew])
+    with pytest.raises(ValidationError, match="POVM element 1 has negative eigenvalue -5.000e-01"):
+        qf.POVM.create([np.diag([1.0, 1.5]).astype(complex), np.diag([0.0, -0.5]).astype(complex)])
+    with pytest.raises(ValidationError, match="POVM elements have mixed dimensions"):
+        qf.POVM.create([z0, np.eye(3, dtype=complex)])
+    povm = qf.POVM.create(np.stack([z0, z1]))
+    assert povm.n_outcomes == 2 and all(np.array_equal(a, b) for a, b in zip(povm.elements, (z0, z1)))
 
 
 def test_povm_probabilities_trivial_and_mixed():

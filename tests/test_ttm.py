@@ -468,26 +468,81 @@ def test_jarzynski_rejects_mismatched_h0_dimension():
         qf.jarzynski_scenario(PAULI_Z, protocol, beta=1.0)
 
 
-def test_jarzynski_decomposes_every_hamiltonian_once(monkeypatch):
-    # h0 and the three step Hamiltonians take one stacked eigh; the Gibbs
-    # state, both observables, both partition functions and the unitary all
-    # come from it, and the Gibbs state is not checked again
-    rng = np.random.default_rng(17)
-    h0 = random_hermitian(4, rng)
-    protocol = qf.EvolutionProtocol.create([(random_hermitian(4, rng), 0.4) for _ in range(3)])
-    calls = {"eigh": 0, "eigvalsh": 0}
-    for name in calls:
-        def wrapped(*args, _original=getattr(np.linalg, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+def count_eigh(monkeypatch):
+    """Wrap np.linalg.eigh and eigvalsh; returns the list of argument shapes
+    of each, appended to on every call."""
+    shapes = {"eigh": [], "eigvalsh": []}
+    for name in shapes:
+        def wrapped(a, *args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+            shapes[_name].append(np.shape(a))
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, wrapped)
-    _, report = qf.jarzynski_scenario(h0, protocol, beta=1.0)
-    assert report.passed
-    assert calls == {"eigh": 1, "eigvalsh": 0}
-    calls["eigh"] = 0
+    return shapes
+
+
+def test_jarzynski_decomposes_every_hamiltonian_once(monkeypatch):
+    # the protocol decomposes its three steps in one stacked eigh when it is
+    # created; each Jarzynski call decomposes h0 alone, and the Gibbs state,
+    # both observables, both partition functions and the unitary all come
+    # from that and the protocol's spectra; the unitary is the protocol's own
+    rng = np.random.default_rng(17)
+    h0 = random_hermitian(4, rng)
+    steps = [(random_hermitian(4, rng), 0.4) for _ in range(3)]
+    shapes = count_eigh(monkeypatch)
+    protocol = qf.EvolutionProtocol.create(steps)
+    assert shapes == {"eigh": [(3, 4, 4)], "eigvalsh": []}
+    for _ in range(2):
+        shapes["eigh"].clear()
+        _, report = qf.jarzynski_scenario(h0, protocol, beta=1.0)
+        assert report.passed
+        assert shapes == {"eigh": [(1, 4, 4)], "eigvalsh": []}
+    shapes["eigh"].clear()
     qf.unitary_from_protocol(protocol)
-    assert calls == {"eigh": 1, "eigvalsh": 0}
+    assert shapes == {"eigh": [], "eigvalsh": []}
+
+
+def test_a_beta_sweep_decomposes_the_steps_once(monkeypatch):
+    # five temperatures on one protocol: the steps are decomposed once in
+    # all, and each report is bit-identical to one from a fresh protocol
+    rng = np.random.default_rng(23)
+    h0 = random_hermitian(5, rng)
+    steps = [(random_hermitian(5, rng), float(rng.uniform(0.1, 1.0))) for _ in range(3)]
+    betas = (0.3, 0.7, 1.0, 1.6, 2.5)
+    fresh = [repr(qf.jarzynski_scenario(h0, qf.EvolutionProtocol.create(steps), b)[1]) for b in betas]
+    shapes = count_eigh(monkeypatch)
+    protocol = qf.EvolutionProtocol.create(steps)
+    swept = [repr(qf.jarzynski_scenario(h0, protocol, b)[1]) for b in betas]
+    assert swept == fresh
+    assert shapes["eigh"] == [(3, 5, 5)] + [(1, 5, 5)] * len(betas)
+
+
+def test_a_raw_protocol_with_a_non_hermitian_step_names_the_step():
+    # the raw constructor skips create's checks; the first use of the
+    # protocol's spectra runs them, and so does every later use
+    bad = np.array([[1.0, 0.5], [0.0, -1.0]], dtype=complex)
+    protocol = qf.EvolutionProtocol(steps=((PAULI_Z, 0.2), (bad, 0.3)))
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="step 1 is not Hermitian"):
+            qf.jarzynski_scenario(PAULI_X, protocol, beta=1.0)
+        with pytest.raises(ValidationError, match="step 1 is not Hermitian"):
+            qf.unitary_from_protocol(protocol)
+
+
+def test_a_protocol_keeps_its_steps_and_unitary_read_only():
+    # the cached spectra and unitary cannot go stale: the stored steps and
+    # the unitary are the protocol's own read-only arrays
+    h = PAULI_Z + 0.5 * PAULI_X
+    protocol = qf.EvolutionProtocol.create([(h, 0.3), (PAULI_X, 0.2)])
+    assert protocol.steps[0][0] is not h
+    with pytest.raises(ValueError, match="read-only"):
+        protocol.steps[0][0][0, 0] = 2.0
+    u = qf.unitary_from_protocol(protocol).kraus_ops[0]
+    with pytest.raises(ValueError, match="read-only"):
+        u[0, 0] = 0.0
+    assert qf.unitary_from_protocol(protocol).kraus_ops[0] is u
+    h[0, 0] = 7.0  # the caller's array stays writable and is not the step
+    assert protocol.steps[0][0][0, 0] == 1.0
 
 
 def test_jarzynski_identity_is_relative_to_z_ratio():
