@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -34,9 +35,12 @@ from .operator_core import (
     _checked_eigh,
     _compressed_eigh,
     _density_spectrum,
+    _hermitian,
     _integer,
     _max_abs_each,
+    _require_states,
     _support_mask,
+    _verified_eigh,
 )
 from .rand import (
     complex_gaussian,
@@ -57,6 +61,12 @@ def _entropy(probs: np.ndarray) -> np.ndarray:
     return -np.sum(np.where(positive, probs * np.log(probs, out=np.ones_like(probs), where=positive), 0.0), axis=-1)
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    """Mark the arrays of a cached result read-only, so it cannot go stale."""
+    for a in arrays:
+        a.setflags(write=False)
+
+
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """Code words: strictly positive priors and their encoded states.
@@ -65,6 +75,17 @@ class Ensemble:
     must sum to one within 1e-12.  Every state, zero-prior ones included,
     must share one dimension and is checked in one pass over their stack;
     an error names the state by its input index.
+
+    What depends on the ensemble alone is derived once, as
+    EvolutionProtocol derives its step spectra, and shared by every POVM
+    it is analyzed under: _spectra holds the states' eigenpairs (J, d) and
+    (J, d, d), _support(tol) the ensemble side of prepare_instance at
+    tol.rank_tol, and _chi the Holevo quantity.  create keeps the priors
+    and the symmetrized states as read-only arrays, its own copies, and
+    fills _spectra from the one checked eigh its state checks run on; an
+    ensemble from the raw constructor is checked in full on first use.
+    Nothing is cached while it raises, so an error comes again from every
+    later use.
     """
 
     priors: np.ndarray
@@ -87,8 +108,10 @@ class Ensemble:
         dim = sts[0].shape[0]
         if any(s.shape[0] != dim for s in sts):
             raise ValidationError("ensemble states have mixed dimensions")
-        # one Hermiticity, PSD and trace pass over the stack names the state
-        stack, _ = _density_spectrum(np.stack(sts), "state")
+        # one Hermiticity, eigh, PSD and trace pass over the stack names the state
+        stack = _hermitian(np.stack(sts), "state")
+        values, vectors = _verified_eigh(stack, "state")
+        _require_states(stack, values, "state")
         if p.min() < -tol.prob_floor:
             raise ValidationError(f"negative prior {p.min()!r}")
         if abs(p.sum() - 1.0) > 1e-12:
@@ -96,7 +119,13 @@ class Ensemble:
         keep = p > tol.prob_floor
         if not keep.any():
             raise ValidationError("all priors are zero")
-        return cls(priors=p[keep], states=tuple(stack[keep]))
+        priors, kept, spectra = p[keep], stack[keep], (values[keep], vectors[keep])
+        # before the rows are taken, since a view keeps the flag it was made with
+        _read_only(priors, kept, *spectra)
+        ensemble = cls(priors=priors, states=tuple(kept))
+        # the cached property's slot, filled without a second Hermiticity pass
+        ensemble.__dict__["_spectra"] = spectra
+        return ensemble
 
     @property
     def dim(self) -> int:
@@ -110,6 +139,79 @@ class Ensemble:
         states = np.asarray(self.states, dtype=complex)
         return (self.priors @ states.reshape(len(states), -1)).reshape(states.shape[1:])
 
+    @cached_property
+    def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """The states' ascending eigenpairs from one checked eigh of their
+        stack; an error names the state ("state j")."""
+        spectra = _checked_eigh(np.asarray(self.states, dtype=complex), "state")
+        _read_only(*spectra)
+        return spectra
+
+    @cached_property
+    def _supports(self) -> dict[float, "_EnsembleSupport"]:
+        """_support's results, by rank_tol."""
+        return {}
+
+    def _support(self, tol: Tolerances) -> "_EnsembleSupport":
+        """The ensemble side of prepare_instance, derived once per
+        tol.rank_tol, the only tolerance it reads."""
+        support = self._supports.get(tol.rank_tol)
+        if support is None:
+            support = self._supports[tol.rank_tol] = _EnsembleSupport.of(self, tol)
+        return support
+
+    @cached_property
+    def _chi(self) -> float:
+        """holevo_chi, from one eigvalsh of the stack (rho_1 ... rho_J,
+        rho_bar) with the checks of require_density_matrix batched."""
+        stack = np.concatenate([np.asarray(self.states, dtype=complex), self.average_state()[None]])
+        entropies = _entropy(_density_spectrum(stack)[1])
+        return float(entropies[-1] - self.priors @ entropies[:-1])
+
+
+@dataclass(frozen=True, eq=False)
+class _EnsembleSupport:
+    """The part of prepare_instance that depends on the ensemble and
+    rank_tol alone, every array read-only.
+
+    supp rho_bar is the span of the words' support columns, its rank cut at
+    rank_tol times the top singular value of a thin SVD (full only while
+    there are fewer columns than d, so the left factor is a complete d x d
+    basis); there rho_bar has values lambda_bar > 0 on columns s_bar, and
+    no word may leak outside it."""
+
+    states: np.ndarray       # (J, d, d) stacked states
+    vectors: np.ndarray      # (J, d, d) eigenvectors of each state, ascending
+    support: np.ndarray      # (J, d) bool, the columns on supp rho_j
+    logs: np.ndarray         # (J, d) ln lambda of rho_j on its support, -inf off it
+    rho_bar: np.ndarray
+    average: SpectralDecomposition  # rho_bar on supp rho_bar: r > 0 values, d x r columns s_bar
+    outside: np.ndarray      # (d, d - r) columns spanning the kernel of rho_bar
+
+    @classmethod
+    def of(cls, ensemble: Ensemble, tol: Tolerances) -> "_EnsembleSupport":
+        states = np.asarray(ensemble.states, dtype=complex)
+        values, vectors = ensemble._spectra
+        support = _support_mask(values, tol, "code word state")
+        # the words' support columns side by side, word by word
+        columns = vectors.transpose(1, 0, 2)[:, support]
+        span, singular, _ = np.linalg.svd(columns, full_matrices=columns.shape[1] < ensemble.dim)
+        rank = int(np.count_nonzero(singular > tol.rank_tol * singular[0]))
+        outside = span[:, rank:]
+        leaks = np.einsum("ai,jab,bi->j", outside.conj(), states, outside).real
+        leaking = leaks > ALGEBRA_TOL
+        if leaking.any():
+            j = int(np.argmax(leaking))
+            raise ValidationError(f"state {j} leaks {leaks[j]:.3e} outside the support of the average state")
+        rho_bar = ensemble.average_state()
+        inner = spectral_decompose(span[:, :rank].conj().T @ rho_bar @ span[:, :rank])
+        if inner.values[0] <= 0:
+            raise ValidationError(f"the average state has eigenvalue {inner.values[0]:.3e} on its support")
+        average = SpectralDecomposition(values=inner.values, vectors=span[:, :rank] @ inner.vectors)
+        logs = np.where(support, np.log(np.where(support, values, 1.0)), -math.inf)
+        _read_only(states, support, logs, rho_bar, average.values, average.vectors, outside)
+        return cls(states, vectors, support, logs, rho_bar, average, outside)
+
 
 @dataclass(frozen=True, eq=False)
 class CqChannelInstance:
@@ -120,6 +222,9 @@ class CqChannelInstance:
 
     @classmethod
     def create(cls, ensemble: Ensemble, povm: POVM) -> "CqChannelInstance":
+        for name, value, kind in (("ensemble", ensemble, Ensemble), ("povm", povm, POVM)):
+            if not isinstance(value, kind):
+                raise ValidationError(f"{name} must be a qfluct {kind.__name__}, got {type(value).__name__}")
         if ensemble.dim != povm.dim:
             raise ValidationError(
                 f"dimension mismatch: ensemble {ensemble.dim}, POVM {povm.dim}"
@@ -191,17 +296,13 @@ def holevo_chi(ensemble: Ensemble) -> float:
 
     One eigvalsh of the stack (rho_1 ... rho_J, rho_bar) with the checks
     of require_density_matrix batched; an error names the first failing
-    state, and index J is the average state.  The spectra are this
-    function's own, not those of prepare_instance, so analyze's
+    state, and index J is the average state.  The value is computed once
+    per ensemble and cached (Ensemble._chi), and analyze reads the same
+    cache.  The spectra are its own, not the states' eigh of
+    Ensemble._spectra that prepare_instance uses, so analyze's
     mean_identity compares two computations.
     """
-    return _chi(ensemble.priors, np.asarray(ensemble.states, dtype=complex), ensemble.average_state())
-
-
-def _chi(priors: np.ndarray, states: np.ndarray, rho_bar: np.ndarray) -> float:
-    """holevo_chi of the stacked states (J, d, d) and their average."""
-    entropies = _entropy(_density_spectrum(np.concatenate([states, rho_bar[None]]))[1])
-    return float(entropies[-1] - priors @ entropies[:-1])
+    return ensemble._chi
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +323,7 @@ class HolevoInternals:
     cond: np.ndarray            # (J, K) conditional probabilities
     info_terms: np.ndarray      # (J, K) ln(cond/marginal), 0 where dropped
     retained: np.ndarray        # (J, K) bool, cond > prob_floor
-    rho_bar: np.ndarray
+    rho_bar: np.ndarray         # the average state, from the ensemble's cache like average_support
     average_support: SpectralDecomposition  # rho_bar on supp rho_bar: r > 0 values, d x r columns
     log_weights: np.ndarray     # (J, d) ln lambda of rho_j on blocks.initial's columns, -inf off supp
     exp_traces: np.ndarray      # (J,) tr W_j, W_j = exp(-A_f) of word j
@@ -234,15 +335,12 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
 
     The composite's state rho_j (x) |0><0| and both observables vanish off
     probe |0>, where the dilated projectors compress to the POVM elements
-    M_k, so each word runs on the encoding space.  With the states stacked
-    on a leading axis, rho_bar is one product, the states one eigh, and
-    every check (Hermiticity, reconstruction, orthonormality, PSD, support
-    leak, |V†V - I| of each observable) runs once over the stack and names
-    the failing word.  supp rho_bar is the span of the words' support
-    columns, its rank cut at rank_tol times the top singular value of a
-    thin SVD (full only while there are fewer columns than d, so the left
-    factor is a complete d x d basis); there rho_bar has values
-    lambda_bar > 0 on columns s_bar.  The exponent
+    M_k, so each word runs on the encoding space.  What depends on the
+    ensemble alone comes from its cache, derived on first use at each
+    rank_tol (Ensemble._support): the states' one eigh, their supports
+    and log-weights, rho_bar, and supp rho_bar with the support leak check,
+    where rho_bar has values lambda_bar > 0 on columns s_bar.  This
+    function does the per-POVM rest.  The exponent
     F_c = diag(ln lambda_bar) + sum_k info_jk s_bar† M_k s_bar (retained k)
     of the words that drop no outcome is one batched eigh; a word that
     drops one is compressed to the kernel of its dropped s_bar† M_k s_bar
@@ -250,12 +348,13 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
     where e^w is on the support of W_j = exp(-A_f), and +infinity
     elsewhere; A_i is -ln(lambda) on rho_j's support, else 0.  One call
     groups both observables of all words into the blocks' branch arrays,
-    sorting each row once, stably; the log-weights take the initial rows'
-    order from it.
+    sorting each row once, stably, and checks |V†V - I| of each, naming
+    the failing word; the log-weights take the initial rows' order from
+    it.  The returned rho_bar, average_support and blocks.states are the
+    ensemble's read-only arrays.
     """
     ensemble = inst.ensemble
     d, jw = ensemble.dim, ensemble.n_words
-    states = np.asarray(ensemble.states, dtype=complex)
     elements = np.asarray(inst.povm.elements)
     cond = conditional_probabilities(inst, tol)
     marginals = ensemble.priors @ cond
@@ -269,31 +368,17 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
         )
     info_terms = _information_terms(ensemble.priors, cond, tol.prob_floor)
 
-    values, vectors = _checked_eigh(states, "state")
-    support = _support_mask(values, tol, "code word state")
-    # the words' support columns side by side, word by word
-    columns = vectors.transpose(1, 0, 2)[:, support]
-    span, singular, _ = np.linalg.svd(columns, full_matrices=columns.shape[1] < d)
-    rank = int(np.count_nonzero(singular > tol.rank_tol * singular[0]))
-    outside = span[:, rank:]
-    leaks = np.einsum("ai,jab,bi->j", outside.conj(), states, outside).real
-    leaking = leaks > ALGEBRA_TOL
-    if leaking.any():
-        j = int(np.argmax(leaking))
-        raise ValidationError(f"state {j} leaks {leaks[j]:.3e} outside the support of the average state")
-    rho_bar = (ensemble.priors @ states.reshape(jw, -1)).reshape(d, d)
-    inner = spectral_decompose(span[:, :rank].conj().T @ rho_bar @ span[:, :rank])
-    if inner.values[0] <= 0:
-        raise ValidationError(f"the average state has eigenvalue {inner.values[0]:.3e} on its support")
-    s_bar = span[:, :rank] @ inner.vectors
+    side = ensemble._support(tol)
+    average, support, logs = side.average, side.support, side.logs
+    s_bar, rank = average.vectors, average.dim
     compressed = s_bar.conj().T @ elements @ s_bar
     # info_terms is 0 on the dropped outcomes, so only retained ones add
-    exponents = np.diag(np.log(inner.values)) + np.einsum("jk,kab->jab", info_terms, compressed)
+    exponents = np.diag(np.log(average.values)) + np.einsum("jk,kab->jab", info_terms, compressed)
 
     exp_traces = np.empty(jw)
     final_values = np.full((jw, d), math.inf)
     encoding = np.empty((jw, d, d), dtype=complex)
-    encoding[:, :, rank:] = outside
+    encoding[:, :, rank:] = side.outside
 
     def place(words, w: np.ndarray, cols: np.ndarray) -> None:
         exp_traces[words] = np.exp(w).sum(axis=-1)
@@ -309,10 +394,9 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
         w, cols, suppressed = _compressed_eigh(exponents[j], compressed[~retained[j]].sum(axis=0), tol)
         encoding[j, :, w.size : rank] = s_bar @ suppressed
         place(j, w, cols)
-    logs = np.where(support, np.log(np.where(support, values, 1.0)), -math.inf)
     observables, order = _grouped(
         np.concatenate([np.where(support, -logs, 0.0), final_values]),
-        np.concatenate([vectors, encoding]),
+        np.concatenate([side.vectors, encoding]),
         tol,
         lambda i: f"{'A_i' if i < jw else 'A_f'} of word {i % jw}",
     )
@@ -320,7 +404,7 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
     log_weights = np.take_along_axis(logs, order[:jw], axis=-1)
     # built without KrausChannel.create: it is complete by construction
     channel = KrausChannel(kraus_ops=(np.eye(d, dtype=complex),))
-    blocks = _WordBlocks(states, ensemble.priors, channel, *observables.split(jw))
+    blocks = _WordBlocks(side.states, ensemble.priors, channel, *observables.split(jw))
 
     return HolevoInternals(
         ensemble=ensemble,
@@ -328,8 +412,8 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
         cond=cond,
         info_terms=info_terms,
         retained=retained,
-        rho_bar=rho_bar,
-        average_support=SpectralDecomposition(values=inner.values, vectors=s_bar),
+        rho_bar=side.rho_bar,
+        average_support=average,
         log_weights=log_weights,
         exp_traces=exp_traces,
         blocks=blocks,
@@ -444,7 +528,7 @@ def analyze(
     priors = internals.ensemble.priors
     info = float(_information(priors, internals.cond, tol.prob_floor)[0])
     shannon, conditional = _decomposition_arrays(priors, internals.cond, tol.prob_floor)
-    chi = _chi(priors, internals.blocks.states, internals.rho_bar)
+    chi = internals.ensemble._chi
 
     ft = _ft_report(internals.blocks, tol)
     gamma_dist, gamma_trace, mean = ft.lhs, ft.gamma, ft.mean_delta_a
@@ -634,8 +718,11 @@ def optimize_measurement(
     best result is kept.  Returns the POVM and its achieved mutual
     information; no global optimality is claimed.
     """
-    if n_outcomes < 2:
+    # an integer below 2 (True included, as bool subclasses int) is too few
+    # outcomes; anything else that is not an integer is malformed
+    if isinstance(n_outcomes, (int, np.integer)) and n_outcomes < 2:
         raise ValidationError("measurement optimization needs at least 2 outcomes")
+    n_outcomes = _integer(n_outcomes, "n_outcomes", 1)
     d, states = ensemble.dim, ensemble.states
     rng = np.random.default_rng(_integer(seed, "seed", 0))
     starts = [

@@ -58,7 +58,7 @@ class Tolerances:
     """The three numerical choices that change results: which eigenvalues
     form one branch (degeneracy_tol), which lie on a support (rank_tol) and
     which probabilities count (prob_floor).  Every field must be strictly
-    positive.  Override selected fields with :meth:`replace`."""
+    positive.  Override selected fields with :func:`dataclasses.replace`."""
 
     degeneracy_tol: float = 1e-9
     rank_tol: float = 1e-12
@@ -158,6 +158,14 @@ def _density_spectrum(m: np.ndarray, label: str = "state") -> tuple[np.ndarray, 
     eigenvalues (one eigvalsh); an error names the first failing state."""
     m = _hermitian(m, label)
     values = np.linalg.eigvalsh(m)
+    _require_states(m, values, label)
+    return m, values
+
+
+def _require_states(m: np.ndarray, values: np.ndarray, label: str) -> None:
+    """The PSD and unit-trace checks of require_density_matrix on a
+    symmetrized state, or stack (J, n, n) of them, with its ascending
+    eigenvalues; an error names the first failing state."""
     low = values[..., 0]
     if failure := _failure(low < -ALGEBRA_TOL, label):
         subject, i = failure
@@ -166,7 +174,6 @@ def _density_spectrum(m: np.ndarray, label: str = "state") -> tuple[np.ndarray, 
     if failure := _failure(np.abs(tr - 1.0) > ALGEBRA_TOL, label):
         subject, i = failure
         raise ValidationError(f"{subject} trace {float(tr[i])!r} differs from 1 beyond {ALGEBRA_TOL:g}")
-    return m, values
 
 
 def require_density_matrix(rho) -> np.ndarray:

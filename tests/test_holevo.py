@@ -576,6 +576,29 @@ def test_a_seed_or_size_that_is_not_an_integer_is_a_validation_error_naming_it()
     assert qf.random_instance(np.int64(2), 2, 2, seed=np.int64(1)).ensemble.dim == 2
 
 
+def test_an_outcome_count_that_is_not_an_integer_is_a_validation_error_naming_it():
+    ens = zero_plus_instance().ensemble
+    for n_outcomes in (2.0, "3", None):
+        with pytest.raises(ValidationError, match=f"n_outcomes must be a positive integer, got {n_outcomes!r}"):
+            qf.optimize_measurement(ens, n_outcomes)
+    # integers below 2, True among them, are too few outcomes
+    for n_outcomes in (1, True, 0, np.int64(1)):
+        with pytest.raises(ValidationError, match="needs at least 2 outcomes"):
+            qf.optimize_measurement(ens, n_outcomes)
+    assert qf.optimize_measurement(ens, np.int64(2), seed=1)[0].n_outcomes == 2
+
+
+def test_an_instance_needs_an_ensemble_and_a_povm():
+    inst = zero_plus_instance()
+    for args, match in (
+        ((inst.ensemble, "x"), "povm must be a qfluct POVM, got str"),
+        (("x", inst.povm), "ensemble must be a qfluct Ensemble, got str"),
+        ((inst.povm, inst.ensemble), "ensemble must be a qfluct Ensemble, got POVM"),
+    ):
+        with pytest.raises(ValidationError, match=match):
+            qf.CqChannelInstance.create(*args)
+
+
 @st.composite
 def ascent_cases(draw):
     dim, n_outcomes = draw(st.integers(1, 3)), draw(st.integers(2, 4))
@@ -782,20 +805,23 @@ def test_final_branch_values_are_the_compressed_exponent_spectrum():
     ids=["d2_j2_k3", "d3_j3_k4", "orthogonal", "d2_j6_k3"],
 )
 def test_analyze_decomposes_nothing_larger_than_d(make, monkeypatch):
-    # Counted in matrices, a batched call counting each matrix of its stack:
-    # rho_j, rho_bar and each word's compressed exponent take 2J + 1 eigh
-    # matrices, plus one for each word with a dropped outcome; no POVM
-    # element is decomposed.  holevo_chi takes J + 1 eigvalsh matrices, the
-    # states and rho_bar.  Counted in calls, the states, rho_bar and the
-    # exponents of the words that drop no outcome take three eigh calls
-    # whatever J is, each word that drops an outcome two more (its
-    # suppressor and its compressed exponent), and holevo_chi one eigvalsh.
-    # The one svd, of the d x n support columns, is thin once n > d: no
-    # factor has a side longer than max(d, n), and there is no n x n right
-    # factor.
+    # Counted from Ensemble.create on, whose checks run the states' eigh
+    # that analyze reuses, and in matrices, a batched call counting each
+    # matrix of its stack: rho_j, rho_bar and each word's compressed
+    # exponent take 2J + 1 eigh matrices, plus one for each word with a
+    # dropped outcome; no POVM element is decomposed.  holevo_chi takes
+    # J + 1 eigvalsh matrices, the states and rho_bar.  Counted in calls,
+    # the states, rho_bar and the exponents of the words that drop no
+    # outcome take three eigh calls whatever J is, each word that drops an
+    # outcome two more (its suppressor and its compressed exponent), and
+    # holevo_chi one eigvalsh.  The one svd, of the d x n support columns,
+    # is thin once n > d: no factor has a side longer than max(d, n), and
+    # there is no n x n right factor.
     inst = make()
     d, n_words = inst.ensemble.dim, inst.ensemble.n_words
+    # counted on the instance's own ensemble, whose cache the fresh one below does not share
     dropping = int((~qf.prepare_instance(inst).retained).any(axis=1).sum())
+    priors, states = inst.ensemble.priors, inst.ensemble.states
     shapes = {"eigh": [], "eigvalsh": []}
     for name, seen in shapes.items():
         def wrapped(m, *args, _original=getattr(np.linalg, name), _seen=seen, **kwargs):
@@ -811,7 +837,8 @@ def test_analyze_decomposes_nothing_larger_than_d(make, monkeypatch):
         return result
 
     monkeypatch.setattr(np.linalg, "svd", svd)
-    assert qf.analyze(inst).passed
+    ensemble = qf.Ensemble.create(priors, states)
+    assert qf.analyze(qf.CqChannelInstance.create(ensemble, inst.povm)).passed
     assert len(factors) == 1
     (rows, n), sides = factors[0]
     assert rows == d
@@ -860,11 +887,14 @@ def test_holevo_chi_batched_state_checks_name_the_failing_word():
 
 
 def test_batched_observable_check_names_the_failing_word(monkeypatch):
-    # The third eigh of analyze is the batched exponent of the words that
-    # drop no outcome; tilting one column of word 1 by 1e-6 breaks the
-    # orthonormality of its A_f columns, which |V†V - I| <= ALGEBRA_TOL catches.
+    # Counted from Ensemble.create on, the third eigh is the batched
+    # exponent of the words that drop no outcome (after the states' eigh of
+    # create and rho_bar's on its support); tilting one column of word 1 by
+    # 1e-6 breaks the orthonormality of its A_f columns, which
+    # |V†V - I| <= ALGEBRA_TOL catches.
     inst = qf.random_instance(2, 3, 3, seed=5, state_kind="mixed")
     assert qf.prepare_instance(inst).retained.all()
+    priors, states = inst.ensemble.priors, inst.ensemble.states
     original, calls = np.linalg.eigh, []
 
     def tilted(m, *args, **kwargs):
@@ -876,9 +906,87 @@ def test_batched_observable_check_names_the_failing_word(monkeypatch):
         return values, vectors
 
     monkeypatch.setattr(np.linalg, "eigh", tilted)
+    fresh = qf.CqChannelInstance.create(qf.Ensemble.create(priors, states), inst.povm)
     with pytest.raises(ValidationError, match="A_f of word 1: branches overlap or are not orthonormal"):
-        qf.analyze(inst, strict=False)
-    assert calls[2] == (3, 2, 2)
+        qf.analyze(fresh, strict=False)
+    assert calls[:3] == [(3, 2, 2), (2, 2), (3, 2, 2)]
+
+
+def count_decompositions(monkeypatch):
+    """Wrap np.linalg.eigh, eigvalsh and svd; returns the argument shapes of
+    each, appended to on every call."""
+    shapes = {"eigh": [], "eigvalsh": [], "svd": []}
+    for name in shapes:
+        def wrapped(a, *args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+            shapes[_name].append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapped)
+    return shapes
+
+
+def test_a_povm_and_rank_tol_sweep_derives_the_ensemble_side_once(monkeypatch):
+    # Three POVMs under two rank_tols on one ensemble of three pure words at
+    # d = 4, so supp rho_bar has rank 3 and no other eigh has the states'
+    # shape (3, 4, 4).  Each report is bit-identical to one from a fresh
+    # ensemble of the same inputs.  The states' eigh runs once in all, in
+    # create; the support svd and rho_bar's eigh on its support once per
+    # rank_tol; chi's eigvalsh once.
+    rng = np.random.default_rng(29)
+    priors, states = rng.dirichlet(np.ones(3)), [random_pure_state(4, rng) for _ in range(3)]
+    povms = [random_povm(4, k, rng) for k in (2, 3, 5)]
+    tols = (qf.DEFAULT_TOLS, qf.Tolerances(rank_tol=1e-9))
+
+    def reports(ensemble=None):
+        return [
+            repr(qf.analyze(qf.CqChannelInstance.create(ensemble or qf.Ensemble.create(priors, states), povm), tol))
+            for tol in tols
+            for povm in povms
+        ]
+
+    fresh, fresh_chi = reports(), qf.holevo_chi(qf.Ensemble.create(priors, states))
+    shapes = count_decompositions(monkeypatch)
+    ensemble = qf.Ensemble.create(priors, states)
+    assert reports(ensemble) == fresh
+    assert qf.holevo_chi(ensemble) == fresh_chi
+    assert shapes["eigh"].count((3, 4, 4)) == 1
+    assert shapes["eigh"].count((3, 3)) == len(shapes["svd"]) == len(tols)
+    assert shapes["eigvalsh"] == [(4, 4, 4)]
+
+
+@pytest.mark.parametrize(
+    "state, analyze_match, chi_match",
+    [
+        ([[0.5, 0.1], [0.3, 0.5]], "state 1 is not Hermitian", "state 1 is not Hermitian"),
+        ([[0.5, 0.6], [0.6, 0.5]], "code word state 1 requires a PSD operator", "state 1 has negative eigenvalue"),
+    ],
+    ids=["not_hermitian", "not_psd"],
+)
+def test_a_raw_ensemble_with_a_bad_state_raises_on_every_use(state, analyze_match, chi_match):
+    # the raw constructor skips create's checks; the first use of the
+    # ensemble's cache runs them, and nothing is cached while they raise
+    inst = raw_instance(state)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=analyze_match):
+            qf.analyze(inst, strict=False)
+        with pytest.raises(ValidationError, match=chi_match):
+            qf.holevo_chi(inst.ensemble)
+    assert not inst.ensemble._supports
+
+
+def test_an_ensemble_keeps_its_priors_and_states_read_only():
+    # the cache cannot go stale: the priors and states are the ensemble's
+    # own read-only arrays, and so are the average state and its support
+    # that prepare_instance hands out
+    state = PPLUS.copy()
+    inst = qf.CqChannelInstance.create(
+        qf.Ensemble.create([0.5, 0.5], [P0, state]), qf.POVM.create(Z_POVM_ELEMENTS)
+    )
+    ens, internals = inst.ensemble, qf.prepare_instance(inst)
+    assert ens.states[1] is not state
+    for array in (ens.states[0], ens.priors, internals.rho_bar, internals.average_support.vectors):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def check_exponent_paths(inst):
