@@ -152,16 +152,24 @@ class EvolutionProtocol:
     The steps' eigendecomposition belongs to the protocol and is derived
     once, as KrausChannel splits its operators once: _spectra holds the
     eigenpairs (n, d) and (n, d, d) of the stacked steps, and _channel the
-    unitary built from them on first use.  create checks every step's
-    Hermiticity once, on the stack, and keeps the symmetrized steps as
-    read-only rows of that stack, its own copies; a protocol from the raw
-    constructor is checked in full on the first use of _spectra.
+    unitary built from them on first use.  Both constructors keep
+    read-only copies of the step matrices, so a caller's later write to a
+    matrix it passed changes nothing here.  create checks every step's
+    Hermiticity once, on the stack, and keeps the symmetrized steps; a
+    protocol from the raw constructor is checked in full on the first use
+    of _spectra.
     jarzynski_scenario and unitary_from_protocol read both, so a protocol
     evaluated at many temperatures or initial Hamiltonians decomposes its
     steps once.  Neither is cached while it raises, so an error comes
     again from every later use."""
 
     steps: tuple[tuple[np.ndarray, float], ...]
+
+    def __post_init__(self) -> None:
+        steps = tuple((np.array(h), t) for h, t in self.steps)
+        for h, _ in steps:
+            h.setflags(write=False)
+        object.__setattr__(self, "steps", steps)
 
     @classmethod
     def create(cls, steps: Iterable[tuple[np.ndarray, float]]) -> "EvolutionProtocol":
@@ -181,7 +189,6 @@ class EvolutionProtocol:
         if any(h.shape[0] != dim for h in matrices):
             raise ValidationError("protocol Hamiltonians have mixed dimensions")
         stack = _hermitian(np.stack(matrices), "step")
-        stack.setflags(write=False)
         protocol = cls(steps=tuple(zip(stack, durations)))
         # the cached property's slot, filled without a second Hermiticity pass
         protocol.__dict__["_spectra"] = _verified_eigh(stack, "step")

@@ -16,7 +16,7 @@ bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -76,12 +76,14 @@ class Ensemble:
     must share one dimension and is checked in one pass over their stack;
     an error names the state by its input index.
 
-    What depends on the ensemble alone is derived once, as
+    Both constructors keep read-only copies of the priors and of the states,
+    stacked once (J, d, d) in _stack, whose rows are the states; a caller's
+    later write to the arrays it passed changes nothing here.  What depends
+    on the ensemble alone is derived from those copies once, as
     EvolutionProtocol derives its step spectra, and shared by every POVM
     it is analyzed under: _spectra holds the states' eigenpairs (J, d) and
-    (J, d, d), _support(tol) the ensemble side of prepare_instance at
-    tol.rank_tol, and _chi the Holevo quantity.  create keeps the priors
-    and the symmetrized states as read-only arrays, its own copies, and
+    (J, d, d), _support(tol) the ensemble side of prepare_instance, kept
+    for the last rank_tol asked for, and _chi the Holevo quantity.  create
     fills _spectra from the one checked eigh its state checks run on; an
     ensemble from the raw constructor is checked in full on first use.
     Nothing is cached while it raises, so an error comes again from every
@@ -90,6 +92,14 @@ class Ensemble:
 
     priors: np.ndarray
     states: tuple[np.ndarray, ...]
+    _stack: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        priors, stack = np.array(self.priors), np.array(self.states, dtype=complex)
+        _read_only(priors, stack)
+        object.__setattr__(self, "priors", priors)
+        object.__setattr__(self, "states", tuple(stack))
+        object.__setattr__(self, "_stack", stack)
 
     @classmethod
     def create(cls, priors, states: Iterable, tol: Tolerances = DEFAULT_TOLS) -> "Ensemble":
@@ -119,10 +129,9 @@ class Ensemble:
         keep = p > tol.prob_floor
         if not keep.any():
             raise ValidationError("all priors are zero")
-        priors, kept, spectra = p[keep], stack[keep], (values[keep], vectors[keep])
-        # before the rows are taken, since a view keeps the flag it was made with
-        _read_only(priors, kept, *spectra)
-        ensemble = cls(priors=priors, states=tuple(kept))
+        ensemble = cls(priors=p[keep], states=stack[keep])
+        spectra = values[keep], vectors[keep]
+        _read_only(*spectra)
         # the cached property's slot, filled without a second Hermiticity pass
         ensemble.__dict__["_spectra"] = spectra
         return ensemble
@@ -136,35 +145,31 @@ class Ensemble:
         return len(self.states)
 
     def average_state(self) -> np.ndarray:
-        states = np.asarray(self.states, dtype=complex)
-        return (self.priors @ states.reshape(len(states), -1)).reshape(states.shape[1:])
+        stack = self._stack
+        return (self.priors @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
 
     @cached_property
     def _spectra(self) -> tuple[np.ndarray, np.ndarray]:
         """The states' ascending eigenpairs from one checked eigh of their
         stack; an error names the state ("state j")."""
-        spectra = _checked_eigh(np.asarray(self.states, dtype=complex), "state")
+        spectra = _checked_eigh(self._stack, "state")
         _read_only(*spectra)
         return spectra
 
-    @cached_property
-    def _supports(self) -> dict[float, "_EnsembleSupport"]:
-        """_support's results, by rank_tol."""
-        return {}
-
     def _support(self, tol: Tolerances) -> "_EnsembleSupport":
-        """The ensemble side of prepare_instance, derived once per
-        tol.rank_tol, the only tolerance it reads."""
-        support = self._supports.get(tol.rank_tol)
-        if support is None:
-            support = self._supports[tol.rank_tol] = _EnsembleSupport.of(self, tol)
+        """The ensemble side of prepare_instance at tol.rank_tol, the only
+        tolerance it reads; the block of the last rank_tol asked for is
+        kept, so a run at one rank_tol derives it once."""
+        support = self.__dict__.get("_last_support")
+        if support is None or support.rank_tol != tol.rank_tol:
+            support = self.__dict__["_last_support"] = _EnsembleSupport.of(self, tol)
         return support
 
     @cached_property
     def _chi(self) -> float:
         """holevo_chi, from one eigvalsh of the stack (rho_1 ... rho_J,
         rho_bar) with the checks of require_density_matrix batched."""
-        stack = np.concatenate([np.asarray(self.states, dtype=complex), self.average_state()[None]])
+        stack = np.concatenate([self._stack, self.average_state()[None]])
         entropies = _entropy(_density_spectrum(stack)[1])
         return float(entropies[-1] - self.priors @ entropies[:-1])
 
@@ -180,9 +185,8 @@ class _EnsembleSupport:
     basis); there rho_bar has values lambda_bar > 0 on columns s_bar, and
     no word may leak outside it."""
 
-    states: np.ndarray       # (J, d, d) stacked states
-    vectors: np.ndarray      # (J, d, d) eigenvectors of each state, ascending
-    support: np.ndarray      # (J, d) bool, the columns on supp rho_j
+    rank_tol: float
+    support: np.ndarray      # (J, d) bool, the columns of Ensemble._spectra on supp rho_j
     logs: np.ndarray         # (J, d) ln lambda of rho_j on its support, -inf off it
     rho_bar: np.ndarray
     average: SpectralDecomposition  # rho_bar on supp rho_bar: r > 0 values, d x r columns s_bar
@@ -190,7 +194,6 @@ class _EnsembleSupport:
 
     @classmethod
     def of(cls, ensemble: Ensemble, tol: Tolerances) -> "_EnsembleSupport":
-        states = np.asarray(ensemble.states, dtype=complex)
         values, vectors = ensemble._spectra
         support = _support_mask(values, tol, "code word state")
         # the words' support columns side by side, word by word
@@ -198,7 +201,7 @@ class _EnsembleSupport:
         span, singular, _ = np.linalg.svd(columns, full_matrices=columns.shape[1] < ensemble.dim)
         rank = int(np.count_nonzero(singular > tol.rank_tol * singular[0]))
         outside = span[:, rank:]
-        leaks = np.einsum("ai,jab,bi->j", outside.conj(), states, outside).real
+        leaks = np.einsum("ai,jab,bi->j", outside.conj(), ensemble._stack, outside).real
         leaking = leaks > ALGEBRA_TOL
         if leaking.any():
             j = int(np.argmax(leaking))
@@ -209,8 +212,8 @@ class _EnsembleSupport:
             raise ValidationError(f"the average state has eigenvalue {inner.values[0]:.3e} on its support")
         average = SpectralDecomposition(values=inner.values, vectors=span[:, :rank] @ inner.vectors)
         logs = np.where(support, np.log(np.where(support, values, 1.0)), -math.inf)
-        _read_only(states, support, logs, rho_bar, average.values, average.vectors, outside)
-        return cls(states, vectors, support, logs, rho_bar, average, outside)
+        _read_only(support, logs, rho_bar, average.values, average.vectors, outside)
+        return cls(tol.rank_tol, support, logs, rho_bar, average, outside)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,7 +243,7 @@ def conditional_probabilities(
 
     Rows must sum to one within ALGEBRA_TOL.
     """
-    states, elements = np.asarray(inst.ensemble.states), np.asarray(inst.povm.elements)
+    states, elements = inst.ensemble._stack, np.asarray(inst.povm.elements)
     cond = np.trace(states[:, None] @ elements, axis1=-2, axis2=-1).real
     lows = cond.min(axis=1)
     cond = np.clip(cond, 0.0, None)
@@ -336,10 +339,11 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
     The composite's state rho_j (x) |0><0| and both observables vanish off
     probe |0>, where the dilated projectors compress to the POVM elements
     M_k, so each word runs on the encoding space.  What depends on the
-    ensemble alone comes from its cache, derived on first use at each
-    rank_tol (Ensemble._support): the states' one eigh, their supports
-    and log-weights, rho_bar, and supp rho_bar with the support leak check,
-    where rho_bar has values lambda_bar > 0 on columns s_bar.  This
+    ensemble alone comes from its cache: the stacked states, their one
+    eigh (Ensemble._spectra) and, derived again only when rank_tol changes
+    (Ensemble._support), their supports and log-weights, rho_bar, and
+    supp rho_bar with the support leak check, where rho_bar has values
+    lambda_bar > 0 on columns s_bar.  This
     function does the per-POVM rest.  The exponent
     F_c = diag(ln lambda_bar) + sum_k info_jk s_bar† M_k s_bar (retained k)
     of the words that drop no outcome is one batched eigh; a word that
@@ -396,7 +400,7 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
         place(j, w, cols)
     observables, order = _grouped(
         np.concatenate([np.where(support, -logs, 0.0), final_values]),
-        np.concatenate([side.vectors, encoding]),
+        np.concatenate([ensemble._spectra[1], encoding]),
         tol,
         lambda i: f"{'A_i' if i < jw else 'A_f'} of word {i % jw}",
     )
@@ -404,7 +408,7 @@ def prepare_instance(inst: CqChannelInstance, tol: Tolerances = DEFAULT_TOLS) ->
     log_weights = np.take_along_axis(logs, order[:jw], axis=-1)
     # built without KrausChannel.create: it is complete by construction
     channel = KrausChannel(kraus_ops=(np.eye(d, dtype=complex),))
-    blocks = _WordBlocks(side.states, ensemble.priors, channel, *observables.split(jw))
+    blocks = _WordBlocks(ensemble._stack, ensemble.priors, channel, *observables.split(jw))
 
     return HolevoInternals(
         ensemble=ensemble,
@@ -661,8 +665,7 @@ def _ascend(
     rule and exit, so it follows the path it would follow alone.  A start
     whose first normalizer is singular gets I = -inf and takes no steps.
     """
-    states = np.asarray(ensemble.states)
-    priors = ensemble.priors
+    states, priors = ensemble._stack, ensemble.priors
     floor = ensemble.dim * 1e-14
     factors = np.array(ASCENT_STEP_FACTORS)
 

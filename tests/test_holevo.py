@@ -931,7 +931,8 @@ def test_a_povm_and_rank_tol_sweep_derives_the_ensemble_side_once(monkeypatch):
     # shape (3, 4, 4).  Each report is bit-identical to one from a fresh
     # ensemble of the same inputs.  The states' eigh runs once in all, in
     # create; the support svd and rho_bar's eigh on its support once per
-    # rank_tol; chi's eigvalsh once.
+    # rank_tol; chi's eigvalsh once.  Only the last rank_tol's block is
+    # kept, so going back to the first derives it again.
     rng = np.random.default_rng(29)
     priors, states = rng.dirichlet(np.ones(3)), [random_pure_state(4, rng) for _ in range(3)]
     povms = [random_povm(4, k, rng) for k in (2, 3, 5)]
@@ -952,6 +953,8 @@ def test_a_povm_and_rank_tol_sweep_derives_the_ensemble_side_once(monkeypatch):
     assert shapes["eigh"].count((3, 4, 4)) == 1
     assert shapes["eigh"].count((3, 3)) == len(shapes["svd"]) == len(tols)
     assert shapes["eigvalsh"] == [(4, 4, 4)]
+    qf.analyze(qf.CqChannelInstance.create(ensemble, povms[0]), tols[0])
+    assert len(shapes["svd"]) == len(tols) + 1
 
 
 @pytest.mark.parametrize(
@@ -965,13 +968,14 @@ def test_a_povm_and_rank_tol_sweep_derives_the_ensemble_side_once(monkeypatch):
 def test_a_raw_ensemble_with_a_bad_state_raises_on_every_use(state, analyze_match, chi_match):
     # the raw constructor skips create's checks; the first use of the
     # ensemble's cache runs them, and nothing is cached while they raise
+    # (a non-PSD state's eigenpairs are right, and its support block fails)
     inst = raw_instance(state)
     for _ in range(2):
         with pytest.raises(ValidationError, match=analyze_match):
             qf.analyze(inst, strict=False)
         with pytest.raises(ValidationError, match=chi_match):
             qf.holevo_chi(inst.ensemble)
-    assert not inst.ensemble._supports
+    assert not {"_last_support", "_chi"} & set(vars(inst.ensemble))
 
 
 def test_an_ensemble_keeps_its_priors_and_states_read_only():
@@ -985,6 +989,26 @@ def test_an_ensemble_keeps_its_priors_and_states_read_only():
     ens, internals = inst.ensemble, qf.prepare_instance(inst)
     assert ens.states[1] is not state
     for array in (ens.states[0], ens.priors, internals.rho_bar, internals.average_support.vectors):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_a_raw_ensemble_keeps_its_own_copies():
+    # the raw constructor copies and freezes the caller's arrays as create
+    # does, so writing to them after a first analyze leaves the cached
+    # spectra, rho_bar and chi right: the reports stay those of the inputs
+    # as they were, and equal a fresh create's
+    priors, state = np.array([0.5, 0.5]), PPLUS.copy()
+    z_povm = qf.POVM.create(Z_POVM_ELEMENTS)
+    ens = qf.Ensemble(priors=priors, states=(P0, state))
+    first = repr(qf.analyze(qf.CqChannelInstance(ensemble=ens, povm=z_povm)))
+    priors[:] = [0.8, 0.2]
+    state[:] = P0
+    again = repr(qf.analyze(qf.CqChannelInstance(ensemble=ens, povm=z_povm)))
+    fresh = qf.analyze(qf.CqChannelInstance.create(qf.Ensemble.create([0.5, 0.5], [P0, PPLUS]), z_povm))
+    assert again == first == repr(fresh)
+    assert qf.holevo_chi(ens) == fresh.chi
+    for array in (ens.priors, ens.states[1]):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
 

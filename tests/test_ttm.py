@@ -545,6 +545,23 @@ def test_a_protocol_keeps_its_steps_and_unitary_read_only():
     assert protocol.steps[0][0][0, 0] == 1.0
 
 
+def test_a_raw_protocol_keeps_its_own_copies():
+    # the raw constructor copies and freezes the step matrices as create
+    # does, so writing to the caller's matrix after a first use leaves the
+    # cached spectra and unitary right: a later Jarzynski report equals
+    # one from a fresh protocol of the original steps
+    h = PAULI_Z + 0.5 * PAULI_X
+    step = h.copy()
+    protocol = qf.EvolutionProtocol(steps=((PAULI_X, 0.2), (step, 0.3)))
+    first = repr(qf.jarzynski_scenario(PAULI_X, protocol, beta=1.0)[1])
+    step[:] = 7.0 * PAULI_X
+    fresh = qf.EvolutionProtocol.create([(PAULI_X, 0.2), (h, 0.3)])
+    assert repr(qf.jarzynski_scenario(PAULI_X, protocol, beta=1.0)[1]) == first
+    assert first == repr(qf.jarzynski_scenario(PAULI_X, fresh, beta=1.0)[1])
+    with pytest.raises(ValueError, match="read-only"):
+        protocol.steps[1][0][0, 0] = 2.0
+
+
 def test_jarzynski_identity_is_relative_to_z_ratio():
     # Z_tau/Z_0 = 7.50e10: an absolute check would read 3.05e-5 here and
     # fail, although lhs agrees with the ratio to rounding
